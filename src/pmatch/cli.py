@@ -3,8 +3,9 @@ runs, and complement-sum scans, all with machine-readable output.
 
 Exit codes: 0 success, 1 verification failure or counterexample or a
 per-parameter error, 2 usage error, 3 node budget exceeded. Output is
-deterministic for fixed inputs and seeds regardless of --threads; timings are
-only attached under --timing since they vary run to run.
+deterministic for fixed inputs and seeds; timings are only attached under
+--timing since they vary run to run. Computation is single-threaded:
+``compute --threads N`` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .graph import FIGURE_MATCHINGS, Graph, generate, parse_graph
@@ -28,19 +28,16 @@ from .properties import (
     find_bipartite_orientation,
     find_independent_orientation,
     has_property,
-    is_b_matching,
     is_maximal_matching,
     is_maximal_p_matching,
     is_maximal_total_matching,
-    is_matching,
     is_perfect_matching,
     is_separating_matching,
-    is_total_matching,
     matching_violation,
     onbr_violation,
     total_violation,
 )
-from .oracle import OracleLimitError, oracle_parameter
+from .oracle import oracle_parameter
 from .solvers import (
     BudgetExceededError,
     EngineConfig,
@@ -131,8 +128,17 @@ def _parse_bounds(spec: str, G: Graph) -> BoundFunction:
     values = [0] * G.n
     for tok in spec.split(","):
         v, k = tok.split(":")
-        values[int(v)] = int(k)
+        vertex = int(v)
+        if not 0 <= vertex < G.n:
+            raise UsageError(f"bound for vertex {vertex} outside 0..{G.n - 1}")
+        values[vertex] = int(k)
     return BoundFunction(tuple(values))
+
+
+def _parse_params(spec: str) -> list[ParameterId]:
+    if spec.strip().lower() == "all":
+        return list(ParameterId.all())
+    return [ParameterId.from_string(t.strip()) for t in spec.split(",") if t.strip()]
 
 
 # -- witness rendering ---------------------------------------------------------
@@ -163,55 +169,44 @@ def _witness_json(G: Graph, pid: ParameterId, witness):
 # -- compute -------------------------------------------------------------------
 
 
-def _compute_one(G: Graph, pid: ParameterId, config: EngineConfig, bounds) -> dict:
+def _compute_one(
+    G: Graph, pid: ParameterId, config: EngineConfig, bounds
+) -> tuple[dict, float]:
+    """One table entry and the milliseconds it took, failures included."""
     started = time.perf_counter()
     try:
         res = compute_parameter(G, pid, config, b=bounds)
+        entry = {
+            "value": res.value if res.value is not None else "undefined",
+            "witness": _witness_json(G, pid, res.witness),
+            "route": res.route,
+            "nodes": res.nodes_explored,
+        }
     except BudgetExceededError as exc:
-        return {"error": str(exc), "budget_exceeded": True, "_ms": 0.0}
-    except (ValueError, OracleLimitError) as exc:
-        return {"error": str(exc), "_ms": 0.0}
-    entry = {
-        "value": res.value if res.value is not None else "undefined",
-        "witness": _witness_json(G, pid, res.witness),
-        "route": res.route,
-        "nodes": res.nodes_explored,
-        "_ms": (time.perf_counter() - started) * 1000.0,
-    }
-    return entry
+        entry = {"error": str(exc), "budget_exceeded": True}
+    except ValueError as exc:
+        entry = {"error": str(exc)}
+    return entry, (time.perf_counter() - started) * 1000.0
 
 
 def cmd_compute(args) -> int:
     graphs = _build_graphs(args, multiple=True)
-    if args.params.strip().lower() == "all":
-        params = list(ParameterId.all())
-    else:
-        params = [ParameterId.from_string(t.strip()) for t in args.params.split(",") if t.strip()]
+    params = _parse_params(args.params)
     config = EngineConfig(node_budget=args.budget)
     exit_code = 0
 
-    jobs = []
-    for gi, (label, G) in enumerate(graphs):
-        bounds = _parse_bounds(args.b_bounds, G) if args.b_bounds else None
-        for pid in params:
-            jobs.append((gi, pid, G, bounds))
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(lambda j: _compute_one(j[2], j[1], config, j[3]), jobs))
-    else:
-        results = [_compute_one(G, pid, config, bounds) for _, pid, G, bounds in jobs]
-
     tables: list[dict] = []
-    for gi, (label, G) in enumerate(graphs):
-        tables.append({"graph": label, "id": graph_id(G), "n": G.n, "m": G.m, "params": {}})
-    for (gi, pid, G, _), entry in zip(jobs, results):
-        ms = entry.pop("_ms")
-        if args.timing:
-            entry["ms"] = round(ms, 3)
-        if "error" in entry:
-            exit_code = 3 if entry.get("budget_exceeded") else max(exit_code, 1)
-        tables[gi]["params"][pid.value] = entry
+    for label, G in graphs:
+        bounds = _parse_bounds(args.b_bounds, G) if args.b_bounds else None
+        table = {"graph": label, "id": graph_id(G), "n": G.n, "m": G.m, "params": {}}
+        for pid in params:
+            entry, ms = _compute_one(G, pid, config, bounds)
+            if args.timing:
+                entry["ms"] = round(ms, 3)
+            if "error" in entry:
+                exit_code = 3 if entry.get("budget_exceeded") else max(exit_code, 1)
+            table["params"][pid.value] = entry
+        tables.append(table)
     for table in tables:
         if args.format == "json":
             print(json.dumps(table, sort_keys=True, separators=(",", ":")))
@@ -246,16 +241,6 @@ def _witness_tsv_from_json(pid: ParameterId, witness) -> str:
 
 
 # -- verify ---------------------------------------------------------------------
-
-
-_SIMPLE_PROPS = {
-    "matching",
-    "maximal",
-    "perfect",
-    "separating",
-    "total",
-    "maximal_total",
-}
 
 
 def cmd_verify(args) -> int:
@@ -416,10 +401,7 @@ def cmd_scan(args) -> int:
 
 def cmd_oracle(args) -> int:
     graphs = _build_graphs(args, multiple=True)
-    if args.params.strip().lower() == "all":
-        params = list(ParameterId.all())
-    else:
-        params = [ParameterId.from_string(t.strip()) for t in args.params.split(",") if t.strip()]
+    params = _parse_params(args.params)
     code = 0
     for label, G in graphs:
         bounds = _parse_bounds(args.b_bounds, G) if args.b_bounds else None
@@ -432,7 +414,7 @@ def cmd_oracle(args) -> int:
                     "witness_count": rep.all_witnesses_count,
                     "enumerated": rep.enumerated,
                 }
-            except (OracleLimitError, ValueError) as exc:
+            except ValueError as exc:
                 table["params"][pid.value] = {"error": str(exc)}
                 code = max(code, 1)
         print(json.dumps(table, sort_keys=True, separators=(",", ":")))
@@ -454,7 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="comma list of parameter tags, or 'all'")
     p.add_argument("--budget", type=int, help="search node budget per parameter")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect "
+                        "(computation is single-threaded)")
     p.add_argument("--b-bounds", dest="b_bounds",
                    help="bound spec for b_matching_max: uniform 'K' or 'v:k,v:k,...' "
                         "(default: uniform 1)")

@@ -173,20 +173,39 @@ def hopcroft_karp(
                     q.append(nxt)
         return found
 
-    def dfs(u: int) -> bool:
-        for w in adj[u]:
-            nxt = match_r[w]
-            if nxt == -1 or (dist[nxt] == dist[u] + 1 and dfs(nxt)):
-                match_l[u] = w
-                match_r[w] = u
-                return True
-        dist[u] = INF
+    def augment(root: int) -> bool:
+        """Layered depth-first search for an augmenting path from ``root``,
+        on an explicit stack of (left vertex, neighbor iterator) pairs so that
+        path length is not bounded by recursion depth."""
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            u, neighbors = stack[-1]
+            for w in neighbors:
+                nxt = match_r[w]
+                if nxt == -1:
+                    # Flip the path, deepest vertex first: each left vertex
+                    # takes the right vertex after it, and its old mate (the
+                    # right vertex it was reached through) goes to the one
+                    # before it.
+                    for x, _ in reversed(stack):
+                        prev = match_l[x]
+                        match_l[x] = w
+                        match_r[w] = x
+                        w = prev
+                    return True
+                if dist[nxt] == dist[u] + 1:
+                    stack.append((nxt, iter(adj[nxt])))
+                    break
+            else:
+                # Dead end: no augmenting path continues through u this phase.
+                dist[u] = INF
+                stack.pop()
         return False
 
     size = 0
     while bfs():
         for u in range(n_left):
-            if match_l[u] == -1 and dfs(u):
+            if match_l[u] == -1 and augment(u):
                 size += 1
     return size, match_l, match_r
 

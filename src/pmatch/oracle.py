@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from itertools import combinations
 
 from .graph import Graph, is_edge_cut
 from .properties import (
@@ -28,8 +27,6 @@ from .properties import (
 from .solvers import (
     PARAM_PROPERTY,
     MINUS_PARAMS,
-    PROPERTY_MAX_PARAM,
-    PROPERTY_MIN_PARAM,
     ParameterId,
 )
 
@@ -243,38 +240,30 @@ def _vertex_scan(G: Graph, pid: ParameterId) -> OracleReport:
 
 
 def _edge_cover_scan(G: Graph) -> OracleReport:
-    """Minimum edge cover by a vectorized sweep over all edge subsets."""
+    """Minimum edge cover by scanning edge subsets in order of size: the first
+    size at which some subset covers every vertex is the minimum, and all
+    covers of that size are counted."""
     if any(G.degree(v) == 0 for v in range(G.n)):
         raise ValueError("edge cover undefined: graph has an isolated vertex")
     if G.m > COVER_SCAN_LIMIT:
         raise OracleLimitError(
             f"{G.m} edges exceed the {COVER_SCAN_LIMIT}-edge cover-scan cap"
         )
-    if G.n == 0:
-        return OracleReport(ParameterId.ALPHA1, 0, 1, 1)
-    incidence = [0] * G.n
-    for i, (u, v) in enumerate(G.edges):
-        incidence[u] |= 1 << i
-        incidence[v] |= 1 << i
-    total = 1 << G.m
-    best = None
-    count = 0
-    chunk = 1 << 20
-    for lo in range(0, total, chunk):
-        masks = np.arange(lo, min(lo + chunk, total), dtype=np.uint32)
-        covered = np.ones(len(masks), dtype=bool)
-        for v in range(G.n):
-            covered &= (masks & np.uint32(incidence[v])) != 0
-        if not covered.any():
-            continue
-        sizes = np.bitwise_count(masks[covered])
-        lo_best = int(sizes.min())
-        lo_count = int((sizes == lo_best).sum())
-        if best is None or lo_best < best:
-            best, count = lo_best, lo_count
-        elif lo_best == best:
-            count += lo_count
-    return OracleReport(ParameterId.ALPHA1, best, count, total)
+    full = (1 << G.n) - 1
+    edge_masks = [(1 << u) | (1 << v) for u, v in G.edges]
+    enumerated = 0
+    for size in range(G.m + 1):  # size m always covers: there are no isolates
+        count = 0
+        for subset in combinations(edge_masks, size):
+            enumerated += 1
+            covered = 0
+            for em in subset:
+                covered |= em
+            if covered == full:
+                count += 1
+        if count:
+            break
+    return OracleReport(ParameterId.ALPHA1, size, count, enumerated)
 
 
 # -- mixed (total matching) parameters ------------------------------------------

@@ -169,9 +169,6 @@ class Matching:
             out[v] = u
         return out
 
-    def with_edge(self, e: Edge) -> "Matching":
-        return Matching(self.host, self.edges + (_canon(e),))
-
 
 def as_matching(G: Graph, M) -> Matching:
     if isinstance(M, Matching):

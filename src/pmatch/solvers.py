@@ -15,17 +15,14 @@ from dataclasses import dataclass
 
 from .graph import Graph, block_decomposition, is_acyclic_graph, is_edge_cut
 from .matching import (
-    bipartite_matching_and_cover,
     hall_violator,
     hopcroft_karp,
     lexmin_maximum_matching,
     max_matching_size,
-    maximum_matching,
 )
 from .properties import (
     HEREDITARY_PROPERTIES,
     BoundFunction,
-    MixedSet,
     PropertyId,
     property_holds,
 )
@@ -441,6 +438,15 @@ def edge_cover_number(G: Graph) -> ParameterResult:
     return ParameterResult(ParameterId.ALPHA1, len(witness), witness, "fast-path")
 
 
+def _cover_from_independent(G: Graph, beta0: ParameterResult) -> ParameterResult:
+    """The vertex cover number by the complement identity: the vertices
+    outside a maximum independent set form a minimum vertex cover."""
+    cover = tuple(sorted(set(range(G.n)) - set(beta0.witness)))
+    return ParameterResult(
+        ParameterId.ALPHA0, G.n - beta0.value, cover, "fast-path", beta0.nodes_explored
+    )
+
+
 def classic_parameters(
     G: Graph, config: EngineConfig | None = None
 ) -> dict[ParameterId, ParameterResult]:
@@ -453,10 +459,7 @@ def classic_parameters(
     out: dict[ParameterId, ParameterResult] = {}
     beta0 = independence_number(G, config)
     out[ParameterId.BETA0] = beta0
-    cover = tuple(sorted(set(range(G.n)) - set(beta0.witness)))
-    out[ParameterId.ALPHA0] = ParameterResult(
-        ParameterId.ALPHA0, G.n - beta0.value, cover, "fast-path", beta0.nodes_explored
-    )
+    out[ParameterId.ALPHA0] = _cover_from_independent(G, beta0)
     out[ParameterId.GAMMA] = domination_number(G, config)
     if all(G.degree(v) > 0 for v in range(G.n)):
         out[ParameterId.ALPHA1] = edge_cover_number(G)
@@ -714,8 +717,12 @@ def compute_parameter(
         return max_matching(G)
     if pid is ParameterId.BETA1_MINUS:
         return min_maximal_matching(G, config)
-    if pid in (ParameterId.ALPHA0, ParameterId.BETA0, ParameterId.GAMMA):
-        return classic_parameters_single(G, pid, config)
+    if pid is ParameterId.ALPHA0:
+        return _cover_from_independent(G, independence_number(G, config))
+    if pid is ParameterId.BETA0:
+        return independence_number(G, config)
+    if pid is ParameterId.GAMMA:
+        return domination_number(G, config)
     if pid is ParameterId.ALPHA1:
         return edge_cover_number(G)
     if pid in PARAM_PROPERTY:
@@ -733,19 +740,3 @@ def compute_parameter(
         bound = b if b is not None else BoundFunction.uniform(G, 1)
         return tree_b_matching_max(G, bound)
     raise ValueError(f"no solver route for {pid}")
-
-
-def classic_parameters_single(
-    G: Graph, pid: ParameterId, config: EngineConfig | None = None
-) -> ParameterResult:
-    if pid is ParameterId.BETA0:
-        return independence_number(G, config)
-    if pid is ParameterId.ALPHA0:
-        beta0 = independence_number(G, config)
-        cover = tuple(sorted(set(range(G.n)) - set(beta0.witness)))
-        return ParameterResult(
-            ParameterId.ALPHA0, G.n - beta0.value, cover, "fast-path", beta0.nodes_explored
-        )
-    if pid is ParameterId.GAMMA:
-        return domination_number(G, config)
-    raise ValueError(f"{pid} is not a classic vertex parameter")

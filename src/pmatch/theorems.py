@@ -192,20 +192,9 @@ def check_frobenius(G: Graph, exhaustive_limit: int = 12) -> TheoremVerdict:
                 break
     else:
         # Deficiency route: a maximum matching exposing part of A yields the
-        # violating subset by alternating reachability.
+        # violating subset by alternating reachability, as in the SDR solver.
         if beta1 < len(a_side):
-            from .matching import hopcroft_karp, hall_violator
-
-            a_index = {v: i for i, v in enumerate(a_side)}
-            b_index = {v: i for i, v in enumerate(b_side)}
-            adj = [[] for _ in a_side]
-            for u, v in G.edges:
-                if u in a_index:
-                    adj[a_index[u]].append(b_index[v])
-                else:
-                    adj[a_index[v]].append(b_index[u])
-            _, ml, mr = hopcroft_karp(len(a_side), len(b_side), adj)
-            w = hall_violator(len(a_side), adj, ml, mr)
+            w = sdr_solve(SetSystem(b_side, [G.neighbors(a) for a in a_side])).violator
             violating = tuple(a_side[i] for i in sorted(w))
 
     condition = sizes_equal and violating is None

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from pmatch.cli import main
 
 
@@ -82,6 +84,24 @@ def test_compute_budget_exhaustion(capsys):
     assert code == 3
     entry = json.loads(out)["params"]["beta_star"]
     assert entry.get("budget_exceeded") is True
+
+
+def test_compute_budget_error_reports_elapsed_time(capsys):
+    code = main(["compute", "--family", "hypercube", "--n", "3",
+                 "--params", "beta_total_max", "--budget", "5", "--timing"])
+    entry = json.loads(capsys.readouterr().out)["params"]["beta_total_max"]
+    assert code == 3
+    assert entry["budget_exceeded"] is True
+    assert entry["ms"] > 0
+
+
+@pytest.mark.parametrize("spec, vertex", [("99:1", "99"), ("0:1,-1:1", "-1")])
+def test_b_bounds_vertex_out_of_range(spec, vertex):
+    code, out, err = run_cli("compute", "--family", "path", "--n", "4",
+                             "--params", "b_matching_max", f"--b-bounds={spec}")
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert f"bound for vertex {vertex} outside 0..3" in err
 
 
 def test_verify_perfect(capsys):

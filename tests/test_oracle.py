@@ -1,8 +1,12 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 
 from pmatch.graph import Graph, generate
 from pmatch.oracle import (
+    COVER_SCAN_LIMIT,
     EDGE_SUBSET_LIMIT,
     OracleLimitError,
     all_matchings,
@@ -69,6 +73,10 @@ def test_oracle_limits():
     tall = Graph(40, tuple((i, i + 1) for i in range(0, 40, 2)))
     with pytest.raises(OracleLimitError):
         oracle_parameter(tall, ParameterId.BETA0)
+    k7 = generate("complete", n=7)  # 21 edges, no isolates
+    assert k7.m > COVER_SCAN_LIMIT
+    with pytest.raises(OracleLimitError):
+        oracle_parameter(k7, ParameterId.ALPHA1)
 
 
 def test_oracle_b_matching_custom_bounds():
@@ -83,6 +91,27 @@ def test_oracle_alpha1_isolate_error():
     lone = Graph(3, ((0, 1),))
     with pytest.raises(ValueError):
         oracle_parameter(lone, ParameterId.ALPHA1)
+
+
+@pytest.mark.parametrize(
+    "G, value, count",
+    [
+        (generate("path", n=4), 2, 1),
+        (generate("cycle", n=4), 2, 2),
+        (generate("complete", n=4), 2, 3),
+        (generate("complete_bipartite", a=1, b=3), 3, 1),
+        (Graph(0, ()), 0, 1),
+    ],
+    ids=["P4", "C4", "K4", "K1,3", "empty"],
+)
+def test_oracle_alpha1_hand_counts(G, value, count):
+    rep = oracle_parameter(G, ParameterId.ALPHA1)
+    assert (rep.value, rep.all_witnesses_count) == (value, count)
+
+
+def test_import_leaves_numpy_unloaded():
+    code = "import sys, pmatch; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_oracle_undefined_minus(p8):

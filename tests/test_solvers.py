@@ -441,3 +441,13 @@ def test_empty_graph_parameters():
             assert res.value is None
         else:
             assert res.value == 0
+
+
+def test_sdr_chain_longer_than_recursion_limit():
+    # One augmenting path runs through every set: S_i = {i, i+1}, then {0}.
+    n = 5000
+    sets = [{i, i + 1} for i in range(n - 1)] + [{0}]
+    result = sdr_solve(SetSystem(range(n), sets))
+    assert result.violator is None
+    reps = result.representatives
+    assert len(set(reps)) == n and all(r in s for r, s in zip(reps, sets))
