@@ -124,15 +124,21 @@ def _parse_vertices(spec: str) -> tuple[int, ...]:
 def _parse_bounds(spec: str, G: Graph) -> BoundFunction:
     spec = spec.strip()
     if ":" not in spec:
-        return BoundFunction.uniform(G, int(spec))
-    values = [0] * G.n
-    for tok in spec.split(","):
-        v, k = tok.split(":")
-        vertex = int(v)
-        if not 0 <= vertex < G.n:
-            raise UsageError(f"bound for vertex {vertex} outside 0..{G.n - 1}")
-        values[vertex] = int(k)
-    return BoundFunction(tuple(values))
+        bound = BoundFunction.uniform(G, int(spec))
+    else:
+        values = [0] * G.n
+        for tok in spec.split(","):
+            v, k = tok.split(":")
+            vertex = int(v)
+            if not 0 <= vertex < G.n:
+                raise UsageError(f"bound for vertex {vertex} outside 0..{G.n - 1}")
+            values[vertex] = int(k)
+        bound = BoundFunction(tuple(values))
+    try:
+        bound.validate_for(G)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return bound
 
 
 def _parse_params(spec: str) -> list[ParameterId]:

@@ -20,6 +20,7 @@ from .properties import (
     Matching,
     MixedSet,
     PropertyId,
+    _bits,
     as_matching,
     has_property,
     is_maximal_total_matching,
@@ -62,12 +63,35 @@ class OracleLimitError(ValueError):
 @dataclass(frozen=True)
 class OracleReport:
     """Reference value for one parameter: the exact optimum, how many optimal
-    witnesses exist, and how many candidate sets the scan evaluated."""
+    witnesses exist, how many candidate sets the scan evaluated, and the
+    lexicographically smallest optimal witness (None without a value)."""
 
     parameter: ParameterId
     value: int | None
     all_witnesses_count: int
     enumerated: int
+    witness: object = None
+
+
+class _Tally:
+    """Running optimum of one scan: the best size, how many candidates reach
+    it, and the smallest of them."""
+
+    def __init__(self, maximize: bool):
+        self.maximize = maximize
+        self.value: int | None = None
+        self.count = 0
+        self.witness = None
+
+    def offer(self, size: int, witness):
+        if self.value is None or (size > self.value if self.maximize else size < self.value):
+            self.value, self.count, self.witness = size, 1, witness
+        elif size == self.value:
+            self.count += 1
+            self.witness = min(self.witness, witness)
+
+    def report(self, pid: ParameterId, enumerated: int) -> OracleReport:
+        return OracleReport(pid, self.value, self.count, enumerated, self.witness)
 
 
 def all_matchings(G: Graph):
@@ -93,27 +117,15 @@ def all_matchings(G: Graph):
 _PROPS = tuple(PropertyId)
 
 
-@dataclass(frozen=True)
-class _MatchingScan:
-    enumerated: int
-    beta: dict
-    beta_counts: dict
-    beta_minus: dict
-    beta_minus_counts: dict
-    beta1: int
-    beta1_count: int
-    beta1_minus: int | None
-    beta1_minus_count: int
-    sep_min: int | None
-    sep_count: int
-
-
-@lru_cache(maxsize=256)
-def _matching_scan(G: Graph) -> _MatchingScan:
+# Callers query one graph's tags back to back, so the scans keep only a few
+# recent graphs; each cached scan holds a witness per parameter.
+@lru_cache(maxsize=16)
+def _matching_scan(G: Graph) -> tuple[int, dict[ParameterId, _Tally]]:
     """One pass over all matchings of G: per-variant property vectors, the
     resulting maxima, and the minima over maximal-with-respect-to-P
     matchings. Property results are collected per matching so the
-    maximality test can reread them instead of recomputing."""
+    maximality test can reread them instead of recomputing. Returns the
+    number of matchings and one tally per matching-valued parameter."""
     if G.m > EDGE_SUBSET_LIMIT:
         raise OracleLimitError(
             f"{G.m} edges exceed the {EDGE_SUBSET_LIMIT}-edge enumeration cap"
@@ -136,23 +148,15 @@ def _matching_scan(G: Graph) -> _MatchingScan:
         vec[key] = bits
         entries.append((key, m, bits))
 
-    beta = {p: 0 for p in _PROPS}
-    beta_counts = {p: 0 for p in _PROPS}
-    beta_minus: dict[PropertyId, int | None] = {p: None for p in _PROPS}
-    beta_minus_counts = {p: 0 for p in _PROPS}
-    beta1 = 0
-    beta1_count = 0
-    beta1_minus: int | None = None
-    beta1_minus_count = 0
-    sep_min: int | None = None
-    sep_count = 0
+    beta = {p: _Tally(maximize=True) for p in _PROPS}
+    beta_minus = {p: _Tally(maximize=False) for p in _PROPS}
+    beta1 = _Tally(maximize=True)
+    beta1_minus = _Tally(maximize=False)
+    sep_min = _Tally(maximize=False)
 
     for key, m, bits in entries:
         size = m.size
-        if size > beta1:
-            beta1, beta1_count = size, 1
-        elif size == beta1:
-            beta1_count += 1
+        beta1.offer(size, m.edges)
         compat = [
             j for j in range(G.m) if not (edge_vmask[j] & m.sat_mask)
         ]
@@ -160,42 +164,24 @@ def _matching_scan(G: Graph) -> _MatchingScan:
             pbit = 1 << pi
             if not bits & pbit:
                 continue
-            if size > beta[prop]:
-                beta[prop], beta_counts[prop] = size, 1
-            elif size == beta[prop]:
-                beta_counts[prop] += 1
+            beta[prop].offer(size, m.edges)
             if size >= 1 and all(not vec[key | (1 << j)] & pbit for j in compat):
-                cur = beta_minus[prop]
-                if cur is None or size < cur:
-                    beta_minus[prop], beta_minus_counts[prop] = size, 1
-                elif size == cur:
-                    beta_minus_counts[prop] += 1
+                beta_minus[prop].offer(size, m.edges)
         if size >= 1 and not compat:  # maximal plain matching
-            if beta1_minus is None or size < beta1_minus:
-                beta1_minus, beta1_minus_count = size, 1
-            elif size == beta1_minus:
-                beta1_minus_count += 1
+            beta1_minus.offer(size, m.edges)
         if size >= 1 and is_edge_cut(G, m.edges):
-            if sep_min is None or size < sep_min:
-                sep_min, sep_count = size, 1
-            elif size == sep_min:
-                sep_count += 1
+            sep_min.offer(size, m.edges)
 
     # beta_plain maximality coincides with plain maximality by construction;
-    # keep the dedicated counters anyway so the two tags stay independent.
-    return _MatchingScan(
-        enumerated,
-        beta,
-        beta_counts,
-        beta_minus,
-        beta_minus_counts,
-        beta1,
-        beta1_count,
-        beta1_minus,
-        beta1_minus_count,
-        sep_min,
-        sep_count,
-    )
+    # keep the dedicated tallies anyway so the two tags stay independent.
+    tallies = {
+        pid: (beta_minus if pid in MINUS_PARAMS else beta)[prop]
+        for pid, prop in PARAM_PROPERTY.items()
+    }
+    tallies[ParameterId.BETA1] = beta1
+    tallies[ParameterId.BETA1_MINUS] = beta1_minus
+    tallies[ParameterId.BETA_SEP_MIN] = sep_min
+    return enumerated, tallies
 
 
 # -- vertex-subset parameters -------------------------------------------------
@@ -211,9 +197,7 @@ def _vertex_scan(G: Graph, pid: ParameterId) -> OracleReport:
     full = (1 << G.n) - 1
     edge_masks = [(1 << u) | (1 << v) for u, v in G.edges]
 
-    best: int | None = None
-    count = 0
-    maximize = pid is ParameterId.BETA0
+    tally = _Tally(maximize=pid is ParameterId.BETA0)
     for mask in range(1 << G.n):
         if pid is ParameterId.BETA0:
             ok = all(not (adj[v] & mask) for v in range(G.n) if mask >> v & 1)
@@ -229,14 +213,9 @@ def _vertex_scan(G: Graph, pid: ParameterId) -> OracleReport:
             ok = dom == full
         else:
             raise ValueError(f"{pid} is not a vertex-subset parameter")
-        if not ok:
-            continue
-        size = mask.bit_count()
-        if best is None or (size > best if maximize else size < best):
-            best, count = size, 1
-        elif size == best:
-            count += 1
-    return OracleReport(pid, best, count, 1 << G.n)
+        if ok:
+            tally.offer(mask.bit_count(), tuple(v for v in range(G.n) if mask >> v & 1))
+    return tally.report(pid, 1 << G.n)
 
 
 def _edge_cover_scan(G: Graph) -> OracleReport:
@@ -251,25 +230,25 @@ def _edge_cover_scan(G: Graph) -> OracleReport:
         )
     full = (1 << G.n) - 1
     edge_masks = [(1 << u) | (1 << v) for u, v in G.edges]
+    tally = _Tally(maximize=False)
     enumerated = 0
     for size in range(G.m + 1):  # size m always covers: there are no isolates
-        count = 0
-        for subset in combinations(edge_masks, size):
+        for subset in combinations(range(G.m), size):
             enumerated += 1
             covered = 0
-            for em in subset:
-                covered |= em
+            for i in subset:
+                covered |= edge_masks[i]
             if covered == full:
-                count += 1
-        if count:
+                tally.offer(size, tuple(G.edges[i] for i in subset))
+        if tally.count:
             break
-    return OracleReport(ParameterId.ALPHA1, size, count, enumerated)
+    return tally.report(ParameterId.ALPHA1, enumerated)
 
 
 # -- mixed (total matching) parameters ------------------------------------------
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)
 def _total_scan(G: Graph) -> tuple[OracleReport, OracleReport]:
     """Visit every pairwise-independent mixed set once (extend by the next
     compatible element); a set is maximal when nothing at all is compatible,
@@ -297,10 +276,8 @@ def _total_scan(G: Graph) -> tuple[OracleReport, OracleReport]:
                 dependent[n + k] |= 1 << idx
 
     full = (1 << total) - 1
-    best_max: int | None = None
-    cnt_max = 0
-    best_min: int | None = None
-    cnt_min = 0
+    largest = _Tally(maximize=True)
+    smallest = _Tally(maximize=False)
     enumerated = 0
 
     def as_mixed(sel: int) -> MixedSet:
@@ -309,21 +286,15 @@ def _total_scan(G: Graph) -> tuple[OracleReport, OracleReport]:
         return MixedSet(G, verts, edges)
 
     def rec(start: int, sel: int, avail: int):
-        nonlocal enumerated, best_max, cnt_max, best_min, cnt_min
+        nonlocal enumerated
         enumerated += 1
         if avail == 0:
             candidate = as_mixed(sel)
             if not is_maximal_total_matching(G, candidate):
                 raise AssertionError("mixed-set scan disagrees with the predicate")
-            size = candidate.size
-            if best_max is None or size > best_max:
-                best_max, cnt_max = size, 1
-            elif size == best_max:
-                cnt_max += 1
-            if best_min is None or size < best_min:
-                best_min, cnt_min = size, 1
-            elif size == best_min:
-                cnt_min += 1
+            witness = (tuple(sorted(candidate.vertices)), candidate.edges)
+            largest.offer(candidate.size, witness)
+            smallest.offer(candidate.size, witness)
             return
         rest = avail >> start << start
         while rest:
@@ -334,13 +305,13 @@ def _total_scan(G: Graph) -> tuple[OracleReport, OracleReport]:
 
     if total == 0:
         return (
-            OracleReport(ParameterId.BETA_TOTAL_MAX, 0, 1, 1),
-            OracleReport(ParameterId.BETA_TOTAL_MIN, 0, 1, 1),
+            OracleReport(ParameterId.BETA_TOTAL_MAX, 0, 1, 1, ((), ())),
+            OracleReport(ParameterId.BETA_TOTAL_MIN, 0, 1, 1, ((), ())),
         )
     rec(0, 0, full)
     return (
-        OracleReport(ParameterId.BETA_TOTAL_MAX, best_max, cnt_max, enumerated),
-        OracleReport(ParameterId.BETA_TOTAL_MIN, best_min, cnt_min, enumerated),
+        largest.report(ParameterId.BETA_TOTAL_MAX, enumerated),
+        smallest.report(ParameterId.BETA_TOTAL_MIN, enumerated),
     )
 
 
@@ -354,31 +325,25 @@ def _b_matching_scan(G: Graph, b: BoundFunction) -> OracleReport:
         )
     b.validate_for(G)
     edges = G.edges
-    best = 0
-    count = 1  # the empty set
+    tally = _Tally(maximize=True)
     enumerated = 0
 
-    def rec(start: int, size: int, deg: list[int]):
-        nonlocal best, count, enumerated
+    def rec(start: int, chosen: tuple[Edge, ...], deg: list[int]):
+        nonlocal enumerated
         enumerated += 1
-        if size > best:
-            best, count = size, 1
-        elif size == best and size > 0:
-            count += 1
+        tally.offer(len(chosen), chosen)
         for i in range(start, len(edges)):
             u, v = edges[i]
             if deg[u] + 1 > b.values[u] or deg[v] + 1 > b.values[v]:
                 continue
             deg[u] += 1
             deg[v] += 1
-            rec(i + 1, size + 1, deg)
+            rec(i + 1, chosen + (edges[i],), deg)
             deg[u] -= 1
             deg[v] -= 1
 
-    rec(0, 0, [0] * G.n)
-    if best == 0:
-        count = 1
-    return OracleReport(ParameterId.B_MATCHING_MAX, best, count, enumerated)
+    rec(0, (), [0] * G.n)
+    return tally.report(ParameterId.B_MATCHING_MAX, enumerated)
 
 
 # -- public entry points -------------------------------------------------------------
@@ -404,21 +369,10 @@ def oracle_parameter(
         bound = b if b is not None else BoundFunction.uniform(G, 1)
         return _b_matching_scan(G, bound)
 
-    scan = _matching_scan(G)
-    if pid is ParameterId.BETA1:
-        return OracleReport(pid, scan.beta1, scan.beta1_count, scan.enumerated)
-    if pid is ParameterId.BETA1_MINUS:
-        return OracleReport(pid, scan.beta1_minus, scan.beta1_minus_count, scan.enumerated)
-    if pid is ParameterId.BETA_SEP_MIN:
-        return OracleReport(pid, scan.sep_min, scan.sep_count, scan.enumerated)
-    if pid in PARAM_PROPERTY:
-        prop = PARAM_PROPERTY[pid]
-        if pid in MINUS_PARAMS:
-            return OracleReport(
-                pid, scan.beta_minus[prop], scan.beta_minus_counts[prop], scan.enumerated
-            )
-        return OracleReport(pid, scan.beta[prop], scan.beta_counts[prop], scan.enumerated)
-    raise ValueError(f"no oracle route for {pid}")
+    enumerated, tallies = _matching_scan(G)
+    if pid not in tallies:
+        raise ValueError(f"no oracle route for {pid}")
+    return tallies[pid].report(pid, enumerated)
 
 
 def oracle_orientation_feasible(G: Graph, M, mode: str) -> bool:
@@ -477,12 +431,6 @@ def oracle_perfect_matchings(H: Graph) -> tuple[int, list[tuple[Edge, ...]]]:
             chosen.append((u, b) if u < b else (b, u))
             rec(free & ~(1 << u) & ~(1 << b), chosen)
             chosen.pop()
-
-    def _bits(mask: int):
-        while mask:
-            b = mask & -mask
-            yield b.bit_length() - 1
-            mask ^= b
 
     rec(full, [])
     return len(out), out

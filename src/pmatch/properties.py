@@ -53,6 +53,7 @@ __all__ = [
     "are_onbr_adjacent",
     "is_onbr_matching",
     "onbr_violation",
+    "pairwise_conflict_masks",
     "is_vertex_irredundant_matching",
     "is_edge_irredundant_matching",
     "is_separating_matching",
@@ -573,6 +574,37 @@ def is_cnbr_matching(G: Graph, M) -> bool:
 
 def is_onbr_matching(G: Graph, M) -> bool:
     return onbr_violation(G, M) is None
+
+
+# -- pairwise variants as conflict graphs -------------------------------------
+
+
+def pairwise_conflict_masks(G: Graph, P: PropertyId) -> list[int] | None:
+    """For the variants that are a condition on each pair of matched edges
+    (plain, induced, onbr, cnbr): bit j of entry i is set when edges i and j
+    of ``G.edges`` cannot lie in one P-matching, so a set of edges is a
+    P-matching exactly when it is independent in these masks. For induced
+    matchings this is the square of the line graph. None for every other
+    variant."""
+    closed = G.closed_adj_masks
+    # onbr and cnbr: some vertex sees all four endpoints in its open (closed)
+    # neighborhood.
+    nbr = {PropertyId.ONBR: G.adj_masks, PropertyId.CNBR: closed}.get(P)
+    if nbr is None and P not in (PropertyId.PLAIN, PropertyId.INDUCED):
+        return None
+    edges = G.edges
+    masks = [0] * len(edges)
+    for i, (a, b) in enumerate(edges):
+        # A shared endpoint clashes everywhere; for induced, so does a host
+        # edge from e to f, i.e. f touching a neighbor of e.
+        near = closed[a] | closed[b] if P is PropertyId.INDUCED else (1 << a) | (1 << b)
+        common = nbr[a] & nbr[b] if nbr else 0
+        for j in range(i + 1, len(edges)):
+            c, d = edges[j]
+            if near & ((1 << c) | (1 << d)) or (common and common & nbr[c] & nbr[d]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
 
 
 # -- irredundance variants ---------------------------------------------------

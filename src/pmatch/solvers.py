@@ -1,17 +1,26 @@
 """Exact computation of every matching parameter.
 
-Polynomial fast paths where a classical algorithm exists (blossom for the
-matching number, the tree greedy for b-matchings, the block-structure
-shortcut for uniquely restricted), a generic branch-and-bound engine for the
-variant maxima, and pruned enumeration for the minus (minimum maximal)
-parameters. Searches are deterministic: the branching order is fixed, and
-among equally sized optima the lexicographically smallest witness wins.
+- Theorem fast paths: blossom for ``beta1`` and ``beta_plain``; for
+  ``beta_ur``, the matching number when every block is an edge or a
+  chordless odd cycle; the tree greedy for ``b_matching_max``; an edge cover
+  grown from a maximum matching for ``alpha1``.
+- One bitset independent-set core. Its maximum search answers ``beta0``
+  (and ``alpha0`` by complement), ``beta_star``, ``beta_on``, ``beta_cn``
+  and ``beta_total_max``; its dominating search answers ``gamma`` and, as the
+  smallest maximal independent set, ``beta1_minus``, ``beta_plain_minus``,
+  ``beta_star_minus``, ``beta_on_minus``, ``beta_cn_minus`` and
+  ``beta_total_min``.
+- A branch and bound over the edges that calls the predicates, for the nine
+  variants that are not pairwise; a matching enumeration for ``beta_sep_min``.
+
+Every route is deterministic: among equally sized optima the
+lexicographically smallest witness wins.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graph import Graph, block_decomposition, is_acyclic_graph, is_edge_cut
 from .matching import (
@@ -24,6 +33,8 @@ from .properties import (
     HEREDITARY_PROPERTIES,
     BoundFunction,
     PropertyId,
+    _bits,
+    pairwise_conflict_masks,
     property_holds,
 )
 
@@ -174,6 +185,90 @@ class ParameterResult:
     nodes_explored: int = 0
 
 
+# -- the independent-set core --------------------------------------------------
+#
+# Elements are 0..len(masks)-1; bit j of conflict[i] means i and j cannot be
+# chosen together. Sets are sorted index tuples, and ``key`` (default: the
+# tuple itself) orders equally sized optima.
+
+
+def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, key=None):
+    """Largest independent set by branch and bound: take or drop one element,
+    and cut a branch that cannot reach the best size. Returns the
+    key-smallest largest set and the node count."""
+    best_size = 0
+    best_set: tuple[int, ...] = ()
+    best_key = key(()) if key else ()
+    nodes = 0
+
+    def rec(avail: int, cur: tuple[int, ...]):
+        nonlocal best_size, best_set, best_key, nodes
+        nodes += 1
+        if cfg.node_budget is not None and nodes > cfg.node_budget:
+            raise BudgetExceededError(what, nodes)
+        k = len(cur)
+        if k >= best_size:
+            cur_key = key(cur) if key else cur
+            if k > best_size or cur_key < best_key:
+                best_size, best_set, best_key = k, cur, cur_key
+        if not avail or k + avail.bit_count() < best_size:
+            return
+        # Branch on the available element of highest residual degree, ties
+        # toward the lowest index.
+        v = v_degree = -1
+        for x in _bits(avail):
+            degree = (conflict[x] & avail).bit_count()
+            if degree > v_degree:
+                v, v_degree = x, degree
+        rec(avail & ~conflict[v] & ~(1 << v), tuple(sorted(cur + (v,))))
+        rec(avail & ~(1 << v), cur)
+
+    rec((1 << len(conflict)) - 1, ())
+    return best_set, nodes
+
+
+def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what: str, key=None):
+    """Smallest set covering every element, where element i covers itself
+    and the set bits of ``masks[i]``, by branching on who covers the first
+    uncovered element. With ``independent`` only uncovered elements are
+    candidates, which gives the smallest maximal independent set. Returns
+    the key-smallest such set and the node count."""
+    if not masks:
+        return (), 0
+    closed = [c | 1 << i for i, c in enumerate(masks)]
+    full = (1 << len(closed)) - 1
+    best_size = len(closed) + 1
+    best_set: tuple[int, ...] = ()
+    best_key = None
+    nodes = 0
+
+    def rec(dominated: int, cur: tuple[int, ...]):
+        nonlocal best_size, best_set, best_key, nodes
+        nodes += 1
+        if cfg.node_budget is not None and nodes > cfg.node_budget:
+            raise BudgetExceededError(what, nodes)
+        if dominated == full:
+            found = tuple(sorted(cur))
+            found_key = key(found) if key else found
+            if len(cur) < best_size or found_key < best_key:
+                best_size, best_set, best_key = len(cur), found, found_key
+            return
+        if len(cur) + 1 > best_size:
+            return
+        free = full & ~dominated
+        first = (free & -free).bit_length() - 1
+        for v in _bits(closed[first] & free if independent else closed[first]):
+            rec(dominated | closed[v], cur + (v,))
+
+    rec(0, ())
+    return best_set, nodes
+
+
+def _edge_result(G: Graph, pid: "ParameterId", chosen: tuple[int, ...], nodes: int):
+    witness = tuple(G.edges[i] for i in chosen)
+    return ParameterResult(pid, len(witness), witness, "search", nodes)
+
+
 # -- branch and bound for the variant maxima ---------------------------------
 
 
@@ -191,16 +286,21 @@ def _residual_matching_bound(G: Graph, avail: list[Edge]) -> int:
 def compute_beta_p(
     G: Graph, P: PropertyId, config: EngineConfig | None = None
 ) -> ParameterResult:
-    """Largest matching whose induced subgraph has property P, by
-    branch-and-bound over the edges.
+    """Largest matching whose induced subgraph has property P.
 
-    Hereditary variants prune a branch as soon as the partial matching loses
-    P; the rest are explored fully. Two upper bounds prune by size: the count
+    Pairwise variants are a maximum independent set in the edge conflict
+    masks. The rest take a branch-and-bound over the edges: hereditary
+    variants prune a branch as soon as the partial matching loses P, the
+    rest are explored fully, and two upper bounds prune by size: the count
     of still-compatible edges and (for wide nodes) the exact matching number
     of the residual graph. Ties on value resolve to the lexicographically
     smallest witness.
     """
     cfg = config or DEFAULT_CONFIG
+    conflict = pairwise_conflict_masks(G, P)
+    if conflict is not None:
+        chosen, nodes = _max_independent(conflict, cfg, f"beta_{P.value}")
+        return _edge_result(G, PROPERTY_MAX_PARAM[P], chosen, nodes)
     order = _ordered_edges(G)
     masks = [(1 << u) | (1 << v) for u, v in order]
     hereditary = cfg.hereditary_pruning and P in HEREDITARY_PROPERTIES
@@ -254,11 +354,18 @@ def compute_beta_minus_p(
     """Smallest nonempty matching with property P admitting no one-edge
     extension that keeps P. Value None when no nonempty P-matching exists.
 
-    Enumeration over matchings with size pruning; extension checks are
-    memoized per search since sibling candidates revisit the same extended
-    matching.
+    Pairwise variants are the smallest maximal independent set in the edge
+    conflict masks. The rest take an enumeration over matchings with size
+    pruning; extension checks are memoized per search since sibling
+    candidates revisit the same extended matching.
     """
     cfg = config or DEFAULT_CONFIG
+    conflict = pairwise_conflict_masks(G, P)
+    if conflict is not None:
+        if not conflict:
+            return ParameterResult(PROPERTY_MIN_PARAM[P], None, None, "search", 0)
+        chosen, nodes = _min_dominating(conflict, True, cfg, f"beta_{P.value}_minus")
+        return _edge_result(G, PROPERTY_MIN_PARAM[P], chosen, nodes)
     order = _ordered_edges(G)
     masks = [(1 << u) | (1 << v) for u, v in order]
     all_edges = G.edges
@@ -330,12 +437,10 @@ def max_matching(G: Graph) -> ParameterResult:
 
 
 def min_maximal_matching(G: Graph, config: EngineConfig | None = None) -> ParameterResult:
-    """Lower matching number: smallest maximal matching, by pruned
-    enumeration (maximal-with-respect-to-plain is plain maximality)."""
+    """Lower matching number: smallest maximal matching, the smallest
+    maximal independent set of the edges' shared-vertex conflicts."""
     res = compute_beta_minus_p(G, PropertyId.PLAIN, config)
-    return ParameterResult(
-        ParameterId.BETA1_MINUS, res.value, res.witness, "search", res.nodes_explored
-    )
+    return replace(res, parameter=ParameterId.BETA1_MINUS)
 
 
 def perfect_matching_exists(G: Graph) -> tuple[bool, tuple[Edge, ...] | None]:
@@ -346,78 +451,17 @@ def perfect_matching_exists(G: Graph) -> tuple[bool, tuple[Edge, ...] | None]:
 
 
 def independence_number(G: Graph, config: EngineConfig | None = None) -> ParameterResult:
-    """Largest independent set by branch and bound on the highest-degree
-    undecided vertex."""
-    cfg = config or DEFAULT_CONFIG
-    adj = G.adj_masks
-    full = (1 << G.n) - 1
-    best_size = 0
-    best_set: tuple[int, ...] = ()
-    nodes = 0
-
-    def rec(avail: int, cur: tuple[int, ...]):
-        nonlocal best_size, best_set, nodes
-        nodes += 1
-        if cfg.node_budget is not None and nodes > cfg.node_budget:
-            raise BudgetExceededError("beta0", nodes)
-        k = len(cur)
-        if k > best_size or (k == best_size and cur < best_set):
-            best_size = k
-            best_set = cur
-        if not avail or k + avail.bit_count() < best_size:
-            return
-        # Branch on the available vertex of highest residual degree
-        # (ties broken toward the lowest index).
-        v = max(
-            (b.bit_length() - 1 for b in _mask_bits(avail)),
-            key=lambda x: ((adj[x] & avail).bit_count(), -x),
-        )
-        rec(avail & ~adj[v] & ~(1 << v), tuple(sorted(cur + (v,))))
-        rec(avail & ~(1 << v), cur)
-
-    rec(full, ())
-    return ParameterResult(ParameterId.BETA0, best_size, best_set, "search", nodes)
-
-
-def _mask_bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b
-        mask ^= b
+    """Largest independent set by the core's maximum search on the
+    adjacency masks."""
+    chosen, nodes = _max_independent(G.adj_masks, config or DEFAULT_CONFIG, "beta0")
+    return ParameterResult(ParameterId.BETA0, len(chosen), chosen, "search", nodes)
 
 
 def domination_number(G: Graph, config: EngineConfig | None = None) -> ParameterResult:
-    """Smallest dominating set: branch on who dominates the first undominated
-    vertex."""
-    cfg = config or DEFAULT_CONFIG
-    closed = G.closed_adj_masks
-    full = (1 << G.n) - 1
-    best_size = G.n
-    best_set: tuple[int, ...] = tuple(range(G.n))
-    if G.n == 0:
-        return ParameterResult(ParameterId.GAMMA, 0, (), "search", 0)
-    nodes = 0
-
-    def rec(dominated: int, cur: tuple[int, ...]):
-        nonlocal best_size, best_set, nodes
-        nodes += 1
-        if cfg.node_budget is not None and nodes > cfg.node_budget:
-            raise BudgetExceededError("gamma", nodes)
-        if dominated == full:
-            key = tuple(sorted(cur))
-            if len(cur) < best_size or (len(cur) == best_size and key < best_set):
-                best_size = len(cur)
-                best_set = key
-            return
-        if len(cur) + 1 > best_size:
-            return
-        first = ((~dominated & full) & -(~dominated & full)).bit_length() - 1
-        for b in _mask_bits(closed[first]):
-            v = b.bit_length() - 1
-            rec(dominated | closed[v], cur + (v,))
-
-    rec(0, ())
-    return ParameterResult(ParameterId.GAMMA, best_size, best_set, "search", nodes)
+    """Smallest dominating set by the core's dominating search on the closed
+    neighborhoods."""
+    chosen, nodes = _min_dominating(G.adj_masks, False, config or DEFAULT_CONFIG, "gamma")
+    return ParameterResult(ParameterId.GAMMA, len(chosen), chosen, "search", nodes)
 
 
 def edge_cover_number(G: Graph) -> ParameterResult:
@@ -512,85 +556,41 @@ def tree_b_matching_max(T: Graph, b: BoundFunction) -> ParameterResult:
 # -- total matchings ---------------------------------------------------------------
 
 
+def _total_matching(G: Graph, cfg: EngineConfig, largest: bool) -> ParameterResult:
+    """Largest or smallest maximal total matching (a mixed set of vertices
+    and edges, pairwise independent, with nothing addable): an independent
+    set of the total graph, by one of the core's two searches."""
+    n = G.n
+    # Element i < n is vertex i; element n + j is edge j. A vertex clashes
+    # with its neighbors and its edges, an edge with its ends and the edges
+    # at them.
+    incident = [0] * n
+    for j, (u, v) in enumerate(G.edges):
+        incident[u] |= 1 << (n + j)
+        incident[v] |= 1 << (n + j)
+    conflict = [G.adj_masks[v] | incident[v] for v in range(n)]
+    for j, (u, v) in enumerate(G.edges):
+        conflict.append(((1 << u) | (1 << v) | incident[u] | incident[v]) & ~(1 << (n + j)))
+
+    def key(sel: tuple[int, ...]):  # witnesses compare as (vertices, edges)
+        return tuple(i for i in sel if i < n), tuple(i for i in sel if i >= n)
+
+    if largest:
+        chosen, nodes = _max_independent(conflict, cfg, "beta_total", key)
+    else:
+        chosen, nodes = _min_dominating(conflict, True, cfg, "beta_total", key)
+    vs, es = key(chosen)
+    witness = (vs, tuple(G.edges[i - n] for i in es))
+    pid = ParameterId.BETA_TOTAL_MAX if largest else ParameterId.BETA_TOTAL_MIN
+    return ParameterResult(pid, len(chosen), witness, "search", nodes)
+
+
 def total_matching_bounds(
     G: Graph, config: EngineConfig | None = None
 ) -> tuple[ParameterResult, ParameterResult]:
-    """Exact extrema of size over maximal total matchings (mixed sets of
-    vertices and edges, pairwise independent, with nothing addable).
-
-    Enumerates the maximal independent sets of the implicit total graph by
-    Bron-Kerbosch with pivoting over element compatibility masks.
-    """
+    """Exact extrema of size over maximal total matchings: (max, min)."""
     cfg = config or DEFAULT_CONFIG
-    n, m = G.n, G.m
-    total = n + m
-    # Element i < n is vertex i; element n + j is edge j.
-    conflict = [0] * total
-    for v in range(n):
-        conflict[v] = G.adj_masks[v]
-    for j, (u, v) in enumerate(G.edges):
-        idx = n + j
-        conflict[idx] |= (1 << u) | (1 << v)
-        conflict[u] |= 1 << idx
-        conflict[v] |= 1 << idx
-        for k, (x, y) in enumerate(G.edges):
-            if k != j and ((1 << u) | (1 << v)) & ((1 << x) | (1 << y)):
-                conflict[idx] |= 1 << (n + k)
-    full = (1 << total) - 1
-    compat = [full & ~conflict[i] & ~(1 << i) for i in range(total)]
-
-    best: dict[str, tuple[int, tuple] | None] = {"max": None, "min": None}
-    nodes = 0
-
-    def witness_key(mask: int):
-        vs = tuple(i for i in range(n) if mask >> i & 1)
-        es = tuple(G.edges[j] for j in range(m) if mask >> (n + j) & 1)
-        return vs, es
-
-    def record(mask: int):
-        size = mask.bit_count()
-        key = witness_key(mask)
-        for side, better in (("max", lambda s, b: s > b), ("min", lambda s, b: s < b)):
-            cur = best[side]
-            if cur is None or better(size, cur[0]) or (size == cur[0] and key < cur[1]):
-                best[side] = (size, key)
-
-    def bk(r_mask: int, p_mask: int, x_mask: int):
-        nonlocal nodes
-        nodes += 1
-        if cfg.node_budget is not None and nodes > cfg.node_budget:
-            raise BudgetExceededError("beta_total", nodes)
-        if p_mask == 0 and x_mask == 0:
-            record(r_mask)
-            return
-        pivot_pool = p_mask | x_mask
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        pivot_best = -1
-        for b in _mask_bits(pivot_pool):
-            u = b.bit_length() - 1
-            gain = (p_mask & compat[u]).bit_count()
-            if gain > pivot_best:
-                pivot_best = gain
-                pivot = u
-        branch = p_mask & ~compat[pivot]
-        for b in _mask_bits(branch):
-            v = b.bit_length() - 1
-            bk(r_mask | b, p_mask & compat[v], x_mask & compat[v])
-            p_mask &= ~b
-            x_mask |= b
-
-    if total == 0:
-        empty = ((), ())
-        res_max = ParameterResult(ParameterId.BETA_TOTAL_MAX, 0, empty, "search", 0)
-        res_min = ParameterResult(ParameterId.BETA_TOTAL_MIN, 0, empty, "search", 0)
-        return res_max, res_min
-
-    bk(0, full, 0)
-    mx, mn = best["max"], best["min"]
-    return (
-        ParameterResult(ParameterId.BETA_TOTAL_MAX, mx[0], mx[1], "search", nodes),
-        ParameterResult(ParameterId.BETA_TOTAL_MIN, mn[0], mn[1], "search", nodes),
-    )
+    return _total_matching(G, cfg, True), _total_matching(G, cfg, False)
 
 
 # -- separating matchings -------------------------------------------------------------
@@ -712,7 +712,8 @@ def compute_parameter(
     b: BoundFunction | None = None,
 ) -> ParameterResult:
     """Route one parameter to its solver. ``b`` feeds the b-matching maximum
-    and defaults to the uniform bound min(1, d(v))."""
+    and defaults to the uniform bound min(1, d(v)). ``beta_plain`` is the
+    matching number; ``beta_ur`` takes the block fast path when it applies."""
     if pid is ParameterId.BETA1:
         return max_matching(G)
     if pid is ParameterId.BETA1_MINUS:
@@ -725,15 +726,19 @@ def compute_parameter(
         return domination_number(G, config)
     if pid is ParameterId.ALPHA1:
         return edge_cover_number(G)
+    if pid is ParameterId.BETA_PLAIN:
+        return replace(max_matching(G), parameter=pid)
+    if pid is ParameterId.BETA_UR:
+        fast = block_class_fast_path(G)
+        if fast is not None:
+            return fast
     if pid in PARAM_PROPERTY:
         prop = PARAM_PROPERTY[pid]
         if pid in MINUS_PARAMS:
             return compute_beta_minus_p(G, prop, config)
         return compute_beta_p(G, prop, config)
-    if pid is ParameterId.BETA_TOTAL_MAX:
-        return total_matching_bounds(G, config)[0]
-    if pid is ParameterId.BETA_TOTAL_MIN:
-        return total_matching_bounds(G, config)[1]
+    if pid in (ParameterId.BETA_TOTAL_MAX, ParameterId.BETA_TOTAL_MIN):
+        return _total_matching(G, config or DEFAULT_CONFIG, pid is ParameterId.BETA_TOTAL_MAX)
     if pid is ParameterId.BETA_SEP_MIN:
         return min_separating_matching(G, config)
     if pid is ParameterId.B_MATCHING_MAX:

@@ -318,11 +318,15 @@ def check_ur_characterization(G: Graph) -> TheoremVerdict:
 def check_block_class_identity(G: Graph, config: EngineConfig | None = None) -> TheoremVerdict:
     """Where every block is an edge or a chordless odd cycle, the uniquely
     restricted maximum must equal the matching number (fast path versus the
-    full search or oracle)."""
+    oracle, or the full search past the oracle's cap: ``compute_parameter``
+    would answer with the fast path itself)."""
     fast = block_class_fast_path(G)
     if fast is None:
         raise ValueError("graph has a block that is neither an edge nor an odd cycle")
-    beta_ur = _solver_or_oracle_value(G, ParameterId.BETA_UR, config)
+    try:
+        beta_ur = oracle_parameter(G, ParameterId.BETA_UR).value
+    except OracleLimitError:
+        beta_ur = compute_beta_p(G, PropertyId.UNIQUELY_RESTRICTED, config).value
     beta1 = _solver_or_oracle_value(G, ParameterId.BETA1, config)
     holds = fast.value == beta_ur == beta1
     return TheoremVerdict(

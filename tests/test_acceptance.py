@@ -64,6 +64,18 @@ from pmatch.theorems import (
 
 ALL_PARAMS = tuple(ParameterId)
 FAIL_CAP = 20  # keep failure payloads readable
+# These witnesses are constructed (the cover complementing a maximum
+# independent set, a matching patched into an edge cover, the tree greedy's
+# choice), not the lexicographically smallest optimum the oracle reports.
+CONSTRUCTED_WITNESS = {ParameterId.ALPHA0, ParameterId.ALPHA1, ParameterId.B_MATCHING_MAX}
+
+
+def _disagree(pid, solver, oracle):
+    """The solver's answer differs from the oracle's: the value always, the
+    witness wherever the solver promises the lexicographically smallest."""
+    if solver.value != oracle.value:
+        return True
+    return pid not in CONSTRUCTED_WITNESS and solver.witness != oracle.witness
 
 
 def _report(num, name, ok, detail=""):
@@ -75,7 +87,8 @@ def _report(num, name, ok, detail=""):
 def _sweep_one_graph(G, failures, counts):
     gid = (G.n, G.edges)
 
-    # solver value == oracle value for every parameter with both routes defined
+    # solver value (and lexmin witness) == oracle's for every parameter with
+    # both routes defined
     has_isolates = any(G.degree(v) == 0 for v in range(G.n))
     acyclic = is_acyclic_graph(G)
     for pid in ALL_PARAMS:
@@ -86,8 +99,10 @@ def _sweep_one_graph(G, failures, counts):
         solver = compute_parameter(G, pid)
         oracle = oracle_parameter(G, pid)
         counts["param_pairs"] += 1
-        if solver.value != oracle.value and len(failures["params"]) < FAIL_CAP:
-            failures["params"].append((gid, pid.value, solver.value, oracle.value))
+        if _disagree(pid, solver, oracle) and len(failures["params"]) < FAIL_CAP:
+            failures["params"].append(
+                (gid, pid.value, solver.value, oracle.value, solver.witness, oracle.witness)
+            )
 
     # theorem checks
     verdicts = [check_gallai(G), check_proposition_chains(G)]
@@ -162,8 +177,9 @@ def random_sweep():
                     continue
                 solver = compute_parameter(G, pid)
                 checked += 1
-                if solver.value != oracle.value and len(failures) < FAIL_CAP:
-                    failures.append(((G.n, G.edges), pid.value, solver.value, oracle.value))
+                if _disagree(pid, solver, oracle) and len(failures) < FAIL_CAP:
+                    failures.append(((G.n, G.edges), pid.value, solver.value, oracle.value,
+                                     solver.witness, oracle.witness))
     return failures, checked
 
 
@@ -193,7 +209,7 @@ def test_criterion_2_oracle_equivalence_exhaustive(small_sweep):
     ok = not failures["params"]
     _report(
         2,
-        "solver equals oracle on every labeled graph up to 6 vertices",
+        "solver equals oracle (value and witness) on every labeled graph up to 6 vertices",
         ok,
         f"{counts['graphs']} graphs, {counts['param_pairs']} comparisons, {counts['seconds']}s",
     )
@@ -203,7 +219,7 @@ def test_criterion_2_oracle_equivalence_exhaustive(small_sweep):
 def test_criterion_2_oracle_equivalence_random(random_sweep):
     failures, checked = random_sweep
     ok = not failures
-    _report(2, "solver equals oracle on seeded random graphs n=7..9", ok,
+    _report(2, "solver equals oracle (value and witness) on seeded random graphs n=7..9", ok,
             f"{checked} comparisons")
     assert failures == []
 

@@ -104,6 +104,15 @@ def test_b_bounds_vertex_out_of_range(spec, vertex):
     assert f"bound for vertex {vertex} outside 0..3" in err
 
 
+@pytest.mark.parametrize("spec, value", [("-1", "-1"), ("0:-5", "-5")])
+def test_b_bounds_value_out_of_range(spec, value):
+    code, out, err = run_cli("compute", "--family", "path", "--n", "4",
+                             "--params", "b_matching_max", f"--b-bounds={spec}")
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert f"bound b(0) = {value} outside [0, d(0) = 1]" in err
+
+
 def test_verify_perfect(capsys):
     code = main(["verify", "--family", "path", "--n", "8",
                  "--matching", "0 1,2 3,4 5,6 7", "--property", "perfect"])

@@ -39,6 +39,7 @@ from pmatch.properties import (
     is_uniquely_restricted,
     is_vertex_irredundant_matching,
     matching_violation,
+    pairwise_conflict_masks,
     total_violation,
 )
 from pmatch.theorems import all_graphs
@@ -398,6 +399,29 @@ def test_non_hereditary_counterexamples():
     assert PropertyId.CONNECTED not in HEREDITARY_PROPERTIES
     assert PropertyId.ISOLATE_FREE not in HEREDITARY_PROPERTIES
     assert PropertyId.DISCONNECTED not in HEREDITARY_PROPERTIES
+
+
+PAIRWISE = (PropertyId.PLAIN, PropertyId.INDUCED, PropertyId.ONBR, PropertyId.CNBR)
+
+
+def test_pairwise_conflict_masks_encode_the_predicates():
+    # The search engine answers these variants from the masks alone, so a
+    # matching must be independent in them exactly when the predicate holds.
+    for n in range(0, 6):
+        for G in all_graphs(n):
+            pos = {e: i for i, e in enumerate(G.edges)}
+            masks = {P: pairwise_conflict_masks(G, P) for P in PAIRWISE}
+            for m in all_matchings(G):
+                idx = [pos[e] for e in m.edges]
+                for P in PAIRWISE:
+                    independent = not any(masks[P][i] >> j & 1 for i in idx for j in idx)
+                    assert independent == has_property(G, m, P), (G.edges, m.edges, P)
+
+
+def test_pairwise_conflict_masks_only_for_pairwise_variants(q3):
+    for P in PropertyId:
+        masks = pairwise_conflict_masks(q3, P)
+        assert (masks is None) == (P not in PAIRWISE)
 
 
 @given(graph_with_matching(min_n=6, max_n=8))

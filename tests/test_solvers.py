@@ -55,16 +55,20 @@ NO_PRUNING = EngineConfig(
 # -- engine versus oracle ------------------------------------------------------------
 
 
+def _same_answer(res, rep):
+    return (res.value, res.witness) == (rep.value, rep.witness)
+
+
 def test_engine_matches_oracle_exhaustive_small():
     for n in range(0, 5):
         for G in all_graphs(n):
             for P in PropertyId:
-                assert compute_beta_p(G, P).value == oracle_parameter(
+                assert _same_answer(compute_beta_p(G, P), oracle_parameter(
                     G, ParameterId.from_string(_max_tag(P))
-                ).value
-                assert compute_beta_minus_p(G, P).value == oracle_parameter(
+                ))
+                assert _same_answer(compute_beta_minus_p(G, P), oracle_parameter(
                     G, ParameterId.from_string(_min_tag(P))
-                ).value
+                ))
 
 
 def _max_tag(P):
@@ -82,12 +86,12 @@ def _min_tag(P):
 @given(graphs(min_n=5, max_n=7), st.sampled_from(list(PropertyId)))
 @settings(max_examples=40)
 def test_engine_matches_oracle_sampled(G, P):
-    assert compute_beta_p(G, P).value == oracle_parameter(
+    assert _same_answer(compute_beta_p(G, P), oracle_parameter(
         G, ParameterId.from_string(_max_tag(P))
-    ).value
-    assert compute_beta_minus_p(G, P).value == oracle_parameter(
+    ))
+    assert _same_answer(compute_beta_minus_p(G, P), oracle_parameter(
         G, ParameterId.from_string(_min_tag(P))
-    ).value
+    ))
 
 
 @given(graphs(min_n=4, max_n=7), st.sampled_from(list(PropertyId)))
@@ -309,6 +313,55 @@ def test_block_fast_path_cases(c4, c5):
     res = block_class_fast_path(c7p)
     assert res is not None
     assert res.value == compute_beta_p(c7p, PropertyId.UNIQUELY_RESTRICTED).value
+
+
+def test_theorem_routes_keep_the_search_answers(c4, c5, q3):
+    trees = [generate("random_tree", n=9, seed=seed) for seed in range(5)]
+    for G in trees + [c4, c5, q3, generate("fig3")]:
+        ur = compute_parameter(G, ParameterId.BETA_UR)
+        search = compute_beta_p(G, PropertyId.UNIQUELY_RESTRICTED)
+        assert (ur.value, ur.witness) == (search.value, search.witness)
+        assert ur.route == ("search" if block_class_fast_path(G) is None else "fast-path")
+        plain = compute_parameter(G, ParameterId.BETA_PLAIN)
+        assert plain.parameter is ParameterId.BETA_PLAIN and plain.route == "fast-path"
+        search = compute_beta_p(G, PropertyId.PLAIN)
+        assert (plain.value, plain.witness) == (search.value, search.witness)
+
+
+def test_total_bounds_match_single_tags(q3):
+    mx, mn = total_matching_bounds(q3)
+    assert mx == compute_parameter(q3, ParameterId.BETA_TOTAL_MAX)
+    assert mn == compute_parameter(q3, ParameterId.BETA_TOTAL_MIN)
+
+
+# Exact search node counts of the independent-set core and the theorem routes;
+# a change here is a change in the search, not noise.
+PINNED_GRAPHS = {
+    "hypercube-3": lambda: generate("hypercube", n=3),
+    "gnp-12": lambda: generate("gnp", n=12, p=0.4, seed=1),
+}
+PINNED_NODES = {
+    "hypercube-3": {
+        "beta0": 27, "alpha0": 27, "gamma": 41, "beta_plain": 0, "beta_ur": 80,
+        "beta_star": 35, "beta_on": 107, "beta_cn": 107, "beta1_minus": 64,
+        "beta_plain_minus": 64, "beta_star_minus": 23, "beta_on_minus": 64,
+        "beta_cn_minus": 64, "beta_total_max": 501, "beta_total_min": 564,
+    },
+    "gnp-12": {
+        "beta0": 69, "alpha0": 69, "gamma": 162, "beta_plain": 0, "beta_ur": 939,
+        "beta_star": 113, "beta_on": 899, "beta_cn": 507, "beta1_minus": 1066,
+        "beta_plain_minus": 1066, "beta_star_minus": 30, "beta_on_minus": 1127,
+        "beta_cn_minus": 111, "beta_total_max": 8525, "beta_total_min": 9283,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_NODES))
+def test_pinned_node_counts(name):
+    G = PINNED_GRAPHS[name]()
+    got = {tag: compute_parameter(G, ParameterId.from_string(tag)).nodes_explored
+           for tag in PINNED_NODES[name]}
+    assert got == PINNED_NODES[name]
 
 
 # -- SDR ------------------------------------------------------------------------------------------------

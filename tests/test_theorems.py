@@ -1,11 +1,14 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 
 from pmatch.graph import Graph, complement, generate
 from pmatch.properties import PropertyId
+from pmatch import solvers
+from pmatch.oracle import EDGE_SUBSET_LIMIT
 from pmatch.solvers import EngineConfig, SetSystem, compute_beta_p
 from pmatch.theorems import (
     NordhausGaddumRecord,
@@ -129,6 +132,24 @@ def test_block_class_examples(c5):
     assert check_block_class_identity(c7p).holds
     with pytest.raises(ValueError):
         check_block_class_identity(generate("cycle", n=4))
+
+
+def test_block_class_check_is_independent_of_the_routed_fast_path(monkeypatch):
+    # Past the oracle's edge cap, compute_parameter would answer beta_ur with
+    # the fast path under test; the check must run the search instead. A
+    # routed fast path that is off by one must not change the verdict.
+    T = generate("random_tree", n=EDGE_SUBSET_LIMIT + 2, seed=3)
+    assert T.m > EDGE_SUBSET_LIMIT
+    real = solvers.block_class_fast_path
+
+    def off_by_one(G):
+        res = real(G)
+        return replace(res, value=res.value + 1)
+
+    monkeypatch.setattr(solvers, "block_class_fast_path", off_by_one)
+    verdict = check_block_class_identity(T)
+    assert verdict.holds
+    assert verdict.details["beta_ur"] == compute_beta_p(T, PropertyId.UNIQUELY_RESTRICTED).value
 
 
 def test_random_odd_block_graphs_have_good_blocks():
