@@ -1,9 +1,19 @@
 """Maximum-cardinality matching algorithms.
 
-General graphs get an Edmonds blossom search (BFS alternating forest with
-base contraction, O(V^3)); bipartite graphs additionally get Hopcroft-Karp
-together with the standard minimum vertex cover read off the final layering,
-which certifies the matching/cover duality constructively.
+General graphs get Edmonds' blossom search, one breadth-first alternating
+tree per exposed root, on a search state shared by all roots of a graph. A
+search resets only the vertices of its own tree; a blossom contracts by
+walking the member lists of the bases it merges; and a root whose search
+fails heads a Hungarian tree, which is dropped for good (Edmonds, "Paths,
+trees, and flowers", 1965). The total cost is the sum of the tree sizes:
+close to linear on trees, and on sparse random graphs growing with the length
+of the augmenting paths. Nothing recurses. The lexicographically
+smallest maximum matching keeps one maximum matching on that state and tests
+each edge with at most two augmenting searches.
+
+Bipartite graphs additionally get Hopcroft-Karp together with the standard
+minimum vertex cover read off the final layering, which certifies the
+matching/cover duality constructively.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from .graph import Graph, is_bipartite
 __all__ = [
     "maximum_matching",
     "max_matching_size",
+    "matching_number",
     "lexmin_maximum_matching",
     "hopcroft_karp",
     "bipartite_matching_and_cover",
@@ -24,87 +35,149 @@ __all__ = [
 Edge = tuple[int, int]
 
 
-def _blossom_match(n: int, adj: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Edmonds blossom algorithm; returns the mate array (-1 for exposed)."""
-    match = [-1] * n
+class _Search:
+    """Edmonds' alternating-tree search, kept between roots on one graph.
 
-    # Greedy seed matching cuts the number of augmentation phases.
-    for v in range(n):
-        if match[v] == -1:
-            for w in adj[v]:
-                if match[w] == -1:
-                    match[v] = w
-                    match[w] = v
-                    break
+    ``match`` is the mate array (-1 for exposed). A vertex marked ``dead`` is
+    invisible to every search; the matched edges of live vertices must join
+    live vertices. Between searches ``parent`` is -1, ``base`` the identity
+    and ``even`` false everywhere: a search restores only the vertices of its
+    own tree, so it costs the size of that tree, not n.
+    """
 
-    p = [-1] * n
-    base = list(range(n))
+    __slots__ = ("adj", "match", "dead", "parent", "base", "even")
 
-    def lca(a: int, b: int) -> int:
-        seen = set()
-        while True:
-            a = base[a]
-            seen.add(a)
-            if match[a] == -1:
-                break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if b in seen:
-                return b
-            b = p[match[b]]
+    def __init__(self, n: int, adj):
+        self.adj = adj
+        self.match = [-1] * n
+        self.dead = [False] * n
+        self.parent = [-1] * n
+        self.base = list(range(n))
+        self.even = [False] * n
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]):
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
+    def maximize(self):
+        """Turn the empty matching of a new state into a maximum one: a greedy
+        pass, then one search per exposed vertex. A root whose search fails
+        heads a Hungarian tree, and no later augmenting path passes through
+        one, so the tree is marked dead for the rest of the pass."""
+        match, dead, adj = self.match, self.dead, self.adj
+        for v in range(len(match)):
+            if match[v] == -1:
+                for w in adj[v]:
+                    if match[w] == -1:
+                        match[v] = w
+                        match[w] = v
+                        break
+        for v in range(len(match)):
+            if match[v] == -1:
+                for x in self.augment(v) or ():
+                    dead[x] = True
 
-    def find_augmenting(root: int) -> int:
-        for i in range(n):
-            p[i] = -1
-            base[i] = i
-        used = [False] * n
-        used[root] = True
-        q = deque([root])
-        while q:
-            v = q.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    cur = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, cur, to, blossom)
-                    mark_path(to, cur, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        return to
-                    used[match[to]] = True
-                    q.append(match[to])
-        return -1
-
-    for v in range(n):
-        if match[v] != -1:
-            continue
-        end = find_augmenting(v)
+    def augment(self, root: int) -> list[int] | None:
+        """Search from the exposed vertex ``root``. On reaching another exposed
+        vertex, flip the path and return None; otherwise return the vertices
+        of the Hungarian tree."""
+        tree: list[int] = []
+        end = self._grow(root, tree)
+        found = end != -1
+        match, parent, base, even = self.match, self.parent, self.base, self.even
         while end != -1:
-            pv = p[end]
+            pv = parent[end]
             ppv = match[pv]
             match[end] = pv
             match[pv] = end
             end = ppv
+        for x in tree:
+            parent[x] = -1
+            base[x] = x
+            even[x] = False
+        return None if found else tree
 
-    return match
+    def _grow(self, root: int, tree: list[int]) -> int:
+        """Breadth-first alternating tree from ``root``, recording every vertex
+        it enters in ``tree``; returns the exposed vertex an augmenting path
+        ends at, or -1. ``parent`` links each odd vertex to the even vertex
+        that reached it; ``base`` maps each vertex to the base of its
+        outermost blossom; ``members`` lists the vertices of each blossom by
+        base, so a contraction walks only the blossoms it merges."""
+        adj, match, dead = self.adj, self.match, self.dead
+        parent, base, even = self.parent, self.base, self.even
+        members: dict[int, list[int]] = {}
+        even[root] = True
+        tree.append(root)
+        queue = [root]
+        for v in queue:
+            mate = match[v]
+            for to in adj[v]:
+                if to == mate or dead[to] or base[v] == base[to]:
+                    continue
+                if even[to]:
+                    cur = self._lca(base[v], base[to])
+                    marked: dict[int, None] = {}
+                    self._mark_path(v, cur, to, marked)
+                    self._mark_path(to, cur, v, marked)
+                    into = members.setdefault(cur, [cur])
+                    for b in marked:
+                        group = members.pop(b, None) or [b]
+                        for i in group:
+                            base[i] = cur
+                            if not even[i]:
+                                even[i] = True
+                                queue.append(i)
+                        into.extend(group)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    tree.append(to)
+                    w = match[to]
+                    if w == -1:
+                        return to
+                    even[w] = True
+                    tree.append(w)
+                    queue.append(w)
+        return -1
+
+    def _lca(self, a: int, b: int) -> int:
+        """The base where the tree paths from bases ``a`` and ``b`` meet. The
+        two walks step in turn, so the cost is the length of the shorter
+        detour, not the depth of the tree."""
+        base, match, parent = self.base, self.match, self.parent
+        seen: set[int] = set()
+        while True:
+            if a != -1:
+                a = base[a]
+                if a in seen:
+                    return a
+                seen.add(a)
+                mate = match[a]
+                a = -1 if mate == -1 else parent[mate]
+            a, b = b, a
+
+    def _mark_path(self, v: int, b: int, child: int, marked: dict[int, None]):
+        """Record the blossom bases on the path from ``v`` up to base ``b``
+        and point each even vertex on it to the vertex that closed the cycle,
+        so that an augmenting path can later pass through the blossom."""
+        base, match, parent = self.base, self.match, self.parent
+        while base[v] != b:
+            mate = match[v]
+            marked[base[v]] = None
+            marked[base[mate]] = None
+            parent[v] = child
+            child = mate
+            v = parent[mate]
+
+
+def _blossom_match(n: int, adj) -> list[int]:
+    """Mate array (-1 for exposed) of a maximum matching of the graph with
+    neighbor lists ``adj`` on 0..n-1. Each root is searched once, and a
+    search costs the size of its tree, not n."""
+    search = _Search(n, adj)
+    search.maximize()
+    return search.match
+
+
+def matching_number(n: int, adj) -> int:
+    """Size of a maximum matching of the graph with neighbor lists ``adj``."""
+    return sum(1 for v, w in enumerate(_blossom_match(n, adj)) if w > v)
 
 
 def maximum_matching(G: Graph) -> frozenset[Edge]:
@@ -114,29 +187,46 @@ def maximum_matching(G: Graph) -> frozenset[Edge]:
 
 
 def max_matching_size(G: Graph) -> int:
-    return len(maximum_matching(G))
+    return matching_number(G.n, G.adj_lists)
 
 
 def lexmin_maximum_matching(G: Graph) -> tuple[Edge, ...]:
     """The lexicographically smallest maximum matching (edges as sorted
-    pairs, sets compared as sorted tuples). Greedy forcing: take each edge in
-    order whenever a maximum matching through the forced prefix survives."""
-    k = max_matching_size(G)
+    pairs, sets compared as sorted tuples).
+
+    Greedy forcing: take each edge in order whenever a maximum matching
+    through the forced prefix survives. A maximum matching M of the graph
+    minus the forced vertices is kept throughout. To test (u, v), u and v are
+    removed and their mates freed; every augmenting path of what is left
+    then starts at a freed mate, so the test needs at most two searches, and
+    when it fails the two matched edges go back.
+    """
+    search = _Search(G.n, G.adj_lists)
+    search.maximize()
+    match = search.match
+    dead = search.dead = [False] * G.n
     chosen: list[Edge] = []
-    banned = 0
     for u, v in G.edges:
-        if len(chosen) == k:
-            break
-        if banned & ((1 << u) | (1 << v)):
+        if dead[u] or dead[v]:
             continue
-        nb = banned | (1 << u) | (1 << v)
-        rest = Graph(
-            G.n,
-            tuple(e for e in G.edges if not (nb & ((1 << e[0]) | (1 << e[1])))),
-        )
-        if len(chosen) + 1 + max_matching_size(rest) >= k:
-            chosen.append((u, v))
-            banned = nb
+        mu, mv = match[u], match[v]
+        dead[u] = dead[v] = True
+        for x in (u, v, mu, mv):
+            if x != -1:
+                match[x] = -1
+        # With (u, v) in M, or u or v exposed, what is left of M is one edge
+        # short of M and so maximum without u and v. Otherwise it is two
+        # short and must regain an edge along a path from a freed mate.
+        if (
+            mu not in (v, -1)
+            and mv != -1
+            and search.augment(mu) is not None
+            and search.augment(mv) is not None
+        ):
+            match[u], match[mu], match[v], match[mv] = mu, u, mv, v
+            dead[u] = dead[v] = False
+            continue
+        chosen.append((u, v))
     return tuple(chosen)
 
 

@@ -22,11 +22,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .graph import Graph, block_decomposition, is_acyclic_graph, is_edge_cut
+from .graph import Graph, block_decomposition, is_acyclic_graph
 from .matching import (
     hall_violator,
     hopcroft_karp,
     lexmin_maximum_matching,
+    matching_number,
     max_matching_size,
 )
 from .properties import (
@@ -34,6 +35,7 @@ from .properties import (
     BoundFunction,
     PropertyId,
     _bits,
+    _component_mask,
     pairwise_conflict_masks,
     property_holds,
 )
@@ -278,9 +280,13 @@ def _ordered_edges(G: Graph) -> list[Edge]:
     return sorted(G.edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
 
 
-def _residual_matching_bound(G: Graph, avail: list[Edge]) -> int:
-    sub = Graph(G.n, tuple(avail))
-    return max_matching_size(sub)
+def _residual_matching_bound(n: int, avail: list[Edge]) -> int:
+    """Matching number of the graph on 0..n-1 with edge list ``avail``."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in avail:
+        adj[u].append(v)
+        adj[v].append(u)
+    return matching_number(n, adj)
 
 
 def compute_beta_p(
@@ -325,7 +331,7 @@ def compute_beta_p(
         if (
             cfg.residual_matching_bound
             and len(avail) >= cfg.residual_bound_min_edges
-            and len(cur) + _residual_matching_bound(G, [order[i] for i in avail]) < best_size
+            and len(cur) + _residual_matching_bound(G.n, [order[i] for i in avail]) < best_size
         ):
             return
         for pos, i in enumerate(avail):
@@ -596,6 +602,24 @@ def total_matching_bounds(
 # -- separating matchings -------------------------------------------------------------
 
 
+def _separates(adj: tuple[int, ...], F: list[Edge]) -> bool:
+    """True iff removing the matching F from the graph with neighbor masks
+    ``adj`` adds a component, which happens exactly when the two ends of
+    some edge of F end up disconnected."""
+    rest = list(adj)
+    for u, v in F:
+        rest[u] &= ~(1 << v)
+        rest[v] &= ~(1 << u)
+    everything = (1 << len(adj)) - 1
+    comp = 0
+    for u, v in F:
+        if not comp >> u & 1:
+            comp = _component_mask(rest, u, everything)
+        if not comp >> v & 1:
+            return True
+    return False
+
+
 def min_separating_matching(
     G: Graph, config: EngineConfig | None = None
 ) -> ParameterResult:
@@ -618,7 +642,7 @@ def min_separating_matching(
                 nodes += 1
                 if cfg.node_budget is not None and nodes > cfg.node_budget:
                     raise BudgetExceededError("beta_sep_min", nodes)
-                if is_edge_cut(G, cur):
+                if _separates(G.adj_masks, cur):
                     return tuple(cur)
                 return None
             for i in range(start, len(edges)):

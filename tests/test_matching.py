@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -18,7 +20,7 @@ from conftest import brute_force_max_matching, graphs
 
 
 def test_blossom_exhaustive_small():
-    for n in range(0, 6):
+    for n in range(0, 7):
         for G in all_graphs(n):
             got = maximum_matching(G)
             assert is_matching(G, got)
@@ -52,12 +54,10 @@ def test_lexmin_maximum_matching(p8):
     assert lexmin_maximum_matching(p8) == ((0, 1), (2, 3), (4, 5), (6, 7))
 
 
-@given(graphs(min_n=1, max_n=6))
-def test_lexmin_is_smallest_optimum(G):
-    got = lexmin_maximum_matching(G)
+def brute_force_lexmin(G: Graph) -> tuple:
+    """Test-side reference: every maximum matching, enumerated by plain
+    recursion; the smallest as a sorted edge tuple."""
     best = brute_force_max_matching(G)
-    assert len(got) == best
-    # enumerate all maximum matchings and compare
     edges = G.edges
     optima = []
 
@@ -75,7 +75,85 @@ def test_lexmin_is_smallest_optimum(G):
             cur.pop()
 
     rec(0, [], 0)
-    assert got == min(optima)
+    return min(optima)
+
+
+def test_lexmin_is_smallest_optimum():
+    for n in range(0, 7):
+        for G in all_graphs(n):
+            assert lexmin_maximum_matching(G) == brute_force_lexmin(G)
+
+
+def _relabel(G: Graph, rng: random.Random) -> Graph:
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return Graph(G.n, tuple((perm[u], perm[v]) for u, v in G.edges))
+
+
+def _flowers(stems: int, cycle: int) -> Graph:
+    """Odd cycles ("blossoms"), each on a stem path of two edges whose far
+    end is a shared hub, plus one pendant per stem: the greedy pass leaves
+    stems exposed whose searches must contract a blossom, and roots whose
+    trees turn out Hungarian."""
+    edges = []
+    hub = 0
+    nxt = 1
+    for _ in range(stems):
+        a, b, pendant = nxt, nxt + 1, nxt + 2
+        ring = list(range(nxt + 3, nxt + 3 + cycle))
+        nxt += 3 + cycle
+        edges += [(hub, a), (a, b), (b, ring[0]), (a, pendant)]
+        edges += [(ring[i], ring[(i + 1) % cycle]) for i in range(cycle)]
+    return Graph(nxt, tuple(edges))
+
+
+def _star_of_triangles(leaves: int) -> Graph:
+    """A star whose every leaf carries a pendant triangle."""
+    edges = []
+    for i in range(leaves):
+        leaf, a, b = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
+        edges += [(0, leaf), (leaf, a), (a, b), (leaf, b)]
+    return Graph(1 + 3 * leaves, tuple(edges))
+
+
+@pytest.mark.parametrize(
+    "G",
+    [_flowers(2, 3), _flowers(2, 5), _flowers(3, 3), _star_of_triangles(4), _star_of_triangles(5)],
+    ids=["flowers-2x3", "flowers-2x5", "flowers-3x3", "star-triangles-4", "star-triangles-5"],
+)
+def test_blossom_on_flowers_under_relabeling(G):
+    """Every relabeling changes the greedy seed and the root order, and with
+    them which trees are contracted and which are dropped as Hungarian."""
+    best = brute_force_max_matching(G)
+    lexmin = brute_force_lexmin(G)
+    rng = random.Random(G.n)
+    for _ in range(40):
+        H = _relabel(G, rng)
+        got = maximum_matching(H)
+        assert is_matching(H, got) and len(got) == best
+        assert lexmin_maximum_matching(H) == brute_force_lexmin(H)
+    assert lexmin_maximum_matching(G) == lexmin
+
+
+def test_blossom_and_lexmin_against_networkx():
+    """Sizes where the brute force cannot go, against networkx's independent
+    matching codes (Hopcroft-Karp on trees, the weighted blossom on gnp)."""
+    nx = pytest.importorskip("networkx")
+    cases = []
+    for n in (1000, 3000):
+        T = nx.random_labeled_tree(n, seed=n)
+        cases.append(("tree", n, T, len(nx.bipartite.hopcroft_karp_matching(T)) // 2))
+    for n in (1000, 2000):
+        R = nx.fast_gnp_random_graph(n, 3.0 / n, seed=n)
+        cases.append(("gnp", n, R, len(nx.max_weight_matching(R, maxcardinality=True))))
+    for family, n, R, nu in cases:
+        G = Graph(n, tuple(R.edges()))
+        got = maximum_matching(G)
+        assert is_matching(G, got) and len(got) == nu, (family, n)
+        assert max_matching_size(G) == nu, (family, n)
+        lexmin = lexmin_maximum_matching(G)
+        assert is_matching(G, lexmin) and len(lexmin) == nu, (family, n)
+        assert list(lexmin) == sorted(lexmin)
 
 
 def test_hopcroft_karp_simple():

@@ -41,7 +41,10 @@ from pmatch.solvers import (
     sdr_solve,
     total_matching_bounds,
     tree_b_matching_max,
+    _separates,
 )
+from pmatch import solvers as solvers_module
+from pmatch.matching import lexmin_maximum_matching, max_matching_size
 from pmatch.theorems import all_graphs
 
 from conftest import graphs
@@ -362,6 +365,46 @@ def test_pinned_node_counts(name):
     got = {tag: compute_parameter(G, ParameterId.from_string(tag)).nodes_explored
            for tag in PINNED_NODES[name]}
     assert got == PINNED_NODES[name]
+
+
+def test_kernels_build_no_graph(monkeypatch):
+    """Counter gate: the matching kernels, the residual bound and the
+    separating-matching search work on adjacency lists and masks of the
+    input and construct no Graph at all."""
+    G = generate("gnp", n=12, p=0.4, seed=1)
+    q3 = generate("hypercube", n=3)
+    built = []
+    post_init = Graph.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(Graph, "__post_init__", counting)
+    Graph(2, ((0, 1),))
+    assert built == [2]  # the patch sees constructions
+    built.clear()
+    bound_calls = []
+    number = solvers_module.matching_number
+    monkeypatch.setattr(solvers_module, "matching_number", lambda n, adj: bound_calls.append(n) or number(n, adj))
+
+    max_matching_size(G)
+    lexmin_maximum_matching(G)
+    compute_beta_p(G, PropertyId.ACYCLIC)
+    assert bound_calls  # the residual bound ran inside the search
+    min_separating_matching(q3)
+    min_separating_matching(G)
+    assert built == []
+
+
+def test_separates_is_edge_cut():
+    for n in range(0, 6):
+        for G in all_graphs(n):
+            for k in range(1, n // 2 + 1):
+                for F in itertools.combinations(G.edges, k):
+                    ends = [x for e in F for x in e]
+                    if len(set(ends)) == 2 * k:
+                        assert _separates(G.adj_masks, list(F)) == is_edge_cut(G, F)
 
 
 # -- SDR ------------------------------------------------------------------------------------------------
