@@ -10,8 +10,11 @@
   smallest maximal independent set, ``beta1_minus``, ``beta_plain_minus``,
   ``beta_star_minus``, ``beta_on_minus``, ``beta_cn_minus`` and
   ``beta_total_min``.
-- A branch and bound over the edges that calls the predicates, for the nine
-  variants that are not pairwise; a matching enumeration for ``beta_sep_min``.
+- One first-hit search over the edges, which calls the predicates: it walks
+  the k-edge matchings in lexicographic order and stops at the first one
+  accepted. The nine variants that are not pairwise take it for their maxima
+  (k down from the matching number) and minima (k up from 1), and so does
+  ``beta_sep_min`` (k up from 1).
 
 Every route is deterministic: among equally sized optima the
 lexicographically smallest witness wins.
@@ -27,7 +30,6 @@ from .matching import (
     hall_violator,
     hopcroft_karp,
     lexmin_maximum_matching,
-    matching_number,
     max_matching_size,
 )
 from .properties import (
@@ -80,15 +82,10 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class EngineConfig:
-    """Search-engine knobs. Pruning never changes results, only node counts;
-    the budget (when set) aborts with BudgetExceededError instead of
-    returning an approximation."""
+    """Search-engine settings. The node budget (when set) aborts a search
+    with BudgetExceededError instead of returning an approximation."""
 
     node_budget: int | None = None
-    remaining_edge_bound: bool = True
-    residual_matching_bound: bool = True
-    residual_bound_min_edges: int = 10
-    hereditary_pruning: bool = True
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -271,22 +268,62 @@ def _edge_result(G: Graph, pid: "ParameterId", chosen: tuple[int, ...], nodes: i
     return ParameterResult(pid, len(witness), witness, "search", nodes)
 
 
-# -- branch and bound for the variant maxima ---------------------------------
+# -- the first-hit search for the variants that are not pairwise ------------
 
 
-def _ordered_edges(G: Graph) -> list[Edge]:
-    """Branching order: descending endpoint degree sum, ties by edge index."""
-    deg = [len(a) for a in G.adj_lists]
-    return sorted(G.edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
+def _first_hit(G: Graph, sizes, accept, keep, cfg: EngineConfig, what: str):
+    """For each k of ``sizes`` in turn, walk the k-edge matchings of
+    ``G.edges`` in lexicographic order and return the first that ``accept``
+    takes. Edges are sorted, so the first hit is the lexicographically
+    smallest accepted matching of its size. A prefix is never extended when
+    ``keep`` (if not None) rejects it or when fewer compatible edges follow
+    it than it still lacks. Returns the hit (None when no size hits) and the
+    node count, one node per prefix tried, summed over all sizes."""
+    edges = G.edges
+    at = [0] * G.n
+    for j, (u, v) in enumerate(edges):
+        at[u] |= 1 << j
+        at[v] |= 1 << j
+    clash = [at[u] | at[v] for u, v in edges]  # edges sharing an end with edge j
+    nodes = 0
+    for k in sizes:
+        # A frame per depth: the prefix, and as a bitmask the edges after its
+        # last edge that are still compatible with it and not yet tried.
+        stack = [[(), (1 << len(edges)) - 1]]
+        while stack:
+            frame = stack[-1]
+            prefix, avail = frame
+            if len(prefix) + avail.bit_count() < k:  # too few edges left
+                stack.pop()
+                continue
+            low = avail & -avail
+            frame[1] = avail ^ low
+            nodes += 1
+            if cfg.node_budget is not None and nodes > cfg.node_budget:
+                raise BudgetExceededError(what, nodes)
+            i = low.bit_length() - 1
+            cand = prefix + (edges[i],)
+            if len(cand) == k:
+                if accept(cand):
+                    return cand, nodes
+            elif keep is None or keep(cand):
+                stack.append([cand, avail & ~clash[i]])
+    return None, nodes
 
 
-def _residual_matching_bound(n: int, avail: list[Edge]) -> int:
-    """Matching number of the graph on 0..n-1 with edge list ``avail``."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in avail:
-        adj[u].append(v)
-        adj[v].append(u)
-    return matching_number(n, adj)
+def _memoized_holds(G: Graph, P: PropertyId):
+    """``property_holds`` on G and P, memoized: one search meets the same
+    matching as a prefix at several sizes, and a minimum also as the
+    extension of another candidate."""
+    memo: dict[tuple[Edge, ...], bool] = {}
+
+    def holds(cand: tuple[Edge, ...]) -> bool:
+        got = memo.get(cand)
+        if got is None:
+            got = memo[cand] = property_holds(G, P, cand)
+        return got
+
+    return holds
 
 
 def compute_beta_p(
@@ -295,63 +332,23 @@ def compute_beta_p(
     """Largest matching whose induced subgraph has property P.
 
     Pairwise variants are a maximum independent set in the edge conflict
-    masks. The rest take a branch-and-bound over the edges: hereditary
-    variants prune a branch as soon as the partial matching loses P, the
-    rest are explored fully, and two upper bounds prune by size: the count
-    of still-compatible edges and (for wide nodes) the exact matching number
-    of the residual graph. Ties on value resolve to the lexicographically
-    smallest witness.
+    masks. The rest take the first-hit search with k running down from the
+    matching number: the first k-matching with P is the answer and its
+    lexicographically smallest witness. Hereditary variants never extend a
+    prefix that has lost P. With no hit, the value is 0 and the witness empty.
     """
     cfg = config or DEFAULT_CONFIG
     conflict = pairwise_conflict_masks(G, P)
     if conflict is not None:
         chosen, nodes = _max_independent(conflict, cfg, f"beta_{P.value}")
         return _edge_result(G, PROPERTY_MAX_PARAM[P], chosen, nodes)
-    order = _ordered_edges(G)
-    masks = [(1 << u) | (1 << v) for u, v in order]
-    hereditary = cfg.hereditary_pruning and P in HEREDITARY_PROPERTIES
 
-    best_size = 0
-    best_witness: tuple[Edge, ...] = ()
-    nodes = 0
-
-    def consider(cand: tuple[Edge, ...]):
-        nonlocal best_size, best_witness
-        k = len(cand)
-        key = tuple(sorted(cand))
-        if k > best_size or (k == best_size and key < best_witness):
-            best_size = k
-            best_witness = key
-
-    def rec(start: int, cur: tuple[Edge, ...], sat: int):
-        nonlocal nodes
-        avail = [i for i in range(start, len(order)) if not masks[i] & sat]
-        if cfg.remaining_edge_bound and len(cur) + len(avail) < best_size:
-            return
-        if (
-            cfg.residual_matching_bound
-            and len(avail) >= cfg.residual_bound_min_edges
-            and len(cur) + _residual_matching_bound(G.n, [order[i] for i in avail]) < best_size
-        ):
-            return
-        for pos, i in enumerate(avail):
-            nodes += 1
-            if cfg.node_budget is not None and nodes > cfg.node_budget:
-                raise BudgetExceededError(f"beta_{P.value}", nodes)
-            cand = cur + (order[i],)
-            ok = property_holds(G, P, tuple(sorted(cand)))
-            if ok:
-                consider(cand)
-            elif hereditary:
-                continue
-            if cfg.remaining_edge_bound and len(cand) + (len(avail) - pos - 1) < best_size:
-                continue
-            rec(i + 1, cand, sat | masks[i])
-
-    rec(0, (), 0)
-    return ParameterResult(
-        PROPERTY_MAX_PARAM[P], best_size, best_witness, "search", nodes
-    )
+    holds = _memoized_holds(G, P)
+    keep = holds if P in HEREDITARY_PROPERTIES else None
+    sizes = range(max_matching_size(G), 0, -1)
+    hit, nodes = _first_hit(G, sizes, holds, keep, cfg, f"beta_{P.value}")
+    witness = hit or ()
+    return ParameterResult(PROPERTY_MAX_PARAM[P], len(witness), witness, "search", nodes)
 
 
 def compute_beta_minus_p(
@@ -361,9 +358,9 @@ def compute_beta_minus_p(
     extension that keeps P. Value None when no nonempty P-matching exists.
 
     Pairwise variants are the smallest maximal independent set in the edge
-    conflict masks. The rest take an enumeration over matchings with size
-    pruning; extension checks are memoized per search since sibling
-    candidates revisit the same extended matching.
+    conflict masks. The rest take the first-hit search with k running up from
+    1, accepting a P-matching that no one-edge extension keeps in P.
+    Prefixes are kept as for the maximum.
     """
     cfg = config or DEFAULT_CONFIG
     conflict = pairwise_conflict_masks(G, P)
@@ -372,63 +369,25 @@ def compute_beta_minus_p(
             return ParameterResult(PROPERTY_MIN_PARAM[P], None, None, "search", 0)
         chosen, nodes = _min_dominating(conflict, True, cfg, f"beta_{P.value}_minus")
         return _edge_result(G, PROPERTY_MIN_PARAM[P], chosen, nodes)
-    order = _ordered_edges(G)
-    masks = [(1 << u) | (1 << v) for u, v in order]
-    all_edges = G.edges
-    hereditary = cfg.hereditary_pruning and P in HEREDITARY_PROPERTIES
+    holds = _memoized_holds(G, P)
 
-    best_size: int | None = None
-    best_witness: tuple[Edge, ...] | None = None
-    nodes = 0
-    memo: dict[tuple[Edge, ...], bool] = {}
+    def maximal(cand: tuple[Edge, ...]) -> bool:
+        if not holds(cand):
+            return False
+        sat = 0
+        for u, v in cand:
+            sat |= (1 << u) | (1 << v)
+        return not any(
+            holds(tuple(sorted(cand + (e,))))
+            for e in G.edges
+            if not sat >> e[0] & 1 and not sat >> e[1] & 1
+        )
 
-    def holds(edges_sorted: tuple[Edge, ...]) -> bool:
-        got = memo.get(edges_sorted)
-        if got is None:
-            got = property_holds(G, P, edges_sorted)
-            memo[edges_sorted] = got
-        return got
-
-    def is_max_wrt(cur_sorted: tuple[Edge, ...], sat: int) -> bool:
-        for u, v in all_edges:
-            if sat & ((1 << u) | (1 << v)):
-                continue
-            if holds(tuple(sorted(cur_sorted + ((u, v),)))):
-                return False
-        return True
-
-    def consider(cand: tuple[Edge, ...], sat: int):
-        nonlocal best_size, best_witness
-        k = len(cand)
-        if best_size is not None and k > best_size:
-            return
-        if not is_max_wrt(cand, sat):
-            return
-        if best_size is None or k < best_size or (k == best_size and cand < best_witness):
-            best_size = k
-            best_witness = cand
-
-    def rec(start: int, cur: tuple[Edge, ...], sat: int):
-        nonlocal nodes
-        if best_size is not None and len(cur) + 1 > best_size:
-            return
-        for i in range(start, len(order)):
-            if masks[i] & sat:
-                continue
-            nodes += 1
-            if cfg.node_budget is not None and nodes > cfg.node_budget:
-                raise BudgetExceededError(f"beta_{P.value}_minus", nodes)
-            cand = tuple(sorted(cur + (order[i],)))
-            ok = holds(cand)
-            if not ok and hereditary:
-                continue
-            if ok:
-                consider(cand, sat | masks[i])
-            rec(i + 1, cand, sat | masks[i])
-
-    rec(0, (), 0)
+    keep = holds if P in HEREDITARY_PROPERTIES else None
+    sizes = range(1, max_matching_size(G) + 1)
+    hit, nodes = _first_hit(G, sizes, maximal, keep, cfg, f"beta_{P.value}_minus")
     return ParameterResult(
-        PROPERTY_MIN_PARAM[P], best_size, best_witness, "search", nodes
+        PROPERTY_MIN_PARAM[P], len(hit) if hit else None, hit, "search", nodes
     )
 
 
@@ -624,44 +583,20 @@ def min_separating_matching(
     G: Graph, config: EngineConfig | None = None
 ) -> ParameterResult:
     """Smallest matching whose removal increases the component count, or
-    value None when no matching is an edge cut. Iterative deepening over the
-    matching size; within one size, matchings stream in lexicographic order,
-    so the first hit is the smallest witness."""
-    cfg = config or DEFAULT_CONFIG
-    edges = G.edges
-    masks = [(1 << u) | (1 << v) for u, v in edges]
-    beta1 = max_matching_size(G)
-    nodes = 0
-
-    def search(k: int) -> tuple[Edge, ...] | None:
-        nonlocal nodes
-
-        def rec(start: int, cur: list[Edge], sat: int):
-            nonlocal nodes
-            if len(cur) == k:
-                nodes += 1
-                if cfg.node_budget is not None and nodes > cfg.node_budget:
-                    raise BudgetExceededError("beta_sep_min", nodes)
-                if _separates(G.adj_masks, cur):
-                    return tuple(cur)
-                return None
-            for i in range(start, len(edges)):
-                if masks[i] & sat:
-                    continue
-                cur.append(edges[i])
-                got = rec(i + 1, cur, sat | masks[i])
-                if got is not None:
-                    return got
-                cur.pop()
-            return None
-
-        return rec(0, [], 0)
-
-    for k in range(1, beta1 + 1):
-        got = search(k)
-        if got is not None:
-            return ParameterResult(ParameterId.BETA_SEP_MIN, k, got, "search", nodes)
-    return ParameterResult(ParameterId.BETA_SEP_MIN, None, None, "search", nodes)
+    value None when no matching is an edge cut: the first-hit search with k
+    running up from 1, so the first hit is also the smallest witness."""
+    adj = G.adj_masks
+    hit, nodes = _first_hit(
+        G,
+        range(1, max_matching_size(G) + 1),
+        lambda cand: _separates(adj, cand),
+        None,
+        config or DEFAULT_CONFIG,
+        "beta_sep_min",
+    )
+    return ParameterResult(
+        ParameterId.BETA_SEP_MIN, len(hit) if hit else None, hit, "search", nodes
+    )
 
 
 # -- block-structure fast path -----------------------------------------------------------

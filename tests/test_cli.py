@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,3 +246,33 @@ def test_multiple_inputs_ordered(tmp_path, capsys):
     assert json.loads(lines[0])["graph"] == "a.txt"
     assert json.loads(lines[1])["graph"] == "b.txt"
     assert json.loads(lines[1])["params"]["beta1"]["value"] == 1
+
+
+def test_compute_long_path_has_no_traceback():
+    # The first-hit search keeps its own stack: a 1500-edge witness must not
+    # run into the interpreter's recursion limit.
+    code, out, err = run_cli("compute", "--family", "path", "--n", "3000",
+                             "--params", "beta_c,beta_if")
+    assert code == 0 and "Traceback" not in err
+    params = json.loads(out)["params"]
+    assert params["beta_c"]["value"] == params["beta_if"]["value"] == 1500
+
+
+GOLDEN = Path(__file__).parent / "golden" / "compute.jsonl"
+
+
+def _without_nodes(table):
+    for entry in table["params"].values():
+        entry.pop("nodes", None)
+    return table
+
+
+@pytest.mark.parametrize("record", [json.loads(line) for line in GOLDEN.read_text().splitlines()],
+                         ids=lambda record: record["name"])
+def test_compute_all_matches_golden(record, capsys):
+    # Value, witness and route of every parameter; node counts are pinned in
+    # test_solvers.py instead.
+    code = main(["compute", *record["argv"], "--params", "all", "--format", "json"])
+    table = _without_nodes(json.loads(capsys.readouterr().out))
+    assert code == record["exit"]
+    assert table == record["table"]

@@ -43,16 +43,10 @@ from pmatch.solvers import (
     tree_b_matching_max,
     _separates,
 )
-from pmatch import solvers as solvers_module
 from pmatch.matching import lexmin_maximum_matching, max_matching_size
 from pmatch.theorems import all_graphs
 
 from conftest import graphs
-
-
-NO_PRUNING = EngineConfig(
-    remaining_edge_bound=False, residual_matching_bound=False, hereditary_pruning=False
-)
 
 
 # -- engine versus oracle ------------------------------------------------------------
@@ -97,23 +91,19 @@ def test_engine_matches_oracle_sampled(G, P):
     ))
 
 
-@given(graphs(min_n=4, max_n=7), st.sampled_from(list(PropertyId)))
-@settings(max_examples=30)
-def test_pruning_never_changes_results(G, P):
-    a = compute_beta_p(G, P)
-    b = compute_beta_p(G, P, NO_PRUNING)
-    assert (a.value, a.witness) == (b.value, b.witness)
-    c = compute_beta_minus_p(G, P)
-    d = compute_beta_minus_p(G, P, NO_PRUNING)
-    assert (c.value, c.witness) == (d.value, d.witness)
-
-
 def test_budget_raises():
     k6 = generate("complete", n=6)
     with pytest.raises(BudgetExceededError):
         compute_beta_p(k6, PropertyId.INDUCED, EngineConfig(node_budget=3))
     with pytest.raises(BudgetExceededError):
         total_matching_bounds(k6, EngineConfig(node_budget=2))
+    # The first-hit search counts its nodes over all the sizes it tries: 12
+    # one-edge tries, then the budget runs out among the two-edge matchings.
+    q3 = generate("hypercube", n=3)
+    with pytest.raises(BudgetExceededError, match="^beta_ur_minus: .* after 14 nodes"):
+        compute_beta_minus_p(q3, PropertyId.UNIQUELY_RESTRICTED, EngineConfig(node_budget=13))
+    with pytest.raises(BudgetExceededError, match="^beta_sep_min: .* after 101 nodes"):
+        min_separating_matching(q3, EngineConfig(node_budget=100))
 
 
 def test_engine_witness_is_lexmin():
@@ -337,24 +327,34 @@ def test_total_bounds_match_single_tags(q3):
     assert mn == compute_parameter(q3, ParameterId.BETA_TOTAL_MIN)
 
 
-# Exact search node counts of the independent-set core and the theorem routes;
-# a change here is a change in the search, not noise.
+# Exact search node counts of the independent-set core, the first-hit search
+# and the theorem routes; a change here is a change in the search, not noise.
 PINNED_GRAPHS = {
     "hypercube-3": lambda: generate("hypercube", n=3),
     "gnp-12": lambda: generate("gnp", n=12, p=0.4, seed=1),
 }
 PINNED_NODES = {
     "hypercube-3": {
-        "beta0": 27, "alpha0": 27, "gamma": 41, "beta_plain": 0, "beta_ur": 80,
+        "beta0": 27, "alpha0": 27, "gamma": 41, "beta_plain": 0, "beta_ur": 115,
         "beta_star": 35, "beta_on": 107, "beta_cn": 107, "beta1_minus": 64,
         "beta_plain_minus": 64, "beta_star_minus": 23, "beta_on_minus": 64,
         "beta_cn_minus": 64, "beta_total_max": 501, "beta_total_min": 564,
+        "beta_ur_minus": 15, "beta_c": 4, "beta_c_minus": 75, "beta_if": 4,
+        "beta_if_minus": 75, "beta_dc": 157, "beta_dc_minus": 20, "beta_ac": 115,
+        "beta_ac_minus": 15, "beta_i": 4, "beta_i_minus": 75, "beta_b": 4,
+        "beta_b_minus": 75, "beta_v_IR": 139, "beta_v_ir": 14, "beta_e_IR": 64,
+        "beta_e_ir": 20, "beta_sep_min": 155,
     },
     "gnp-12": {
-        "beta0": 69, "alpha0": 69, "gamma": 162, "beta_plain": 0, "beta_ur": 939,
+        "beta0": 69, "alpha0": 69, "gamma": 162, "beta_plain": 0, "beta_ur": 862,
         "beta_star": 113, "beta_on": 899, "beta_cn": 507, "beta1_minus": 1066,
         "beta_plain_minus": 1066, "beta_star_minus": 30, "beta_on_minus": 1127,
         "beta_cn_minus": 111, "beta_total_max": 8525, "beta_total_min": 9283,
+        "beta_ur_minus": 35, "beta_c": 10, "beta_c_minus": 1212, "beta_if": 10,
+        "beta_if_minus": 1212, "beta_dc": 3407, "beta_dc_minus": 3, "beta_ac": 926,
+        "beta_ac_minus": 30, "beta_i": 817, "beta_i_minus": 649, "beta_b": 1180,
+        "beta_b_minus": 265, "beta_v_IR": 1398, "beta_v_ir": 4, "beta_e_IR": 981,
+        "beta_e_ir": 278, "beta_sep_min": 5698,
     },
 }
 
@@ -368,7 +368,7 @@ def test_pinned_node_counts(name):
 
 
 def test_kernels_build_no_graph(monkeypatch):
-    """Counter gate: the matching kernels, the residual bound and the
+    """Counter gate: the matching kernels, the first-hit search and the
     separating-matching search work on adjacency lists and masks of the
     input and construct no Graph at all."""
     G = generate("gnp", n=12, p=0.4, seed=1)
@@ -384,14 +384,10 @@ def test_kernels_build_no_graph(monkeypatch):
     Graph(2, ((0, 1),))
     assert built == [2]  # the patch sees constructions
     built.clear()
-    bound_calls = []
-    number = solvers_module.matching_number
-    monkeypatch.setattr(solvers_module, "matching_number", lambda n, adj: bound_calls.append(n) or number(n, adj))
 
     max_matching_size(G)
     lexmin_maximum_matching(G)
     compute_beta_p(G, PropertyId.ACYCLIC)
-    assert bound_calls  # the residual bound ran inside the search
     min_separating_matching(q3)
     min_separating_matching(G)
     assert built == []
