@@ -334,12 +334,7 @@ def _corpus(args) -> list[tuple[str, Graph]]:
     if args.random:
         if args.n is None:
             raise UsageError("--random needs --n")
-        gen = (
-            random_graphs(args.n, args.random, args.seed)
-            if args.p is None
-            else _random_fixed_p(args.n, args.random, args.p, args.seed)
-        )
-        for G in gen:
+        for G in random_graphs(args.n, args.random, args.seed, p=args.p):
             out.append((graph_id(G), G))
     if args.input or args.family:
         try:
@@ -349,18 +344,6 @@ def _corpus(args) -> list[tuple[str, Graph]]:
     if not out and not getattr(args, "hall_samples", 0) and not getattr(args, "block_samples", 0):
         raise UsageError("empty corpus: use --all-n, --random, --family or --input")
     return out
-
-
-def _random_fixed_p(n, count, p, seed):
-    rng = random.Random(seed)
-    from .graph import from_edge_mask
-
-    for _ in range(count):
-        mask = 0
-        for i in range(n * (n - 1) // 2):
-            if rng.random() < p:
-                mask |= 1 << i
-        yield from_edge_mask(n, mask)
 
 
 def cmd_theorems(args) -> int:

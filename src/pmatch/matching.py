@@ -11,25 +11,22 @@ of the augmenting paths. Nothing recurses. The lexicographically
 smallest maximum matching keeps one maximum matching on that state and tests
 each edge with at most two augmenting searches.
 
-Bipartite graphs additionally get Hopcroft-Karp together with the standard
-minimum vertex cover read off the final layering, which certifies the
-matching/cover duality constructively.
+Bipartite graphs run on the same search. One alternating walk from the
+exposed vertices of one side then reads off the minimum vertex cover, which
+certifies the matching/cover duality, and the Hall violator of a set system.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from .graph import Graph, is_bipartite
 
 __all__ = [
+    "maximum_mates",
     "maximum_matching",
     "max_matching_size",
-    "matching_number",
     "lexmin_maximum_matching",
-    "hopcroft_karp",
+    "alternating_reach",
     "bipartite_matching_and_cover",
-    "hall_violator",
 ]
 
 Edge = tuple[int, int]
@@ -166,7 +163,7 @@ class _Search:
             v = parent[mate]
 
 
-def _blossom_match(n: int, adj) -> list[int]:
+def maximum_mates(n: int, adj) -> list[int]:
     """Mate array (-1 for exposed) of a maximum matching of the graph with
     neighbor lists ``adj`` on 0..n-1. Each root is searched once, and a
     search costs the size of its tree, not n."""
@@ -175,19 +172,17 @@ def _blossom_match(n: int, adj) -> list[int]:
     return search.match
 
 
-def matching_number(n: int, adj) -> int:
-    """Size of a maximum matching of the graph with neighbor lists ``adj``."""
-    return sum(1 for v, w in enumerate(_blossom_match(n, adj)) if w > v)
+def _mated_edges(match: list[int]) -> frozenset[Edge]:
+    return frozenset((v, w) for v, w in enumerate(match) if w > v)
 
 
 def maximum_matching(G: Graph) -> frozenset[Edge]:
     """A maximum matching of G (deterministic for a fixed graph)."""
-    match = _blossom_match(G.n, G.adj_lists)
-    return frozenset((v, match[v]) for v in range(G.n) if match[v] > v)
+    return _mated_edges(maximum_mates(G.n, G.adj_lists))
 
 
 def max_matching_size(G: Graph) -> int:
-    return matching_number(G.n, G.adj_lists)
+    return (G.n - maximum_mates(G.n, G.adj_lists).count(-1)) // 2
 
 
 def lexmin_maximum_matching(G: Graph) -> tuple[Edge, ...]:
@@ -230,102 +225,27 @@ def lexmin_maximum_matching(G: Graph) -> tuple[Edge, ...]:
     return tuple(chosen)
 
 
-def hopcroft_karp(
-    n_left: int, n_right: int, adj: list[list[int]] | tuple
-) -> tuple[int, list[int], list[int]]:
-    """Maximum matching in a bipartite incidence structure.
-
-    ``adj[i]`` lists the right-side neighbors of left vertex i. Returns the
-    matching size and both mate arrays (-1 for exposed).
-    """
-    INF = float("inf")
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    dist = [0.0] * n_left
-
-    def bfs() -> bool:
-        q = deque()
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while q:
-            u = q.popleft()
-            for w in adj[u]:
-                nxt = match_r[w]
-                if nxt == -1:
-                    found = True
-                elif dist[nxt] == INF:
-                    dist[nxt] = dist[u] + 1
-                    q.append(nxt)
-        return found
-
-    def augment(root: int) -> bool:
-        """Layered depth-first search for an augmenting path from ``root``,
-        on an explicit stack of (left vertex, neighbor iterator) pairs so that
-        path length is not bounded by recursion depth."""
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            u, neighbors = stack[-1]
-            for w in neighbors:
-                nxt = match_r[w]
-                if nxt == -1:
-                    # Flip the path, deepest vertex first: each left vertex
-                    # takes the right vertex after it, and its old mate (the
-                    # right vertex it was reached through) goes to the one
-                    # before it.
-                    for x, _ in reversed(stack):
-                        prev = match_l[x]
-                        match_l[x] = w
-                        match_r[w] = x
-                        w = prev
-                    return True
-                if dist[nxt] == dist[u] + 1:
-                    stack.append((nxt, iter(adj[nxt])))
-                    break
-            else:
-                # Dead end: no augmenting path continues through u this phase.
-                dist[u] = INF
-                stack.pop()
-        return False
-
-    size = 0
-    while bfs():
-        for u in range(n_left):
-            if match_l[u] == -1 and augment(u):
-                size += 1
-    return size, match_l, match_r
-
-
-def _alternating_reachable(
-    n_left: int, adj, match_l: list[int], match_r: list[int]
-) -> tuple[set[int], set[int]]:
-    """Left/right vertices reachable from exposed left vertices along
-    alternating (unmatched, matched, ...) paths."""
-    seen_l = {u for u in range(n_left) if match_l[u] == -1}
-    seen_r: set[int] = set()
-    q = deque(seen_l)
-    while q:
-        u = q.popleft()
-        for w in adj[u]:
-            if w in seen_r or match_l[u] == w:
+def alternating_reach(adj, match: list[int], roots) -> tuple[set[int], set[int]]:
+    """The vertices reached from the exposed ``roots`` along alternating
+    paths (an unmatched edge, then a matched one, and so on), split into
+    those at even and those at odd distance. On a bipartite graph with a
+    maximum matching, the even vertices on the roots' side are the ones that
+    some maximum matching leaves exposed, whichever maximum matching ``match``
+    is (Dulmage-Mendelsohn)."""
+    even = set(roots)
+    odd: set[int] = set()
+    queue = list(even)
+    for v in queue:
+        for w in adj[v]:
+            # The mate of an even vertex other than a root is already odd.
+            if w in odd:
                 continue
-            seen_r.add(w)
-            nxt = match_r[w]
-            if nxt != -1 and nxt not in seen_l:
-                seen_l.add(nxt)
-                q.append(nxt)
-    return seen_l, seen_r
-
-
-def hall_violator(n_left: int, adj, match_l: list[int], match_r: list[int]) -> set[int]:
-    """Given a non-saturating maximum matching of the left side, a left index
-    set W with |N(W)| = |W| - (number of exposed members) < |W|."""
-    seen_l, _ = _alternating_reachable(n_left, adj, match_l, match_r)
-    return seen_l
+            odd.add(w)
+            x = match[w]
+            if x != -1:
+                even.add(x)
+                queue.append(x)
+    return even, odd
 
 
 def bipartite_matching_and_cover(
@@ -333,31 +253,17 @@ def bipartite_matching_and_cover(
 ) -> tuple[frozenset[Edge], frozenset[int]]:
     """A maximum matching and a vertex cover of the same size.
 
-    The cover is (A minus reachable) union (B intersect reachable), where
-    reachability follows alternating paths from the exposed part of A. Raises
-    on non-bipartite input.
+    With parts (A, B) and the vertices reached along alternating paths from
+    the exposed vertices of A, the cover is (A minus the even ones) union the
+    odd ones. It is the same for every maximum matching. Raises on
+    non-bipartite input.
     """
     parts = is_bipartite(G)
     if parts is None:
         raise ValueError("graph is not bipartite")
-    a_side, b_side = sorted(parts[0]), sorted(parts[1])
-    a_index = {v: i for i, v in enumerate(a_side)}
-    b_index = {v: i for i, v in enumerate(b_side)}
-    adj = [[] for _ in a_side]
-    for u, v in G.edges:
-        if u in a_index:
-            adj[a_index[u]].append(b_index[v])
-        else:
-            adj[a_index[v]].append(b_index[u])
-    for row in adj:
-        row.sort()
-    _, match_l, match_r = hopcroft_karp(len(a_side), len(b_side), adj)
-    seen_l, seen_r = _alternating_reachable(len(a_side), adj, match_l, match_r)
-    cover = {a_side[i] for i in range(len(a_side)) if i not in seen_l}
-    cover |= {b_side[j] for j in seen_r}
-    matching = frozenset(
-        tuple(sorted((a_side[i], b_side[match_l[i]])))
-        for i in range(len(a_side))
-        if match_l[i] != -1
+    a_side = parts[0]
+    match = maximum_mates(G.n, G.adj_lists)
+    even, odd = alternating_reach(
+        G.adj_lists, match, [v for v in a_side if match[v] == -1]
     )
-    return matching, frozenset(cover)
+    return _mated_edges(match), frozenset(a_side - even) | odd

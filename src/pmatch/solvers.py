@@ -27,10 +27,10 @@ from dataclasses import dataclass, replace
 
 from .graph import Graph, block_decomposition, is_acyclic_graph
 from .matching import (
-    hall_violator,
-    hopcroft_karp,
+    alternating_reach,
     lexmin_maximum_matching,
     max_matching_size,
+    maximum_mates,
 )
 from .properties import (
     HEREDITARY_PROPERTIES,
@@ -647,18 +647,25 @@ class SdrResult:
 
 
 def sdr_solve(system: SetSystem) -> SdrResult:
-    """Distinct representatives via maximum bipartite matching on the
-    family-element incidence graph; on failure the alternating-reachability
-    set of an exposed family index is the violating index set."""
-    ground = system.ground
-    pos = {x: i for i, x in enumerate(ground)}
+    """Distinct representatives from a maximum matching of the incidence
+    graph, where set i is vertex i and element x is vertex k + pos(x) for k
+    sets. When some set is left exposed, the sets reached from the exposed
+    ones along alternating paths form the violator; they are the sets that
+    some maximum matching misses, so the violator does not depend on the
+    matching found."""
+    ground, k = system.ground, len(system.sets)
+    pos = {x: k + i for i, x in enumerate(ground)}
     adj = [sorted(pos[x] for x in s) for s in system.sets]
-    size, match_l, match_r = hopcroft_karp(len(system.sets), len(ground), adj)
-    if size == len(system.sets):
-        reps = tuple(ground[match_l[i]] for i in range(len(system.sets)))
-        return SdrResult(reps, None)
-    violator = frozenset(hall_violator(len(system.sets), adj, match_l, match_r))
-    return SdrResult(None, violator)
+    adj += [[] for _ in ground]
+    for i in range(k):
+        for x in adj[i]:
+            adj[x].append(i)
+    match = maximum_mates(len(adj), adj)
+    exposed = [i for i in range(k) if match[i] == -1]
+    if not exposed:
+        return SdrResult(tuple(ground[match[i] - k] for i in range(k)), None)
+    violator, _ = alternating_reach(adj, match, exposed)
+    return SdrResult(None, frozenset(violator))
 
 
 # -- dispatcher -----------------------------------------------------------------------------

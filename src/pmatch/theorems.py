@@ -337,46 +337,34 @@ def check_block_class_identity(G: Graph, config: EngineConfig | None = None) -> 
     )
 
 
-CHECK_NAMES = (
-    "gallai",
-    "konig",
-    "frobenius",
-    "chains",
-    "connected",
-    "ur_characterization",
-    "block_class",
-)
+# The checks in the order ``applicable_checks`` lists them: name, then
+# whether the check applies to G, then the check itself.
+_CHECKS = {
+    "gallai": (lambda G: True, lambda G, config: check_gallai(G)),
+    "chains": (lambda G: True, check_proposition_chains),
+    "konig": (lambda G: is_bipartite(G) is not None, lambda G, config: check_konig(G)),
+    "frobenius": (lambda G: is_bipartite(G) is not None, lambda G, config: check_frobenius(G)),
+    "connected": (lambda G: G.n > 0 and is_connected(G), check_connected_theorem),
+    "ur_characterization": (
+        lambda G: G.m <= EDGE_SUBSET_LIMIT,
+        lambda G, config: check_ur_characterization(G),
+    ),
+    "block_class": (
+        lambda G: block_class_fast_path(G) is not None,
+        check_block_class_identity,
+    ),
+}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def applicable_checks(G: Graph) -> list[str]:
-    out = ["gallai", "chains"]
-    if is_bipartite(G) is not None:
-        out += ["konig", "frobenius"]
-    if is_connected(G) and G.n > 0:
-        out.append("connected")
-    if G.m <= EDGE_SUBSET_LIMIT:
-        out.append("ur_characterization")
-    if block_class_fast_path(G) is not None:
-        out.append("block_class")
-    return out
+    return [name for name, (applies, _) in _CHECKS.items() if applies(G)]
 
 
 def run_check(name: str, G: Graph, config: EngineConfig | None = None) -> TheoremVerdict:
-    if name == "gallai":
-        return check_gallai(G)
-    if name == "konig":
-        return check_konig(G)
-    if name == "frobenius":
-        return check_frobenius(G)
-    if name == "chains":
-        return check_proposition_chains(G, config)
-    if name == "connected":
-        return check_connected_theorem(G, config)
-    if name == "ur_characterization":
-        return check_ur_characterization(G)
-    if name == "block_class":
-        return check_block_class_identity(G, config)
-    raise ValueError(f"unknown check {name!r}")
+    if name not in _CHECKS:
+        raise ValueError(f"unknown check {name!r}")
+    return _CHECKS[name][1](G, config)
 
 
 # -- complement-sum scanning -------------------------------------------------------
@@ -441,14 +429,17 @@ def all_graphs(n: int):
         yield from_edge_mask(n, mask)
 
 
-def random_graphs(n: int, count: int, seed: int, p_choices=(0.2, 0.35, 0.5)):
-    """Seeded random graphs with densities drawn from ``p_choices``."""
+def random_graphs(
+    n: int, count: int, seed: int, p_choices=(0.2, 0.35, 0.5), p: float | None = None
+):
+    """Seeded random graphs with densities drawn from ``p_choices``, or all
+    of density ``p`` when it is given (no draw is spent on the density)."""
     rng = random.Random(seed)
     for _ in range(count):
-        p = rng.choice(p_choices)
+        density = rng.choice(p_choices) if p is None else p
         mask = 0
         for i in range(n * (n - 1) // 2):
-            if rng.random() < p:
+            if rng.random() < density:
                 mask |= 1 << i
         yield from_edge_mask(n, mask)
 

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from pmatch.cli import main
+from pmatch.graph import edge_mask_of, from_edge_mask
+from pmatch.theorems import graph_id, random_graphs
 
 
 def run_cli(*args):
@@ -179,6 +181,23 @@ def test_theorems_hall_and_blocks(capsys):
     code = main(["theorems", "--hall-samples", "25", "--block-samples", "10", "--seed", "4"])
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 0 and len(lines) == 35
+
+
+@pytest.mark.parametrize(
+    "p, masks",
+    [(None, (133, 7936, 18690, 2375, 0)), (0.4, (10380, 25456, 4131, 513, 684))],
+)
+def test_theorems_random_corpus_is_pinned(capsys, p, masks):
+    """``--random`` draws the same graphs with and without a fixed ``--p``."""
+    extra = [] if p is None else ["--p", str(p)]
+    code = main(["theorems", "--random", "5", "--n", "6", "--seed", "2", *extra,
+                 "--check", "gallai"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0
+    assert [json.loads(line)["graph"] for line in lines] == [
+        graph_id(from_edge_mask(6, mask)) for mask in masks
+    ]
+    assert [edge_mask_of(G) for G in random_graphs(6, 5, 2, p=p)] == list(masks)
 
 
 def test_scan_cli(capsys):

@@ -7,14 +7,14 @@ import hypothesis.strategies as st
 from pmatch.graph import Graph, generate, is_bipartite
 from pmatch.matching import (
     bipartite_matching_and_cover,
-    hall_violator,
-    hopcroft_karp,
     lexmin_maximum_matching,
     max_matching_size,
     maximum_matching,
 )
+from pmatch.oracle import all_matchings
 from pmatch.properties import is_matching
-from pmatch.theorems import all_graphs
+from pmatch.solvers import sdr_solve
+from pmatch.theorems import all_graphs, random_set_system
 
 from conftest import brute_force_max_matching, graphs
 
@@ -142,7 +142,7 @@ def test_blossom_and_lexmin_against_networkx():
     cases = []
     for n in (1000, 3000):
         T = nx.random_labeled_tree(n, seed=n)
-        cases.append(("tree", n, T, len(nx.bipartite.hopcroft_karp_matching(T)) // 2))
+        cases.append(("tree", n, T, len(nx.bipartite.maximum_matching(T)) // 2))
     for n in (1000, 2000):
         R = nx.fast_gnp_random_graph(n, 3.0 / n, seed=n)
         cases.append(("gnp", n, R, len(nx.max_weight_matching(R, maxcardinality=True))))
@@ -156,13 +156,52 @@ def test_blossom_and_lexmin_against_networkx():
         assert list(lexmin) == sorted(lexmin)
 
 
-def test_hopcroft_karp_simple():
-    size, ml, mr = hopcroft_karp(3, 3, [[0, 1], [0], [2]])
-    assert size == 3
-    size, ml, mr = hopcroft_karp(2, 1, [[0], [0]])
-    assert size == 1
-    violator = hall_violator(2, [[0], [0]], ml, mr)
-    assert len(violator) == 2  # both left vertices pool one neighbor
+def _missed_by_some_maximum(G, side):
+    """Vertices of ``side`` that some maximum matching of G leaves exposed,
+    by enumerating every matching."""
+    best, missed = -1, set()
+    for m in all_matchings(G):
+        if len(m.edges) < best:
+            continue
+        exposed = set(side) - {x for e in m.edges for x in e}
+        if len(m.edges) > best:
+            best, missed = len(m.edges), exposed
+        else:
+            missed |= exposed
+    return missed
+
+
+def test_cover_and_violator_do_not_depend_on_the_matching():
+    """The König cover and the Hall violator are the Dulmage-Mendelsohn sets,
+    the same for every maximum matching: with D the vertices of A that some
+    maximum matching misses, the cover is (A - D) | N(D) and the violator is D."""
+    for n in range(7):
+        for G in all_graphs(n):
+            parts = is_bipartite(G)
+            if parts is None:
+                continue
+            a_side = parts[0]
+            D = _missed_by_some_maximum(G, a_side)
+            _, cover = bipartite_matching_and_cover(G)
+            assert cover == (a_side - D).union(*(G.neighbors(v) for v in D)), G
+    rng = random.Random(5)
+    violators = 0
+    for _ in range(300):
+        system = random_set_system(rng)
+        k = len(system.sets)
+        pos = {x: k + i for i, x in enumerate(system.ground)}
+        incidence = Graph(
+            k + len(system.ground),
+            tuple((i, pos[x]) for i in range(k) for x in system.sets[i]),
+        )
+        D = _missed_by_some_maximum(incidence, range(k))
+        result = sdr_solve(system)
+        if result.violator is None:
+            assert not D and result.representatives is not None
+        else:
+            violators += 1
+            assert result.violator == D, system
+    assert violators >= 100
 
 
 def _random_bipartite(data):

@@ -16,3 +16,11 @@ def test_ng_scan_runs(capsys):
     assert ng_scan.main(["--all-n", "4", "--property", "connected"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("connected") and "graphs=    64" in out
+
+
+def test_theorem_sweep_runs(capsys):
+    theorem_sweep = _load("theorem_sweep")
+    argv = ["--max-n", "4", "--random", "5", "--n", "6", "--seed", "1", "--hall", "20",
+            "--blocks", "5"]
+    assert theorem_sweep.main(argv) == 0
+    assert capsys.readouterr().out.rstrip().endswith("no counterexamples")
