@@ -35,7 +35,9 @@ __all__ = [
     "is_connected",
     "is_bipartite",
     "is_acyclic_graph",
+    "is_triangle_free",
     "block_decomposition",
+    "is_even_cycle_free",
     "is_edge_cut",
 ]
 
@@ -229,6 +231,14 @@ def is_acyclic_graph(G: Graph) -> bool:
     return G.m == G.n - len(components(G))
 
 
+def is_triangle_free(G: Graph) -> bool:
+    """True iff no edge has ends with a common neighbor. Each disjointness
+    test walks the smaller of the two neighbor sets, so the whole test takes
+    O(m^1.5) time, and linear time on graphs of bounded degree."""
+    nbrs = [set(a) for a in G.adj_lists]
+    return all(nbrs[u].isdisjoint(nbrs[v]) for u, v in G.edges)
+
+
 @dataclass(frozen=True)
 class Block:
     """One block (maximal biconnected subgraph); bridges appear as 2-vertex
@@ -317,6 +327,14 @@ def block_decomposition(G: Graph) -> BlockDecomposition:
         blocks.append(Block(vs, es, _classify_block(vs, es)))
     blocks.sort(key=lambda b: min(b.vertices))
     return BlockDecomposition(tuple(blocks), frozenset(cuts))
+
+
+def is_even_cycle_free(G: Graph) -> bool:
+    """True iff G has no cycle of even length, which holds exactly when every
+    block is a single edge or a chordless odd cycle. Any other block is an
+    even cycle or holds two cycles that share a path, and of the three cycles
+    those two form, one is even."""
+    return all(b.kind != "other" for b in block_decomposition(G).blocks)
 
 
 def is_edge_cut(G: Graph, F) -> bool:

@@ -1,9 +1,11 @@
 """Exact computation of every matching parameter.
 
-- Theorem fast paths: blossom for ``beta1`` and ``beta_plain``; for
-  ``beta_ur``, the matching number when every block is an edge or a
-  chordless odd cycle; the tree greedy for ``b_matching_max``; an edge cover
-  grown from a maximum matching for ``alpha1``.
+- Theorem fast paths: blossom for ``beta1`` and ``beta_plain``; the tree
+  greedy for ``b_matching_max``; an edge cover grown from a maximum matching
+  for ``alpha1``.
+- Class-collapse routes (``COLLAPSE_CLASSES``): on bipartite, triangle-free,
+  even-cycle-free and acyclic graphs some variants hold for every matching,
+  and their maxima and minima are those of plain matchings.
 - One bitset independent-set core. Its maximum search answers ``beta0``
   (and ``alpha0`` by complement), ``beta_star``, ``beta_on``, ``beta_cn``
   and ``beta_total_max``; its dominating search answers ``gamma`` and, as the
@@ -25,7 +27,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .graph import Graph, block_decomposition, is_acyclic_graph
+from .graph import (
+    Graph,
+    is_acyclic_graph,
+    is_bipartite,
+    is_even_cycle_free,
+    is_triangle_free,
+)
 from .matching import (
     alternating_reach,
     lexmin_maximum_matching,
@@ -64,6 +72,7 @@ __all__ = [
     "total_matching_bounds",
     "min_separating_matching",
     "block_class_fast_path",
+    "COLLAPSE_CLASSES",
     "sdr_solve",
     "compute_parameter",
 ]
@@ -351,6 +360,37 @@ def compute_beta_p(
     return ParameterResult(PROPERTY_MAX_PARAM[P], len(witness), witness, "search", nodes)
 
 
+def _maximal_test(G: Graph, P: PropertyId, holds):
+    """The acceptance test of the minimum's search: the candidate has P
+    (by ``holds``) and no one-edge extension keeps P.
+
+    When <M> is connected, or has no isolated edge, M + e keeps that exactly
+    when an end of e has a saturated neighbor: the new edge then joins <M>,
+    and the old edges keep every neighbor they had. So for those two
+    variants M is maximal when no unsaturated neighbor of <M> has an
+    unsaturated neighbor, a mask test per vertex and no predicate call."""
+    adj = G.adj_masks if P in (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE) else None
+
+    def maximal(cand: tuple[Edge, ...]) -> bool:
+        if not holds(cand):
+            return False
+        sat = 0
+        for u, v in cand:
+            sat |= (1 << u) | (1 << v)
+        if adj is not None:
+            near = 0
+            for x in _bits(sat):
+                near |= adj[x]
+            return not any(adj[w] & ~sat for w in _bits(near & ~sat))
+        return not any(
+            holds(tuple(sorted(cand + (e,))))
+            for e in G.edges
+            if not sat >> e[0] & 1 and not sat >> e[1] & 1
+        )
+
+    return maximal
+
+
 def compute_beta_minus_p(
     G: Graph, P: PropertyId, config: EngineConfig | None = None
 ) -> ParameterResult:
@@ -370,21 +410,9 @@ def compute_beta_minus_p(
         chosen, nodes = _min_dominating(conflict, True, cfg, f"beta_{P.value}_minus")
         return _edge_result(G, PROPERTY_MIN_PARAM[P], chosen, nodes)
     holds = _memoized_holds(G, P)
-
-    def maximal(cand: tuple[Edge, ...]) -> bool:
-        if not holds(cand):
-            return False
-        sat = 0
-        for u, v in cand:
-            sat |= (1 << u) | (1 << v)
-        return not any(
-            holds(tuple(sorted(cand + (e,))))
-            for e in G.edges
-            if not sat >> e[0] & 1 and not sat >> e[1] & 1
-        )
-
     keep = holds if P in HEREDITARY_PROPERTIES else None
     sizes = range(1, max_matching_size(G) + 1)
+    maximal = _maximal_test(G, P, holds)
     hit, nodes = _first_hit(G, sizes, maximal, keep, cfg, f"beta_{P.value}_minus")
     return ParameterResult(
         PROPERTY_MIN_PARAM[P], len(hit) if hit else None, hit, "search", nodes
@@ -599,19 +627,42 @@ def min_separating_matching(
     )
 
 
-# -- block-structure fast path -----------------------------------------------------------
+# -- class-collapse routes -----------------------------------------------------------------
+#
+# On each class below, the listed variants hold for every matching, so their
+# feasible sets are those of plain matchings. A variant's maximum is then the
+# matching number and its minimum the lower matching number, with the same
+# lexicographically smallest witnesses.
+# - Bipartite: orient every matched edge from side A to side B. Tails and
+#   heads lie in independent sides, so every matching is independent and
+#   bipartite.
+# - Triangle-free: two matched edges inside one open or closed neighborhood
+#   need a vertex that sees both ends of one of them, which closes a
+#   triangle. So every matching is onbr and cnbr.
+# - No even cycle: <M> has no alternating cycle, since such a cycle is even,
+#   so every matching is uniquely restricted (Golumbic, Hirst & Lewenstein,
+#   "Uniquely restricted matchings", Algorithmica 2001).
+# - Forest: every <M> is a subgraph of a forest, so acyclic.
+# The class tests walk ``adj_lists`` only, so the collapsed maxima stay
+# polynomial at any size.
+COLLAPSE_CLASSES = (
+    ("bipartite", lambda G: is_bipartite(G) is not None,
+     (PropertyId.INDEPENDENT, PropertyId.BIPARTITE)),
+    ("triangle-free", is_triangle_free, (PropertyId.ONBR, PropertyId.CNBR)),
+    ("no even cycle", is_even_cycle_free, (PropertyId.UNIQUELY_RESTRICTED,)),
+    ("forest", is_acyclic_graph, (PropertyId.ACYCLIC,)),
+)
+_COLLAPSE_TEST = {P: test for _, test, props in COLLAPSE_CLASSES for P in props}
 
 
 def block_class_fast_path(G: Graph) -> ParameterResult | None:
-    """When every block is a single edge or a chordless odd cycle, the graph
-    has no even cycle at all, so no matching sits on an alternating cycle and
-    the uniquely restricted maximum equals the matching number. Returns None
-    when the structure test fails."""
-    decomp = block_decomposition(G)
-    if any(b.kind == "other" for b in decomp.blocks):
+    """The uniquely restricted maximum by the collapse route: when every
+    block is a single edge or a chordless odd cycle, the graph has no even
+    cycle, and the value is the matching number. Returns None when the
+    structure test fails."""
+    if not is_even_cycle_free(G):
         return None
-    witness = lexmin_maximum_matching(G)
-    return ParameterResult(ParameterId.BETA_UR, len(witness), witness, "fast-path")
+    return replace(max_matching(G), parameter=ParameterId.BETA_UR)
 
 
 # -- systems of distinct representatives ---------------------------------------------------
@@ -679,7 +730,8 @@ def compute_parameter(
 ) -> ParameterResult:
     """Route one parameter to its solver. ``b`` feeds the b-matching maximum
     and defaults to the uniform bound min(1, d(v)). ``beta_plain`` is the
-    matching number; ``beta_ur`` takes the block fast path when it applies."""
+    matching number. A variant whose class test in ``COLLAPSE_CLASSES`` holds
+    on G is answered by the plain routes, before any search."""
     if pid is ParameterId.BETA1:
         return max_matching(G)
     if pid is ParameterId.BETA1_MINUS:
@@ -694,13 +746,14 @@ def compute_parameter(
         return edge_cover_number(G)
     if pid is ParameterId.BETA_PLAIN:
         return replace(max_matching(G), parameter=pid)
-    if pid is ParameterId.BETA_UR:
-        fast = block_class_fast_path(G)
-        if fast is not None:
-            return fast
     if pid in PARAM_PROPERTY:
         prop = PARAM_PROPERTY[pid]
-        if pid in MINUS_PARAMS:
+        minimum = pid in MINUS_PARAMS
+        collapses = _COLLAPSE_TEST.get(prop)
+        if collapses is not None and collapses(G):
+            plain = min_maximal_matching(G, config) if minimum else max_matching(G)
+            return replace(plain, parameter=pid)
+        if minimum:
             return compute_beta_minus_p(G, prop, config)
         return compute_beta_p(G, prop, config)
     if pid in (ParameterId.BETA_TOTAL_MAX, ParameterId.BETA_TOTAL_MIN):

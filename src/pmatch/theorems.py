@@ -13,7 +13,14 @@ import random
 from dataclasses import dataclass, field, asdict
 from itertools import combinations
 
-from .graph import Graph, complement, from_edge_mask, is_bipartite, is_connected
+from .graph import (
+    Graph,
+    complement,
+    from_edge_mask,
+    is_bipartite,
+    is_connected,
+    is_even_cycle_free,
+)
 from .matching import bipartite_matching_and_cover
 from .oracle import (
     OracleLimitError,
@@ -24,12 +31,15 @@ from .oracle import (
 )
 from .properties import PropertyId, is_matching, is_uniquely_restricted
 from .solvers import (
+    COLLAPSE_CLASSES,
     BudgetExceededError,
     EngineConfig,
     PROPERTY_MAX_PARAM,
+    PROPERTY_MIN_PARAM,
     ParameterId,
     SetSystem,
     block_class_fast_path,
+    compute_beta_minus_p,
     compute_beta_p,
     compute_parameter,
     sdr_solve,
@@ -46,6 +56,7 @@ __all__ = [
     "check_connected_theorem",
     "check_ur_characterization",
     "check_block_class_identity",
+    "check_collapse_identity",
     "nordhaus_gaddum_scan",
     "all_graphs",
     "random_graphs",
@@ -337,6 +348,44 @@ def check_block_class_identity(G: Graph, config: EngineConfig | None = None) -> 
     )
 
 
+def check_collapse_identity(G: Graph, config: EngineConfig | None = None) -> TheoremVerdict:
+    """On every class of ``COLLAPSE_CLASSES`` that G belongs to, each listed
+    variant must have the extrema of plain matchings: the oracle's value and
+    witness for its maximum equal those for ``beta_plain``, and for its
+    minimum those for ``beta1_minus``. Past the oracle's cap the searches
+    answer both sides, called directly: ``compute_parameter`` would answer
+    the variants with the collapse route itself."""
+    classes = [(name, props) for name, test, props in COLLAPSE_CLASSES if test(G)]
+    if not classes:
+        raise ValueError("graph is in no class of the collapse table")
+    if G.m <= EDGE_SUBSET_LIMIT:
+        def extrema(P):
+            return (oracle_parameter(G, PROPERTY_MAX_PARAM[P]),
+                    oracle_parameter(G, PROPERTY_MIN_PARAM[P]))
+
+        plain = (oracle_parameter(G, ParameterId.BETA_PLAIN),
+                 oracle_parameter(G, ParameterId.BETA1_MINUS))
+    else:
+        def extrema(P):
+            return compute_beta_p(G, P, config), compute_beta_minus_p(G, P, config)
+
+        plain = extrema(PropertyId.PLAIN)
+    mismatched = {}
+    for _, props in classes:
+        for P in props:
+            tags = PROPERTY_MAX_PARAM[P], PROPERTY_MIN_PARAM[P]
+            for pid, res, ref in zip(tags, extrema(P), plain):
+                if (res.value, res.witness) != (ref.value, ref.witness):
+                    mismatched[pid.value] = [res.value, res.witness]
+    details = {
+        "classes": [name for name, _ in classes],
+        "beta_plain": [plain[0].value, plain[0].witness],
+        "beta1_minus": [plain[1].value, plain[1].witness],
+        "mismatched": mismatched,
+    }
+    return TheoremVerdict("collapse", graph_id(G), not mismatched, details)
+
+
 # The checks in the order ``applicable_checks`` lists them: name, then
 # whether the check applies to G, then the check itself.
 _CHECKS = {
@@ -349,9 +398,10 @@ _CHECKS = {
         lambda G: G.m <= EDGE_SUBSET_LIMIT,
         lambda G, config: check_ur_characterization(G),
     ),
-    "block_class": (
-        lambda G: block_class_fast_path(G) is not None,
-        check_block_class_identity,
+    "block_class": (is_even_cycle_free, check_block_class_identity),
+    "collapse": (
+        lambda G: any(test(G) for _, test, _ in COLLAPSE_CLASSES),
+        check_collapse_identity,
     ),
 }
 CHECK_NAMES = tuple(_CHECKS)

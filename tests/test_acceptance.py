@@ -42,6 +42,7 @@ from pmatch.properties import (
     is_uniquely_restricted,
 )
 from pmatch.solvers import (
+    COLLAPSE_CLASSES,
     ParameterId,
     block_class_fast_path,
     compute_parameter,
@@ -52,12 +53,14 @@ from pmatch.solvers import (
 )
 from pmatch.theorems import (
     check_block_class_identity,
+    check_collapse_identity,
     check_connected_theorem,
     check_frobenius,
     check_gallai,
     check_hall,
     check_konig,
     check_proposition_chains,
+    random_graphs,
     random_odd_block_graph,
     random_set_system,
 )
@@ -113,6 +116,8 @@ def _sweep_one_graph(G, failures, counts):
         verdicts.append(check_connected_theorem(G))
     if block_class_fast_path(G) is not None:
         verdicts.append(check_block_class_identity(G))
+    if any(test(G) for _, test, _ in COLLAPSE_CLASSES):
+        verdicts.append(check_collapse_identity(G))
     for v in verdicts:
         counts["verdicts"] += 1
         if not v.holds and len(failures["theorems"]) < FAIL_CAP:
@@ -156,14 +161,7 @@ def random_sweep():
     failures = []
     checked = 0
     for n in (7, 8, 9):
-        rng = random.Random(1000 + n)
-        for _ in range(500):
-            p = rng.choice((0.15, 0.25, 0.4))
-            mask = 0
-            for i in range(n * (n - 1) // 2):
-                if rng.random() < p:
-                    mask |= 1 << i
-            G = from_edge_mask(n, mask)
+        for G in random_graphs(n, 500, 1000 + n, p_choices=(0.15, 0.25, 0.4)):
             has_isolates = any(G.degree(v) == 0 for v in range(G.n))
             acyclic = is_acyclic_graph(G)
             for pid in ALL_PARAMS:

@@ -277,6 +277,17 @@ def test_compute_long_path_has_no_traceback():
     assert params["beta_c"]["value"] == params["beta_if"]["value"] == 1500
 
 
+def test_compute_collapsed_maxima_run_no_search(capsys):
+    # A tree is in every class of the collapse table: with a node budget of
+    # 0, any search would exit 3.
+    code = main(["compute", "--family", "random_tree", "--n", "10000", "--seed", "1",
+                 "--params", "beta_i,beta_b,beta_on,beta_cn,beta_ac,beta_ur", "--budget", "0"])
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert code == 0
+    assert {entry["route"] for entry in params.values()} == {"fast-path"}
+    assert len({entry["value"] for entry in params.values()}) == 1
+
+
 GOLDEN = Path(__file__).parent / "golden" / "compute.jsonl"
 
 

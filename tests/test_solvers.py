@@ -1,12 +1,13 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from pmatch.graph import Graph, from_edge_mask, generate, is_acyclic_graph, is_connected, is_edge_cut
-from pmatch.oracle import oracle_parameter
+from pmatch.oracle import all_matchings, oracle_parameter
 from pmatch.properties import (
     BoundFunction,
     Matching,
@@ -20,8 +21,11 @@ from pmatch.properties import (
     is_maximal_total_matching,
 )
 from pmatch.solvers import (
+    COLLAPSE_CLASSES,
     MINUS_PARAMS,
     PARAM_PROPERTY,
+    PROPERTY_MAX_PARAM,
+    PROPERTY_MIN_PARAM,
     BudgetExceededError,
     EngineConfig,
     ParameterId,
@@ -41,6 +45,8 @@ from pmatch.solvers import (
     sdr_solve,
     total_matching_bounds,
     tree_b_matching_max,
+    _maximal_test,
+    _memoized_holds,
     _separates,
 )
 from pmatch.matching import lexmin_maximum_matching, max_matching_size
@@ -321,6 +327,65 @@ def test_theorem_routes_keep_the_search_answers(c4, c5, q3):
         assert (plain.value, plain.witness) == (search.value, search.witness)
 
 
+# A graph in the class of each row of the collapse table.
+COLLAPSE_CASES = {
+    "bipartite": lambda: generate("hypercube", n=3),
+    "triangle-free": lambda: generate("cycle", n=5),
+    "no even cycle": lambda: Graph(8, tuple((i, (i + 1) % 7) for i in range(7)) + ((0, 7),)),
+    "forest": lambda: generate("random_tree", n=9, seed=2),
+}
+
+
+@pytest.mark.parametrize("row", COLLAPSE_CLASSES, ids=lambda row: row[0])
+def test_collapsed_tags_take_the_plain_routes(row):
+    name, test, props = row
+    G = COLLAPSE_CASES[name]()
+    assert test(G)
+    for P in props:
+        for pid, plain in ((PROPERTY_MAX_PARAM[P], max_matching(G)),
+                           (PROPERTY_MIN_PARAM[P], min_maximal_matching(G))):
+            assert compute_parameter(G, pid) == replace(plain, parameter=pid)
+
+
+def test_collapse_needs_the_class():
+    # K4 has triangles and an even cycle, and C4 is bipartite with an even
+    # cycle: those variants take their searches.
+    k4, c4 = generate("complete", n=4), generate("cycle", n=4)
+    for G, pid in ((k4, ParameterId.BETA_ON), (k4, ParameterId.BETA_CN_MINUS),
+                   (k4, ParameterId.BETA_I), (k4, ParameterId.BETA_AC_MINUS),
+                   (c4, ParameterId.BETA_UR_MINUS), (c4, ParameterId.BETA_AC)):
+        P = PARAM_PROPERTY[pid]
+        search = compute_beta_minus_p(G, P) if pid in MINUS_PARAMS else compute_beta_p(G, P)
+        assert compute_parameter(G, pid) == search
+
+
+def test_collapsed_minima_explore_as_many_nodes_as_beta1_minus():
+    """Counter gate: on a 40-vertex tree each collapsed minimum runs exactly
+    the lower matching number's search, where its own predicate search runs
+    for seconds."""
+    T = generate("random_tree", n=40, seed=1)
+    nodes = compute_parameter(T, ParameterId.BETA1_MINUS).nodes_explored
+    for pid in (ParameterId.BETA_UR_MINUS, ParameterId.BETA_AC_MINUS,
+                ParameterId.BETA_I_MINUS, ParameterId.BETA_B_MINUS):
+        assert compute_parameter(T, pid).nodes_explored == nodes
+
+
+def test_maximal_test_matches_the_predicate_exhaustive():
+    # The mask shortcut of the connected and isolate-free minima against
+    # is_maximal_p_matching on every nonempty matching with P.
+    props = (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE)
+    for n in range(0, 7):
+        for G in all_graphs(n):
+            tests = []
+            for P in props:
+                holds = _memoized_holds(G, P)
+                tests.append((P, holds, _maximal_test(G, P, holds)))
+            for m in all_matchings(G):
+                for P, holds, maximal in tests:
+                    if m.size and holds(m.edges):
+                        assert maximal(m.edges) == is_maximal_p_matching(G, m, P)
+
+
 def test_total_bounds_match_single_tags(q3):
     mx, mn = total_matching_bounds(q3)
     assert mx == compute_parameter(q3, ParameterId.BETA_TOTAL_MAX)
@@ -336,13 +401,13 @@ PINNED_GRAPHS = {
 PINNED_NODES = {
     "hypercube-3": {
         "beta0": 27, "alpha0": 27, "gamma": 41, "beta_plain": 0, "beta_ur": 115,
-        "beta_star": 35, "beta_on": 107, "beta_cn": 107, "beta1_minus": 64,
+        "beta_star": 35, "beta_on": 0, "beta_cn": 0, "beta1_minus": 64,
         "beta_plain_minus": 64, "beta_star_minus": 23, "beta_on_minus": 64,
         "beta_cn_minus": 64, "beta_total_max": 501, "beta_total_min": 564,
         "beta_ur_minus": 15, "beta_c": 4, "beta_c_minus": 75, "beta_if": 4,
         "beta_if_minus": 75, "beta_dc": 157, "beta_dc_minus": 20, "beta_ac": 115,
-        "beta_ac_minus": 15, "beta_i": 4, "beta_i_minus": 75, "beta_b": 4,
-        "beta_b_minus": 75, "beta_v_IR": 139, "beta_v_ir": 14, "beta_e_IR": 64,
+        "beta_ac_minus": 15, "beta_i": 0, "beta_i_minus": 64, "beta_b": 0,
+        "beta_b_minus": 64, "beta_v_IR": 139, "beta_v_ir": 14, "beta_e_IR": 64,
         "beta_e_ir": 20, "beta_sep_min": 155,
     },
     "gnp-12": {

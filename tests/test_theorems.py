@@ -7,14 +7,15 @@ from hypothesis import given
 
 from pmatch.graph import Graph, complement, generate
 from pmatch.properties import PropertyId
-from pmatch import solvers
+from pmatch import solvers, theorems
 from pmatch.oracle import EDGE_SUBSET_LIMIT
-from pmatch.solvers import EngineConfig, SetSystem, compute_beta_p
+from pmatch.solvers import EngineConfig, ParameterId, SetSystem, compute_beta_p, compute_parameter
 from pmatch.theorems import (
     NordhausGaddumRecord,
     all_graphs,
     applicable_checks,
     check_block_class_identity,
+    check_collapse_identity,
     check_connected_theorem,
     check_frobenius,
     check_gallai,
@@ -150,6 +151,52 @@ def test_block_class_check_is_independent_of_the_routed_fast_path(monkeypatch):
     verdict = check_block_class_identity(T)
     assert verdict.holds
     assert verdict.details["beta_ur"] == compute_beta_p(T, PropertyId.UNIQUELY_RESTRICTED).value
+
+
+def test_collapse_examples(c4, c5):
+    for G in (c4, c5, generate("hypercube", n=3), generate("random_tree", n=9, seed=1),
+              generate("complete_bipartite", a=4, b=6)):
+        verdict = check_collapse_identity(G)
+        assert verdict.holds and verdict.details["mismatched"] == {}
+    assert check_collapse_identity(c5).details["classes"] == ["triangle-free", "no even cycle"]
+    with pytest.raises(ValueError, match="no class"):
+        check_collapse_identity(generate("complete", n=4))
+
+
+def test_collapse_check_fails_on_a_wrong_class(monkeypatch):
+    # Claiming K4 bipartite collapses beta_i, but its perfect matchings are
+    # not independent.
+    monkeypatch.setattr(theorems, "COLLAPSE_CLASSES",
+                        (("bipartite", lambda G: True, (PropertyId.INDEPENDENT,)),))
+    verdict = check_collapse_identity(generate("complete", n=4))
+    assert not verdict.holds
+    assert verdict.details["mismatched"]["beta_i"][0] == 1
+
+
+def test_collapse_check_is_independent_of_the_routed_collapse(monkeypatch):
+    # Past the oracle's edge cap, compute_parameter would answer the collapsed
+    # variants with the plain routes under test; the check must run the
+    # searches instead. Plain routes that are off by one must not change the
+    # verdict.
+    def off_by_one(route):
+        def shifted(*args):
+            res = route(*args)
+            return replace(res, value=res.value + 1)
+        return shifted
+
+    monkeypatch.setattr(solvers, "max_matching", off_by_one(solvers.max_matching))
+    monkeypatch.setattr(solvers, "min_maximal_matching", off_by_one(solvers.min_maximal_matching))
+    star = generate("complete_bipartite", a=1, b=EDGE_SUBSET_LIMIT + 1)
+    k46 = generate("complete_bipartite", a=4, b=6)
+    for G in (star, k46):
+        assert G.m > EDGE_SUBSET_LIMIT
+        plain = compute_beta_p(G, PropertyId.PLAIN).value
+        assert compute_parameter(G, ParameterId.BETA_I).value == plain + 1  # the patch bites
+        verdict = check_collapse_identity(G)
+        assert verdict.holds
+        assert verdict.details["beta_plain"][0] == plain
+    assert check_collapse_identity(star).details["classes"] == [
+        "bipartite", "triangle-free", "no even cycle", "forest"]
 
 
 def test_random_odd_block_graphs_have_good_blocks():
