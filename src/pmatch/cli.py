@@ -48,8 +48,8 @@ from .theorems import (
     CHECK_NAMES,
     all_graphs,
     applicable_checks,
+    check_collapse_identity,
     check_hall,
-    check_block_class_identity,
     graph_id,
     nordhaus_gaddum_scan,
     random_graphs,
@@ -141,6 +141,12 @@ def _parse_bounds(spec: str, G: Graph) -> BoundFunction:
     return bound
 
 
+def _engine_config(args) -> EngineConfig:
+    if args.budget is not None and args.budget < 0:
+        raise UsageError(f"--budget must be 0 or more, got {args.budget}")
+    return EngineConfig(node_budget=args.budget)
+
+
 def _parse_params(spec: str) -> list[ParameterId]:
     if spec.strip().lower() == "all":
         return list(ParameterId.all())
@@ -198,7 +204,7 @@ def _compute_one(
 def cmd_compute(args) -> int:
     graphs = _build_graphs(args, multiple=True)
     params = _parse_params(args.params)
-    config = EngineConfig(node_budget=args.budget)
+    config = _engine_config(args)
     exit_code = 0
 
     tables: list[dict] = []
@@ -337,17 +343,14 @@ def _corpus(args) -> list[tuple[str, Graph]]:
         for G in random_graphs(args.n, args.random, args.seed, p=args.p):
             out.append((graph_id(G), G))
     if args.input or args.family:
-        try:
-            out.extend(_build_graphs(args))
-        except UsageError:
-            pass
-    if not out and not getattr(args, "hall_samples", 0) and not getattr(args, "block_samples", 0):
+        out.extend(_build_graphs(args))
+    if not out and not args.hall_samples and not args.block_samples:
         raise UsageError("empty corpus: use --all-n, --random, --family or --input")
     return out
 
 
 def cmd_theorems(args) -> int:
-    config = EngineConfig(node_budget=args.budget)
+    config = _engine_config(args)
     corpus = _corpus(args)
     any_false = False
     for label, G in corpus:
@@ -363,19 +366,19 @@ def cmd_theorems(args) -> int:
             any_false |= not verdict.holds
     rng = random.Random(args.seed)
     for _ in range(args.hall_samples):
-        verdict = check_hall(random_set_system(rng, max_sets=8, max_ground=8), exhaustive_limit=8)
+        verdict = check_hall(random_set_system(rng, max_sets=8, max_ground=8))
         print(json.dumps(verdict.to_json_dict(), sort_keys=True, separators=(",", ":")))
         any_false |= not verdict.holds
     for _ in range(args.block_samples):
         G = random_odd_block_graph(rng, rng.randint(1, 4))
-        verdict = check_block_class_identity(G, config)
+        verdict = check_collapse_identity(G, config)
         print(json.dumps(verdict.to_json_dict(), sort_keys=True, separators=(",", ":")))
         any_false |= not verdict.holds
     return 1 if any_false else 0
 
 
 def cmd_scan(args) -> int:
-    config = EngineConfig(node_budget=args.budget)
+    config = _engine_config(args)
     prop = PropertyId.from_string(args.property)
     corpus = _corpus(args)
     records, summary = nordhaus_gaddum_scan((G for _, G in corpus), prop, config)
@@ -452,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hall-samples", dest="hall_samples", type=int, default=0,
                    help="also check this many random set systems")
     p.add_argument("--block-samples", dest="block_samples", type=int, default=0,
-                   help="also check this many random edge/odd-cycle block graphs")
+                   help="also run the collapse check on this many random graphs whose "
+                        "blocks are edges and odd cycles")
     p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_theorems)
 

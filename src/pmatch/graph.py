@@ -27,7 +27,6 @@ __all__ = [
     "from_edge_mask",
     "edge_mask_of",
     "FIGURE_MATCHINGS",
-    "open_neighborhood",
     "closed_neighborhood",
     "induced_subgraph",
     "complement",
@@ -143,11 +142,6 @@ class Graph:
 
 
 # -- structural queries ----------------------------------------------------
-
-
-def open_neighborhood(G: Graph, v: int) -> frozenset[int]:
-    """N(v): the vertices adjacent to v (never contains v itself)."""
-    return G.neighbors(v)
 
 
 def closed_neighborhood(G: Graph, v: int) -> frozenset[int]:

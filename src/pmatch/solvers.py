@@ -61,17 +61,13 @@ __all__ = [
     "PROPERTY_MIN_PARAM",
     "max_matching",
     "min_maximal_matching",
-    "perfect_matching_exists",
     "compute_beta_p",
     "compute_beta_minus_p",
-    "classic_parameters",
     "independence_number",
     "domination_number",
     "edge_cover_number",
     "tree_b_matching_max",
-    "total_matching_bounds",
     "min_separating_matching",
-    "block_class_fast_path",
     "COLLAPSE_CLASSES",
     "sdr_solve",
     "compute_parameter",
@@ -436,13 +432,6 @@ def min_maximal_matching(G: Graph, config: EngineConfig | None = None) -> Parame
     return replace(res, parameter=ParameterId.BETA1_MINUS)
 
 
-def perfect_matching_exists(G: Graph) -> tuple[bool, tuple[Edge, ...] | None]:
-    witness = lexmin_maximum_matching(G)
-    if G.n % 2 == 0 and 2 * len(witness) == G.n:
-        return True, witness
-    return False, None
-
-
 def independence_number(G: Graph, config: EngineConfig | None = None) -> ParameterResult:
     """Largest independent set by the core's maximum search on the
     adjacency masks."""
@@ -482,25 +471,6 @@ def _cover_from_independent(G: Graph, beta0: ParameterResult) -> ParameterResult
     return ParameterResult(
         ParameterId.ALPHA0, G.n - beta0.value, cover, "fast-path", beta0.nodes_explored
     )
-
-
-def classic_parameters(
-    G: Graph, config: EngineConfig | None = None
-) -> dict[ParameterId, ParameterResult]:
-    """Vertex cover, independence, edge cover, and domination numbers.
-
-    The cover number rides on the independence search through the complement
-    identity. The edge cover number exists only without isolated vertices;
-    its entry is simply absent otherwise (requesting it directly raises).
-    """
-    out: dict[ParameterId, ParameterResult] = {}
-    beta0 = independence_number(G, config)
-    out[ParameterId.BETA0] = beta0
-    out[ParameterId.ALPHA0] = _cover_from_independent(G, beta0)
-    out[ParameterId.GAMMA] = domination_number(G, config)
-    if all(G.degree(v) > 0 for v in range(G.n)):
-        out[ParameterId.ALPHA1] = edge_cover_number(G)
-    return out
 
 
 # -- b-matchings on forests ------------------------------------------------------
@@ -578,14 +548,6 @@ def _total_matching(G: Graph, cfg: EngineConfig, largest: bool) -> ParameterResu
     return ParameterResult(pid, len(chosen), witness, "search", nodes)
 
 
-def total_matching_bounds(
-    G: Graph, config: EngineConfig | None = None
-) -> tuple[ParameterResult, ParameterResult]:
-    """Exact extrema of size over maximal total matchings: (max, min)."""
-    cfg = config or DEFAULT_CONFIG
-    return _total_matching(G, cfg, True), _total_matching(G, cfg, False)
-
-
 # -- separating matchings -------------------------------------------------------------
 
 
@@ -653,16 +615,6 @@ COLLAPSE_CLASSES = (
     ("forest", is_acyclic_graph, (PropertyId.ACYCLIC,)),
 )
 _COLLAPSE_TEST = {P: test for _, test, props in COLLAPSE_CLASSES for P in props}
-
-
-def block_class_fast_path(G: Graph) -> ParameterResult | None:
-    """The uniquely restricted maximum by the collapse route: when every
-    block is a single edge or a chordless odd cycle, the graph has no even
-    cycle, and the value is the matching number. Returns None when the
-    structure test fails."""
-    if not is_even_cycle_free(G):
-        return None
-    return replace(max_matching(G), parameter=ParameterId.BETA_UR)
 
 
 # -- systems of distinct representatives ---------------------------------------------------

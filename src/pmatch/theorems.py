@@ -19,7 +19,6 @@ from .graph import (
     from_edge_mask,
     is_bipartite,
     is_connected,
-    is_even_cycle_free,
 )
 from .matching import bipartite_matching_and_cover
 from .oracle import (
@@ -38,7 +37,6 @@ from .solvers import (
     PROPERTY_MIN_PARAM,
     ParameterId,
     SetSystem,
-    block_class_fast_path,
     compute_beta_minus_p,
     compute_beta_p,
     compute_parameter,
@@ -55,7 +53,6 @@ __all__ = [
     "check_proposition_chains",
     "check_connected_theorem",
     "check_ur_characterization",
-    "check_block_class_identity",
     "check_collapse_identity",
     "nordhaus_gaddum_scan",
     "all_graphs",
@@ -124,24 +121,15 @@ def _solver_or_oracle_value(G: Graph, pid: ParameterId, config=None) -> int | No
 # -- individual theorem checks -------------------------------------------------
 
 
-def check_gallai(G: Graph, identity: str = "auto") -> TheoremVerdict:
+def check_gallai(G: Graph) -> TheoremVerdict:
     """Cover/independence and edge-cover/matching identities: each pair sums
-    to the vertex count. The edge identity needs an isolate-free graph;
-    ``identity`` picks "i", "ii", "both", or "auto" (ii only when legal)."""
-    if identity not in ("auto", "i", "ii", "both"):
-        raise ValueError("identity must be one of auto, i, ii, both")
-    has_isolates = any(G.degree(v) == 0 for v in range(G.n))
-    if identity in ("ii", "both") and has_isolates:
-        raise ValueError("edge identity requested on a graph with isolates")
-    details: dict = {"n": G.n}
-    holds = True
-    if identity != "ii":
-        alpha0 = _solver_or_oracle_value(G, ParameterId.ALPHA0)
-        beta0 = _solver_or_oracle_value(G, ParameterId.BETA0)
-        details["alpha0"] = alpha0
-        details["beta0"] = beta0
-        holds &= alpha0 + beta0 == G.n
-    if identity in ("ii", "both") or (identity == "auto" and not has_isolates):
+    to the vertex count. The edge identity needs an isolate-free graph and is
+    checked only there."""
+    alpha0 = _solver_or_oracle_value(G, ParameterId.ALPHA0)
+    beta0 = _solver_or_oracle_value(G, ParameterId.BETA0)
+    details: dict = {"n": G.n, "alpha0": alpha0, "beta0": beta0}
+    holds = alpha0 + beta0 == G.n
+    if all(G.degree(v) > 0 for v in range(G.n)):
         alpha1 = _solver_or_oracle_value(G, ParameterId.ALPHA1)
         beta1 = _solver_or_oracle_value(G, ParameterId.BETA1)
         details["alpha1"] = alpha1
@@ -218,12 +206,16 @@ def check_frobenius(G: Graph, exhaustive_limit: int = 12) -> TheoremVerdict:
     return TheoremVerdict("frobenius", graph_id(G), bool(holds), details)
 
 
-def check_hall(system: SetSystem, exhaustive_limit: int = 12) -> TheoremVerdict:
+# The subset condition is scanned over all 2^m index sets of an m-set system.
+HALL_SET_LIMIT = 8
+
+
+def check_hall(system: SetSystem) -> TheoremVerdict:
     """SDR existence must agree with the exhaustive subset condition: every
     index set pools at least as many elements as it has members."""
     m = len(system.sets)
-    if m > exhaustive_limit:
-        raise ValueError(f"exhaustive side capped at {exhaustive_limit} sets")
+    if m > HALL_SET_LIMIT:
+        raise ValueError(f"exhaustive side capped at {HALL_SET_LIMIT} sets")
     result = sdr_solve(system)
     condition_holds = True
     witness_subset = None
@@ -326,28 +318,6 @@ def check_ur_characterization(G: Graph) -> TheoremVerdict:
     )
 
 
-def check_block_class_identity(G: Graph, config: EngineConfig | None = None) -> TheoremVerdict:
-    """Where every block is an edge or a chordless odd cycle, the uniquely
-    restricted maximum must equal the matching number (fast path versus the
-    oracle, or the full search past the oracle's cap: ``compute_parameter``
-    would answer with the fast path itself)."""
-    fast = block_class_fast_path(G)
-    if fast is None:
-        raise ValueError("graph has a block that is neither an edge nor an odd cycle")
-    try:
-        beta_ur = oracle_parameter(G, ParameterId.BETA_UR).value
-    except OracleLimitError:
-        beta_ur = compute_beta_p(G, PropertyId.UNIQUELY_RESTRICTED, config).value
-    beta1 = _solver_or_oracle_value(G, ParameterId.BETA1, config)
-    holds = fast.value == beta_ur == beta1
-    return TheoremVerdict(
-        "block_class",
-        graph_id(G),
-        bool(holds),
-        {"fast_path": fast.value, "beta_ur": beta_ur, "beta1": beta1},
-    )
-
-
 def check_collapse_identity(G: Graph, config: EngineConfig | None = None) -> TheoremVerdict:
     """On every class of ``COLLAPSE_CLASSES`` that G belongs to, each listed
     variant must have the extrema of plain matchings: the oracle's value and
@@ -398,7 +368,6 @@ _CHECKS = {
         lambda G: G.m <= EDGE_SUBSET_LIMIT,
         lambda G, config: check_ur_characterization(G),
     ),
-    "block_class": (is_even_cycle_free, check_block_class_identity),
     "collapse": (
         lambda G: any(test(G) for _, test, _ in COLLAPSE_CLASSES),
         check_collapse_identity,

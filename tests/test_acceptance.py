@@ -12,57 +12,38 @@ import time
 
 import pytest
 
-from pmatch.graph import (
-    FIGURE_MATCHINGS,
-    Graph,
-    from_edge_mask,
-    generate,
-    induced_subgraph,
-    is_acyclic_graph,
-    is_bipartite,
-    is_connected,
-)
+from pmatch.graph import FIGURE_MATCHINGS, from_edge_mask, generate, is_acyclic_graph
 from pmatch.oracle import (
     OracleLimitError,
     all_matchings,
     oracle_orientation_feasible,
     oracle_parameter,
-    oracle_perfect_matchings,
 )
 from pmatch.properties import (
     BoundFunction,
     Matching,
-    PropertyId,
     find_bipartite_orientation,
     find_independent_orientation,
     is_bipartite_matching,
     is_independent_matching,
     is_maximal_matching,
-    is_matching,
     is_uniquely_restricted,
 )
 from pmatch.solvers import (
-    COLLAPSE_CLASSES,
     ParameterId,
-    block_class_fast_path,
     compute_parameter,
     max_matching,
     min_maximal_matching,
-    total_matching_bounds,
     tree_b_matching_max,
 )
 from pmatch.theorems import (
-    check_block_class_identity,
+    applicable_checks,
     check_collapse_identity,
-    check_connected_theorem,
-    check_frobenius,
-    check_gallai,
     check_hall,
-    check_konig,
-    check_proposition_chains,
     random_graphs,
     random_odd_block_graph,
     random_set_system,
+    run_check,
 )
 
 ALL_PARAMS = tuple(ParameterId)
@@ -107,30 +88,17 @@ def _sweep_one_graph(G, failures, counts):
                 (gid, pid.value, solver.value, oracle.value, solver.witness, oracle.witness)
             )
 
-    # theorem checks
-    verdicts = [check_gallai(G), check_proposition_chains(G)]
-    if is_bipartite(G) is not None:
-        verdicts.append(check_konig(G))
-        verdicts.append(check_frobenius(G))
-    if G.n > 0 and is_connected(G):
-        verdicts.append(check_connected_theorem(G))
-    if block_class_fast_path(G) is not None:
-        verdicts.append(check_block_class_identity(G))
-    if any(test(G) for _, test, _ in COLLAPSE_CLASSES):
-        verdicts.append(check_collapse_identity(G))
-    for v in verdicts:
+    # every theorem check that applies to G; ur_characterization compares the
+    # two uniquely-restricted routes on every matching
+    for name in applicable_checks(G):
+        v = run_check(name, G)
         counts["verdicts"] += 1
         if not v.holds and len(failures["theorems"]) < FAIL_CAP:
             failures["theorems"].append((gid, v.theorem, v.details))
 
-    # per-matching checks: ur two routes, orientation two routes
+    # per-matching checks: orientation two routes
     for m in all_matchings(G):
         counts["matchings"] += 1
-        sub, _ = induced_subgraph(G, m.saturated)
-        pm_count, _ = oracle_perfect_matchings(sub)
-        if is_uniquely_restricted(G, m) != (pm_count == 1):
-            if len(failures["ur"]) < FAIL_CAP:
-                failures["ur"].append((gid, m.edges))
         if is_independent_matching(G, m) != oracle_orientation_feasible(G, m, "independent"):
             if len(failures["orientations"]) < FAIL_CAP:
                 failures["orientations"].append((gid, m.edges, "independent"))
@@ -141,7 +109,7 @@ def _sweep_one_graph(G, failures, counts):
 
 @pytest.fixture(scope="module")
 def small_sweep():
-    failures = {"params": [], "theorems": [], "ur": [], "orientations": []}
+    failures = {"params": [], "theorems": [], "orientations": []}
     counts = {"graphs": 0, "param_pairs": 0, "verdicts": 0, "matchings": 0}
     started = time.perf_counter()
     for n in range(0, 7):
@@ -224,15 +192,10 @@ def test_criterion_2_oracle_equivalence_random(random_sweep):
 
 def test_criterion_3_theorem_suite_corpus(small_sweep):
     failures, counts = small_sweep
-    ok = not failures["theorems"] and not failures["ur"]
-    _report(
-        3,
-        "zero theorem counterexamples on the exhaustive corpus",
-        ok,
-        f"{counts['verdicts']} verdicts, {counts['matchings']} matchings ur-checked",
-    )
+    ok = not failures["theorems"]
+    _report(3, "zero theorem counterexamples on the exhaustive corpus", ok,
+            f"{counts['verdicts']} verdicts")
     assert failures["theorems"] == []
-    assert failures["ur"] == []
 
 
 def test_criterion_3_hall_samples():
@@ -240,7 +203,7 @@ def test_criterion_3_hall_samples():
     bad = 0
     for _ in range(1000):
         system = random_set_system(rng, max_sets=8, max_ground=8)
-        if not check_hall(system, exhaustive_limit=8).holds:
+        if not check_hall(system).holds:
             bad += 1
     _report(3, "SDR existence matches the subset condition on 1000 systems", bad == 0)
     assert bad == 0
@@ -251,13 +214,13 @@ def test_criterion_3_block_class_samples():
     bad = 0
     for i in range(100):
         T = generate("random_tree", n=rng.randint(2, 12), seed=7000 + i)
-        if not check_block_class_identity(T).holds:
+        if not check_collapse_identity(T).holds:
             bad += 1
     for _ in range(100):
         G = random_odd_block_graph(rng, rng.randint(1, 3))
-        if not check_block_class_identity(G).holds:
+        if not check_collapse_identity(G).holds:
             bad += 1
-    _report(3, "matching number equals ur maximum on 200 edge/odd-cycle-block graphs", bad == 0)
+    _report(3, "collapse identities hold on 200 edge/odd-cycle-block graphs", bad == 0)
     assert bad == 0
 
 

@@ -179,8 +179,9 @@ def test_theorems_named_check(capsys):
 
 def test_theorems_hall_and_blocks(capsys):
     code = main(["theorems", "--hall-samples", "25", "--block-samples", "10", "--seed", "4"])
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert code == 0 and len(lines) == 35
+    verdicts = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert code == 0 and len(verdicts) == 35
+    assert [v["theorem"] for v in verdicts] == ["hall"] * 25 + ["collapse"] * 10
 
 
 @pytest.mark.parametrize(
@@ -219,6 +220,11 @@ def test_usage_errors():
     assert code == 2
     code, _, _ = run_cli("nonsense")
     assert code == 2
+    for argv in (["compute", "--family", "path", "--n", "5", "--params", "beta0"],
+                 ["theorems", "--family", "path", "--n", "5"],
+                 ["scan", "--family", "path", "--n", "5", "--property", "plain"]):
+        code, out, err = run_cli(*argv, "--budget", "-1")
+        assert code == 2 and out == "" and "--budget must be 0 or more" in err
 
 
 def test_oracle_subcommand(capsys):

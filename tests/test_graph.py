@@ -20,7 +20,6 @@ from pmatch.graph import (
     is_bipartite,
     is_connected,
     is_edge_cut,
-    open_neighborhood,
     parse_graph,
     serialize_graph,
 )
@@ -115,7 +114,7 @@ def test_graph_rejects_self_loop_and_bad_endpoint():
 def test_degree_sum_is_twice_edge_count(G):
     assert sum(G.degree(v) for v in range(G.n)) == 2 * G.m
     for v in range(G.n):
-        assert len(open_neighborhood(G, v)) == G.degree(v)
+        assert len(G.neighbors(v)) == G.degree(v)
 
 
 # -- generators ---------------------------------------------------------------------
@@ -189,16 +188,16 @@ def test_edge_mask_round_trip():
 
 def test_neighborhoods():
     p3 = generate("path", n=3)
-    assert open_neighborhood(p3, 1) == {0, 2}
+    assert p3.neighbors(1) == {0, 2}
     assert closed_neighborhood(p3, 1) == {0, 1, 2}
     k4 = generate("complete", n=4)
-    assert open_neighborhood(k4, 0) == {1, 2, 3}
+    assert k4.neighbors(0) == {1, 2, 3}
     iso = Graph(2, ((0, 1),))
     lone = Graph(3, ((0, 1),))
-    assert open_neighborhood(lone, 2) == set()
+    assert lone.neighbors(2) == set()
     assert closed_neighborhood(lone, 2) == {2}
     with pytest.raises(ValueError):
-        open_neighborhood(iso, 9)
+        iso.neighbors(9)
 
 
 def test_induced_subgraph_cases(c4, p8):

@@ -1,5 +1,8 @@
 import importlib.util
+import re
 from pathlib import Path
+
+from pmatch.theorems import all_graphs, applicable_checks, random_graphs
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -23,4 +26,9 @@ def test_theorem_sweep_runs(capsys):
     argv = ["--max-n", "4", "--random", "5", "--n", "6", "--seed", "1", "--hall", "20",
             "--blocks", "5"]
     assert theorem_sweep.main(argv) == 0
-    assert capsys.readouterr().out.rstrip().endswith("no counterexamples")
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith("no counterexamples")
+    # The corpus graphs in some collapse class, plus the five block graphs.
+    corpus = [G for n in range(5) for G in all_graphs(n)] + list(random_graphs(6, 5, 1))
+    collapse = sum("collapse" in applicable_checks(G) for G in corpus) + 5
+    assert re.search(rf"^collapse +{collapse} checks$", out, re.MULTILINE)

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from pmatch.graph import Graph, from_edge_mask, generate, is_acyclic_graph, is_connected, is_edge_cut
+from pmatch.graph import (
+    Graph,
+    from_edge_mask,
+    generate,
+    is_acyclic_graph,
+    is_connected,
+    is_edge_cut,
+    is_even_cycle_free,
+)
 from pmatch.oracle import all_matchings, oracle_parameter
 from pmatch.properties import (
     BoundFunction,
@@ -30,20 +38,14 @@ from pmatch.solvers import (
     EngineConfig,
     ParameterId,
     SetSystem,
-    block_class_fast_path,
-    classic_parameters,
     compute_beta_minus_p,
     compute_beta_p,
     compute_parameter,
-    domination_number,
     edge_cover_number,
-    independence_number,
     max_matching,
     min_maximal_matching,
     min_separating_matching,
-    perfect_matching_exists,
     sdr_solve,
-    total_matching_bounds,
     tree_b_matching_max,
     _maximal_test,
     _memoized_holds,
@@ -102,7 +104,7 @@ def test_budget_raises():
     with pytest.raises(BudgetExceededError):
         compute_beta_p(k6, PropertyId.INDUCED, EngineConfig(node_budget=3))
     with pytest.raises(BudgetExceededError):
-        total_matching_bounds(k6, EngineConfig(node_budget=2))
+        compute_parameter(k6, ParameterId.BETA_TOTAL_MAX, EngineConfig(node_budget=2))
     # The first-hit search counts its nodes over all the sizes it tries: 12
     # one-edge tries, then the budget runs out among the two-edge matchings.
     q3 = generate("hypercube", n=3)
@@ -145,22 +147,31 @@ def test_engine_witness_is_lexmin():
 # -- classical parameters ---------------------------------------------------------------
 
 
+def _classic_parameters(G):
+    """The vertex cover, independence, domination and (without isolated
+    vertices) edge cover numbers."""
+    pids = [ParameterId.ALPHA0, ParameterId.BETA0, ParameterId.GAMMA]
+    if all(G.degree(v) > 0 for v in range(G.n)):
+        pids.append(ParameterId.ALPHA1)
+    return {pid: compute_parameter(G, pid) for pid in pids}
+
+
 def test_classic_parameters_frozen_values(p8, k4, c4):
-    vals = classic_parameters(p8)
+    vals = _classic_parameters(p8)
     assert vals[ParameterId.ALPHA0].value == 4
     assert vals[ParameterId.BETA0].value == 4
     assert vals[ParameterId.ALPHA1].value == 4
     assert vals[ParameterId.GAMMA].value == 3
-    vals = classic_parameters(k4)
+    vals = _classic_parameters(k4)
     assert vals[ParameterId.ALPHA0].value == 3
     assert vals[ParameterId.BETA0].value == 1
     assert vals[ParameterId.GAMMA].value == 1
     assert vals[ParameterId.ALPHA1].value == 2
-    assert classic_parameters(c4)[ParameterId.GAMMA].value == 2
+    assert _classic_parameters(c4)[ParameterId.GAMMA].value == 2
 
 
 def test_classic_parameters_witnesses(p8):
-    vals = classic_parameters(p8)
+    vals = _classic_parameters(p8)
     cover = set(vals[ParameterId.ALPHA0].witness)
     assert all(u in cover or v in cover for u, v in p8.edges)
     indep = vals[ParameterId.BETA0].witness
@@ -176,12 +187,13 @@ def test_alpha1_isolate_error():
     lone = Graph(3, ((0, 1),))
     with pytest.raises(ValueError):
         edge_cover_number(lone)
-    assert ParameterId.ALPHA1 not in classic_parameters(lone)
+    with pytest.raises(ValueError, match="isolated"):
+        compute_parameter(lone, ParameterId.ALPHA1)
 
 
 @given(graphs(max_n=7))
 def test_gallai_identity_from_searches(G):
-    vals = classic_parameters(G)
+    vals = _classic_parameters(G)
     assert vals[ParameterId.ALPHA0].value + vals[ParameterId.BETA0].value == G.n
 
 
@@ -200,14 +212,6 @@ def test_min_maximal_matching_examples(p8, c4):
     assert is_maximal_matching(p8, res.witness)
     assert min_maximal_matching(generate("complete", n=2)).value == 1
     assert min_maximal_matching(c4).value == 2
-
-
-def test_perfect_matching_exists(p8, c5):
-    ok, witness = perfect_matching_exists(p8)
-    assert ok and len(witness) == 4
-    assert perfect_matching_exists(c5) == (False, None)
-    star = generate("complete_bipartite", a=1, b=3)
-    assert perfect_matching_exists(star)[0] is False
 
 
 # -- tree b-matching --------------------------------------------------------------------------
@@ -247,23 +251,28 @@ def test_tree_b_matching_forest():
 # -- total matchings -----------------------------------------------------------------------------
 
 
+def _total_bounds(G):
+    return (compute_parameter(G, ParameterId.BETA_TOTAL_MAX),
+            compute_parameter(G, ParameterId.BETA_TOTAL_MIN))
+
+
 def test_total_bounds_examples():
     k2 = generate("complete", n=2)
-    mx, mn = total_matching_bounds(k2)
+    mx, mn = _total_bounds(k2)
     assert (mx.value, mn.value) == (1, 1)
     k1 = generate("complete", n=1)
-    mx, mn = total_matching_bounds(k1)
+    mx, mn = _total_bounds(k1)
     assert (mx.value, mn.value) == (1, 1)
     p3 = generate("path", n=3)
-    mx, mn = total_matching_bounds(p3)
+    mx, mn = _total_bounds(p3)
     assert (mx.value, mn.value) == (2, 1)
     empty = Graph(0)
-    mx, mn = total_matching_bounds(empty)
+    mx, mn = _total_bounds(empty)
     assert (mx.value, mn.value) == (0, 0)
 
 
 def test_total_bounds_witnesses_are_maximal(p8):
-    mx, mn = total_matching_bounds(p8)
+    mx, mn = _total_bounds(p8)
     for res in (mx, mn):
         vs, es = res.witness
         t = MixedSet(p8, vs, es)
@@ -274,7 +283,7 @@ def test_total_bounds_witnesses_are_maximal(p8):
 
 @given(graphs(max_n=6))
 def test_total_bounds_match_oracle(G):
-    mx, mn = total_matching_bounds(G)
+    mx, mn = _total_bounds(G)
     assert mx.value == oracle_parameter(G, ParameterId.BETA_TOTAL_MAX).value
     assert mn.value == oracle_parameter(G, ParameterId.BETA_TOTAL_MIN).value
 
@@ -300,18 +309,15 @@ def test_separating_matches_oracle(G):
 
 
 def test_block_fast_path_cases(c4, c5):
-    for seed in range(5):
-        T = generate("random_tree", n=9, seed=seed)
-        res = block_class_fast_path(T)
-        assert res is not None
-        assert res.value == compute_beta_p(T, PropertyId.UNIQUELY_RESTRICTED).value
-    res5 = block_class_fast_path(c5)
-    assert res5 is not None and res5.value == 2
-    assert block_class_fast_path(c4) is None
+    # Every block an edge or a chordless odd cycle: no even cycle, so beta_ur
+    # takes the blossom route with the search's answer.
     c7p = Graph(8, tuple((i, (i + 1) % 7) for i in range(7)) + ((0, 7),))
-    res = block_class_fast_path(c7p)
-    assert res is not None
-    assert res.value == compute_beta_p(c7p, PropertyId.UNIQUELY_RESTRICTED).value
+    for G in [generate("random_tree", n=9, seed=seed) for seed in range(5)] + [c5, c7p]:
+        res = compute_parameter(G, ParameterId.BETA_UR)
+        assert res.route == "fast-path"
+        assert res.value == compute_beta_p(G, PropertyId.UNIQUELY_RESTRICTED).value
+    assert compute_parameter(c5, ParameterId.BETA_UR).value == 2
+    assert compute_parameter(c4, ParameterId.BETA_UR).route == "search"
 
 
 def test_theorem_routes_keep_the_search_answers(c4, c5, q3):
@@ -320,7 +326,7 @@ def test_theorem_routes_keep_the_search_answers(c4, c5, q3):
         ur = compute_parameter(G, ParameterId.BETA_UR)
         search = compute_beta_p(G, PropertyId.UNIQUELY_RESTRICTED)
         assert (ur.value, ur.witness) == (search.value, search.witness)
-        assert ur.route == ("search" if block_class_fast_path(G) is None else "fast-path")
+        assert ur.route == ("fast-path" if is_even_cycle_free(G) else "search")
         plain = compute_parameter(G, ParameterId.BETA_PLAIN)
         assert plain.parameter is ParameterId.BETA_PLAIN and plain.route == "fast-path"
         search = compute_beta_p(G, PropertyId.PLAIN)
@@ -384,12 +390,6 @@ def test_maximal_test_matches_the_predicate_exhaustive():
                 for P, holds, maximal in tests:
                     if m.size and holds(m.edges):
                         assert maximal(m.edges) == is_maximal_p_matching(G, m, P)
-
-
-def test_total_bounds_match_single_tags(q3):
-    mx, mn = total_matching_bounds(q3)
-    assert mx == compute_parameter(q3, ParameterId.BETA_TOTAL_MAX)
-    assert mn == compute_parameter(q3, ParameterId.BETA_TOTAL_MIN)
 
 
 # Exact search node counts of the independent-set core, the first-hit search

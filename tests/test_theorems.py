@@ -5,16 +5,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given
 
-from pmatch.graph import Graph, complement, generate
+from pmatch.graph import Graph, generate
 from pmatch.properties import PropertyId
 from pmatch import solvers, theorems
 from pmatch.oracle import EDGE_SUBSET_LIMIT
 from pmatch.solvers import EngineConfig, ParameterId, SetSystem, compute_beta_p, compute_parameter
 from pmatch.theorems import (
-    NordhausGaddumRecord,
     all_graphs,
     applicable_checks,
-    check_block_class_identity,
     check_collapse_identity,
     check_connected_theorem,
     check_frobenius,
@@ -42,8 +40,6 @@ def test_gallai_examples(p8, k4):
     lone = Graph(3, ((0, 1),))
     assert check_gallai(lone).holds  # identity (i) only
     assert "alpha1" not in check_gallai(lone).details
-    with pytest.raises(ValueError):
-        check_gallai(lone, identity="ii")
 
 
 def test_gallai_random_isolate_free():
@@ -103,7 +99,9 @@ def test_hall_examples():
     assert v.holds and v.details["sdr"] is not None
     rng = random.Random(5)
     for _ in range(150):
-        assert check_hall(random_set_system(rng, 8, 8), exhaustive_limit=8).holds
+        assert check_hall(random_set_system(rng, 8, 8)).holds
+    with pytest.raises(ValueError, match="capped at 8"):
+        check_hall(SetSystem((1,), [{1}] * 9))
 
 
 def test_chain_examples(p8, k4):
@@ -124,33 +122,16 @@ def test_ur_characterization_examples(c4):
     assert check_ur_characterization(fig2r).holds
 
 
-def test_block_class_examples(c5):
-    assert check_block_class_identity(c5).holds
-    for seed in range(8):
-        T = generate("random_tree", n=10, seed=seed)
-        assert check_block_class_identity(T).holds
+def test_block_class_examples(c4, c5):
+    # Graphs whose blocks are edges and chordless odd cycles have no even
+    # cycle; the collapse check compares their beta_ur extrema with the
+    # plain ones.
     c7p = Graph(8, tuple((i, (i + 1) % 7) for i in range(7)) + ((0, 7),))
-    assert check_block_class_identity(c7p).holds
-    with pytest.raises(ValueError):
-        check_block_class_identity(generate("cycle", n=4))
-
-
-def test_block_class_check_is_independent_of_the_routed_fast_path(monkeypatch):
-    # Past the oracle's edge cap, compute_parameter would answer beta_ur with
-    # the fast path under test; the check must run the search instead. A
-    # routed fast path that is off by one must not change the verdict.
-    T = generate("random_tree", n=EDGE_SUBSET_LIMIT + 2, seed=3)
-    assert T.m > EDGE_SUBSET_LIMIT
-    real = solvers.block_class_fast_path
-
-    def off_by_one(G):
-        res = real(G)
-        return replace(res, value=res.value + 1)
-
-    monkeypatch.setattr(solvers, "block_class_fast_path", off_by_one)
-    verdict = check_block_class_identity(T)
-    assert verdict.holds
-    assert verdict.details["beta_ur"] == compute_beta_p(T, PropertyId.UNIQUELY_RESTRICTED).value
+    trees = [generate("random_tree", n=10, seed=seed) for seed in range(8)]
+    for G in (c5, c7p, *trees):
+        verdict = check_collapse_identity(G)
+        assert verdict.holds and "no even cycle" in verdict.details["classes"]
+    assert "no even cycle" not in check_collapse_identity(c4).details["classes"]
 
 
 def test_collapse_examples(c4, c5):
@@ -206,7 +187,7 @@ def test_random_odd_block_graphs_have_good_blocks():
     for _ in range(40):
         G = random_odd_block_graph(rng, rng.randint(1, 3))
         assert all(b.kind in ("edge", "odd_cycle") for b in block_decomposition(G).blocks)
-        assert check_block_class_identity(G).holds
+        assert check_collapse_identity(G).holds
 
 
 def test_verdict_reproducible(p8):
