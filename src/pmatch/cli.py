@@ -2,7 +2,8 @@
 runs, and complement-sum scans, all with machine-readable output.
 
 Exit codes: 0 success, 1 verification failure or counterexample or a
-per-parameter error, 2 usage error, 3 node budget exceeded. Output is
+per-parameter error, 2 usage error, 3 node budget exceeded, 4 internal
+error (an unexpected exception, reported in one line). Output is
 deterministic for fixed inputs and seeds; timings are only attached under
 --timing since they vary run to run. Computation is single-threaded:
 ``compute --threads N`` is accepted for compatibility and has no effect.
@@ -494,6 +495,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, never a verdict
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -15,8 +15,10 @@
 - One first-hit search over the edges, which calls the predicates: it walks
   the k-edge matchings in lexicographic order and stops at the first one
   accepted. The nine variants that are not pairwise take it for their maxima
-  (k down from the matching number) and minima (k up from 1), and so does
-  ``beta_sep_min`` (k up from 1).
+  (k down from the matching number) and minima (k up from 1).
+- A matching-cut search for ``beta_sep_min``: it splits each component into
+  two sides, branching on one vertex at a time, and forcing leaves a cut
+  that is a matching.
 
 Every route is deterministic: among equally sized optima the
 lexicographically smallest witness wins.
@@ -29,6 +31,7 @@ from dataclasses import dataclass, replace
 
 from .graph import (
     Graph,
+    components,
     is_acyclic_graph,
     is_bipartite,
     is_even_cycle_free,
@@ -45,7 +48,6 @@ from .properties import (
     BoundFunction,
     PropertyId,
     _bits,
-    _component_mask,
     pairwise_conflict_masks,
     property_holds,
 )
@@ -551,41 +553,88 @@ def _total_matching(G: Graph, cfg: EngineConfig, largest: bool) -> ParameterResu
 # -- separating matchings -------------------------------------------------------------
 
 
-def _separates(adj: tuple[int, ...], F: list[Edge]) -> bool:
-    """True iff removing the matching F from the graph with neighbor masks
-    ``adj`` adds a component, which happens exactly when the two ends of
-    some edge of F end up disconnected."""
-    rest = list(adj)
-    for u, v in F:
-        rest[u] &= ~(1 << v)
-        rest[v] &= ~(1 << u)
-    everything = (1 << len(adj)) - 1
-    comp = 0
-    for u, v in F:
-        if not comp >> u & 1:
-            comp = _component_mask(rest, u, everything)
-        if not comp >> v & 1:
-            return True
-    return False
-
-
 def min_separating_matching(
     G: Graph, config: EngineConfig | None = None
 ) -> ParameterResult:
     """Smallest matching whose removal increases the component count, or
-    value None when no matching is an edge cut: the first-hit search with k
-    running up from 1, so the first hit is also the smallest witness."""
+    value None when no matching is an edge cut.
+
+    A smallest such matching F is a matching cut E(A, B) of one component:
+    the vertices that an end of F still reaches once F is removed form a side
+    A whose leaving edges all lie in F, and those alone already separate. So
+    each component is split into a side A, which holds its lowest vertex,
+    and a side B, by branching on the lowest unassigned vertex next to the
+    assigned ones, B first. Forcing settles the rest:
+    - an unassigned vertex with two neighbors on one side joins that side;
+    - a vertex with a neighbor across pulls its unassigned neighbors to its
+      own side;
+    - once the cut is as large as the best one, every vertex next to a side
+      joins it.
+    A vertex with two neighbors across kills the branch, and so does a cut
+    larger than the best one, or as large and not lexicographically smaller.
+    So the smallest (size, sorted edges) over all components wins."""
+    cfg = config or DEFAULT_CONFIG
     adj = G.adj_masks
-    hit, nodes = _first_hit(
-        G,
-        range(1, max_matching_size(G) + 1),
-        lambda cand: _separates(adj, cand),
-        None,
-        config or DEFAULT_CONFIG,
-        "beta_sep_min",
-    )
+    best: tuple[Edge, ...] | None = None
+    nodes = 0
+    for comp in components(G):
+        if len(comp) < 2:
+            continue
+        everything = sum(1 << v for v in comp)
+        # A frame: both sides, the vertices next to them, the cut edges, and
+        # the vertex to assign with its side (0 for A, 1 for B).
+        stack = [(0, 0, 0, (), min(comp), 0)]
+        while stack:
+            side_a, side_b, near, cut, v, s = stack.pop()
+            nodes += 1
+            if cfg.node_budget is not None and nodes > cfg.node_budget:
+                raise BudgetExceededError("beta_sep_min", nodes)
+            sides = [side_a, side_b]
+            limit = len(best) if best is not None else len(comp)
+            queue = [(v, s)]
+            while queue:
+                v, s = queue.pop()
+                bit = 1 << v
+                if sides[1 - s] & bit:
+                    break
+                if not sides[s] & bit:
+                    sides[s] |= bit
+                    near |= adj[v]
+                    free = adj[v] & ~(sides[0] | sides[1])
+                    across = adj[v] & sides[1 - s]
+                    if across:
+                        w = across.bit_length() - 1
+                        if across != 1 << w:
+                            break  # two neighbors across
+                        cut += ((v, w) if v < w else (w, v),)
+                        if len(cut) > limit or len(cut) == limit and tuple(sorted(cut)) >= best:
+                            break
+                        queue += [(u, s) for u in _bits(free)]
+                        queue += [(u, 1 - s) for u in _bits(adj[w] & ~(sides[0] | sides[1]))]
+                    else:
+                        queue += [
+                            (u, s) for u in _bits(free) if (adj[u] & sides[s]).bit_count() > 1
+                        ]
+                if not queue and len(cut) == limit:
+                    # No cut edge may be added: every vertex next to a side
+                    # joins it, and one next to both adds a cut edge.
+                    queue = [
+                        (u, 0 if adj[u] & sides[0] else 1)
+                        for u in _bits(near & ~(sides[0] | sides[1]))
+                    ]
+            else:
+                assigned = sides[0] | sides[1]
+                if assigned != everything:
+                    nxt = near & ~assigned
+                    nxt = (nxt & -nxt).bit_length() - 1
+                    stack.append((sides[0], sides[1], near, cut, nxt, 0))
+                    stack.append((sides[0], sides[1], near, cut, nxt, 1))
+                elif cut:
+                    found = tuple(sorted(cut))
+                    if best is None or (len(found), found) < (len(best), best):
+                        best = found
     return ParameterResult(
-        ParameterId.BETA_SEP_MIN, len(hit) if hit else None, hit, "search", nodes
+        ParameterId.BETA_SEP_MIN, len(best) if best is not None else None, best, "search", nodes
     )
 
 

@@ -1,12 +1,17 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from pmatch.cli import main
 from pmatch.graph import edge_mask_of, from_edge_mask
+from pmatch.solvers import ParameterId
 from pmatch.theorems import graph_id, random_graphs
 
 
@@ -312,3 +317,67 @@ def test_compute_all_matches_golden(record, capsys):
     table = _without_nodes(json.loads(capsys.readouterr().out))
     assert code == record["exit"]
     assert table == record["table"]
+
+
+def test_verify_recursion_limit_is_an_internal_error(capsys):
+    # The alternating-cycle search recurses once per matched edge, so a
+    # 2,000-edge matching on a path runs past the interpreter's limit.
+    spec = ",".join(f"{v} {v + 1}" for v in range(0, 4000, 2))
+    code = main(["verify", "--family", "path", "--n", "4000", "--matching", spec,
+                 "--property", "ur"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err.startswith("error: RecursionError: ") and err.count("\n") == 1
+
+
+_TAGS = [pid.value for pid in ParameterId]
+_FAMILIES = st.one_of(
+    st.tuples(st.sampled_from(["path", "cycle", "complete", "random_tree"]),
+              st.integers(-1, 8)).map(lambda t: ["--family", t[0], "--n", str(t[1])]),
+    st.integers(-1, 3).map(lambda d: ["--family", "hypercube", "--n", str(d)]),
+    st.tuples(st.integers(1, 8), st.sampled_from(["0.3", "0.6", "1.5", "-0.1"])).map(
+        lambda t: ["--family", "gnp", "--n", str(t[0]), "--p", t[1]]),
+    st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(
+        lambda t: ["--family", "complete_bipartite", "--a", str(t[0]), "--b-part", str(t[1])]),
+    st.sampled_from(["fig2l", "fig2r", "fig3", "fig4", "mystery"]).map(
+        lambda f: ["--family", f]),
+    st.just([]),
+)
+_BUDGETS = st.one_of(
+    st.just([]),
+    st.integers(-3, 400).map(lambda b: ["--budget", str(b)]),
+    st.sampled_from(["", "x", "1e3", "-", "2.5"]).map(lambda b: ["--budget", b]),
+)
+_PARAMS = st.one_of(
+    st.lists(st.sampled_from(_TAGS + ["all", "beta_unknown", ""]), max_size=4).map(",".join),
+    st.text(alphabet="abet_1,- ", max_size=12),
+)
+_EDGES = st.lists(st.tuples(st.integers(-1, 9), st.integers(-1, 9)), max_size=4).map(
+    lambda es: ",".join(f"{u} {v}" for u, v in es))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["compute", "verify", "theorems"]))
+    argv = [command] + draw(_FAMILIES)
+    if command == "compute":
+        argv += ["--params", draw(_PARAMS)] + draw(_BUDGETS)
+    elif command == "verify":
+        prop = draw(st.sampled_from(["matching", "maximal", "perfect", "separating", "total",
+                                     "maximal_total", "ur", "maximal_c", "induced", "nope"]))
+        argv += ["--matching", draw(st.one_of(_EDGES, st.just("drawn"))), "--property", prop]
+        if draw(st.booleans()):
+            argv += ["--vertices", draw(st.sampled_from(["0", "1,2", "9", "x"]))]
+    else:
+        argv += draw(_BUDGETS)
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=50, deadline=None)
+def test_cli_argv_never_ends_in_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue(), argv

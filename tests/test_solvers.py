@@ -49,7 +49,6 @@ from pmatch.solvers import (
     tree_b_matching_max,
     _maximal_test,
     _memoized_holds,
-    _separates,
 )
 from pmatch.matching import lexmin_maximum_matching, max_matching_size
 from pmatch.theorems import all_graphs
@@ -110,8 +109,10 @@ def test_budget_raises():
     q3 = generate("hypercube", n=3)
     with pytest.raises(BudgetExceededError, match="^beta_ur_minus: .* after 14 nodes"):
         compute_beta_minus_p(q3, PropertyId.UNIQUELY_RESTRICTED, EngineConfig(node_budget=13))
+    # The matching-cut search on a long cycle: its many two-edge cuts tie.
+    c20 = generate("cycle", n=20)
     with pytest.raises(BudgetExceededError, match="^beta_sep_min: .* after 101 nodes"):
-        min_separating_matching(q3, EngineConfig(node_budget=100))
+        min_separating_matching(c20, EngineConfig(node_budget=100))
 
 
 def test_engine_witness_is_lexmin():
@@ -302,7 +303,41 @@ def test_separating_examples(q3, k4):
 
 @given(graphs(max_n=6))
 def test_separating_matches_oracle(G):
-    assert min_separating_matching(G).value == oracle_parameter(G, ParameterId.BETA_SEP_MIN).value
+    assert _same_answer(min_separating_matching(G), oracle_parameter(G, ParameterId.BETA_SEP_MIN))
+
+
+def test_separating_hypercubes_past_the_oracle():
+    # The dimension cuts; forcing settles the hypercubes in a few nodes.
+    for d, value in ((5, 16), (6, 32)):
+        res = min_separating_matching(generate("hypercube", n=d), EngineConfig(node_budget=1000))
+        assert res.value == value
+        assert res.witness == tuple((v, v + 1) for v in range(0, 2 ** d, 2))
+
+
+def test_separating_searches_every_component(q3):
+    k3 = generate("complete", n=3)
+    k4 = generate("complete", n=4)
+    # K4 has no matching cut, so the answer comes from the second component.
+    shifted = tuple((u + 4, v + 4) for u, v in q3.edges)
+    G = Graph(12, k4.edges + shifted)
+    res = min_separating_matching(G)
+    assert (res.value, res.witness) == (4, ((4, 5), (6, 7), (8, 9), (10, 11)))
+    k3_k4 = Graph(7, k3.edges + tuple((u + 3, v + 3) for u, v in k4.edges))
+    assert min_separating_matching(k3_k4).value is None
+
+
+@pytest.mark.parametrize("family, kw, value, nodes", [
+    ("path", {"n": 200}, 1, 793),
+    ("random_tree", {"n": 100, "seed": 1}, 1, 761),
+    ("cycle", {"n": 30}, 2, 811),
+])
+def test_separating_node_counts_on_sparse_graphs(family, kw, value, nodes):
+    # Exact counts. A cut as large as the best one admits no further cut
+    # edge: it floods the rest of its component within one node, or is
+    # dropped at once when it is not lexicographically smaller. Without
+    # both rules a path takes quadratically many nodes.
+    res = min_separating_matching(generate(family, **kw))
+    assert (res.value, res.nodes_explored) == (value, nodes)
 
 
 # -- block-structure fast path ------------------------------------------------------------------------
@@ -408,7 +443,7 @@ PINNED_NODES = {
         "beta_if_minus": 75, "beta_dc": 157, "beta_dc_minus": 20, "beta_ac": 115,
         "beta_ac_minus": 15, "beta_i": 0, "beta_i_minus": 64, "beta_b": 0,
         "beta_b_minus": 64, "beta_v_IR": 139, "beta_v_ir": 14, "beta_e_IR": 64,
-        "beta_e_ir": 20, "beta_sep_min": 155,
+        "beta_e_ir": 20, "beta_sep_min": 7,
     },
     "gnp-12": {
         "beta0": 69, "alpha0": 69, "gamma": 162, "beta_plain": 0, "beta_ur": 862,
@@ -419,7 +454,7 @@ PINNED_NODES = {
         "beta_if_minus": 1212, "beta_dc": 3407, "beta_dc_minus": 3, "beta_ac": 926,
         "beta_ac_minus": 30, "beta_i": 817, "beta_i_minus": 649, "beta_b": 1180,
         "beta_b_minus": 265, "beta_v_IR": 1398, "beta_v_ir": 4, "beta_e_IR": 981,
-        "beta_e_ir": 278, "beta_sep_min": 5698,
+        "beta_e_ir": 278, "beta_sep_min": 3,
     },
 }
 
@@ -458,14 +493,15 @@ def test_kernels_build_no_graph(monkeypatch):
     assert built == []
 
 
-def test_separates_is_edge_cut():
+def test_separating_witness_is_a_matching_cut_exhaustive():
     for n in range(0, 6):
         for G in all_graphs(n):
-            for k in range(1, n // 2 + 1):
-                for F in itertools.combinations(G.edges, k):
-                    ends = [x for e in F for x in e]
-                    if len(set(ends)) == 2 * k:
-                        assert _separates(G.adj_masks, list(F)) == is_edge_cut(G, F)
+            res = min_separating_matching(G)
+            if res.value is None:
+                assert res.witness is None
+            else:
+                assert len(res.witness) == res.value
+                assert is_matching(G, res.witness) and is_edge_cut(G, res.witness)
 
 
 # -- SDR ------------------------------------------------------------------------------------------------
