@@ -157,7 +157,7 @@ def _parse_params(spec: str) -> list[ParameterId]:
 # -- witness rendering ---------------------------------------------------------
 
 
-def _edge_json(G: Graph, edges) -> list:
+def _edge_json(edges) -> list:
     return [[int(u), int(v)] for u, v in sorted(edges)]
 
 
@@ -168,9 +168,9 @@ def _witness_json(G: Graph, pid: ParameterId, witness):
         out = {"vertices": [int(v) for v in sorted(witness)]}
     elif pid in MIXED_WITNESS_PARAMS:
         vs, es = witness
-        out = {"vertices": [int(v) for v in sorted(vs)], "edges": _edge_json(G, es)}
+        out = {"vertices": [int(v) for v in sorted(vs)], "edges": _edge_json(es)}
     else:
-        out = {"edges": _edge_json(G, witness)}
+        out = {"edges": _edge_json(witness)}
     if G.labels is not None:
         if "edges" in out:
             out["edge_labels"] = [[G.label(u), G.label(v)] for u, v in out["edges"]]

@@ -363,7 +363,7 @@ def parse_graph(text: str) -> Graph:
     Edge list: one "u v" pair per line, '#' comments, blank lines ignored.
     An optional "n m" header is recognized on the first data line when its
     second integer equals the number of remaining data lines and the pair is
-    plausible as a header (not "0 0", and n >= 2 whenever m > 0); anything
+    plausible as a header (n >= 1, and n >= 2 whenever m > 0); anything
     else reads as an edge, so "0 0" is rejected as a self-loop. A file with
     no data lines is the empty graph on zero vertices.
 
@@ -396,9 +396,9 @@ def _parse_edge_list(data) -> Graph:
     declared_n = None
     start = 0
     first_tokens = data[0][1].split()
-    if len(first_tokens) == 2 and all(t.lstrip("-").isdigit() for t in first_tokens):
+    if len(first_tokens) == 2 and all(t.removeprefix("-").isdecimal() for t in first_tokens):
         a, b = int(first_tokens[0]), int(first_tokens[1])
-        plausible = (a, b) != (0, 0) and (b == 0 or a >= 2)
+        plausible = a > 0 and (b == 0 or a >= 2)
         if b == len(data) - 1 and plausible:
             declared_n = a
             start = 1
@@ -436,7 +436,9 @@ def _parse_dimacs(data) -> Graph:
                 raise ParseError(f"line {lineno}: second problem line")
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError(f"line {lineno}: expected 'p edge n m'")
-            n, m = int(tokens[2]), int(tokens[3])
+            n, m = _parse_int_pair(tokens[2:], lineno)
+            if n < 0 or m < 0:
+                raise ParseError(f"line {lineno}: negative count in 'p edge {n} {m}'")
         elif tokens[0] == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: edge before problem line")

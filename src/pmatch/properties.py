@@ -404,129 +404,69 @@ def is_acyclic_matching(G: Graph, M) -> bool:
 # -- orientations -----------------------------------------------------------
 
 
-def _tarjan_scc(n_nodes: int, out: list[list[int]]) -> list[int]:
-    """Iterative Tarjan; returns component ids in reverse topological order
-    (sinks get the smaller ids)."""
-    index = [-1] * n_nodes
-    low = [0] * n_nodes
-    on_stack = [False] * n_nodes
-    comp = [-1] * n_nodes
-    stack: list[int] = []
-    counter = 0
-    comps = 0
-    for root in range(n_nodes):
-        if index[root] != -1:
+def _orientation(G: Graph, M, heads_too: bool) -> Orientation | None:
+    """An orientation whose tails are independent in G (with ``heads_too``,
+    whose heads are too), or None.
+
+    A 2-SAT instance over the saturated vertices, solved by the limited
+    backtracking of Even, Itai and Shamir (SIAM J. Comput. 1976): literal x
+    says "x is a tail", and its negation is its partner. An unmatched edge xy
+    of <M> makes x imply partner[y]; with ``heads_too`` partner[x] implies y
+    as well. So a tail makes its neighbors in <M> heads, and a head makes its
+    partner (with ``heads_too``, its neighbors too) tails. Take the lowest
+    open vertex, assert it with unit propagation, and keep the outcome when
+    no vertex became both; otherwise assert its partner instead. An attempt
+    that succeeds leaves every clause it touched satisfied, so when both
+    attempts fail no orientation exists.
+    """
+    m = as_matching(G, M)
+    adj = G.adj_masks
+    partner = [0] * G.n
+    sat = 0
+    for u, v in m.edges:
+        partner[u], partner[v] = v, u
+        sat |= 1 << u | 1 << v
+    tails = heads = 0
+    for x in _bits(sat):
+        if (tails | heads) >> x & 1:
             continue
-        work = [(root, 0)]
-        while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            while i < len(out[v]):
-                w = out[v][i]
-                i += 1
-                if index[w] == -1:
-                    work.append((v, i))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = comps
-                    low[w] = low[v]
-                    if w == v:
-                        break
-                comps += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comp
+        for lit in (x, partner[x]):
+            t, h, todo = tails, heads, 1 << lit
+            while todo and not (t | todo) & h:
+                low = todo & -todo
+                v = low.bit_length() - 1
+                t |= low
+                new_h = (adj[v] & sat | 1 << partner[v]) & ~h
+                h |= new_h
+                for w in _bits(new_h):
+                    todo |= (adj[w] & sat | 1 << partner[w]) if heads_too else 1 << partner[w]
+                todo &= ~t
+            if not (t | todo) & h:
+                tails, heads = t, h
+                break
+        else:
+            return None
+    return Orientation(tuple((u, v) if tails >> u & 1 else (v, u) for u, v in m.edges))
 
 
 def find_independent_orientation(G: Graph, M) -> Orientation | None:
-    """An orientation whose tail set is independent in G, or None.
-
-    One binary choice per matched edge; a host edge joining endpoints of two
-    distinct matched edges forbids the choice pair that would put both ends
-    in the tail set. Solved as a 2-SAT instance over the implication graph.
-    """
-    m = as_matching(G, M)
-    k = m.size
-    if k == 0:
-        return Orientation(())
-    adj = G.adj_masks
-    edges = m.edges
-    # Node 2*i + side: edge i's tail is endpoint `side` (0 = u, 1 = v).
-    out: list[list[int]] = [[] for _ in range(2 * k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            for si in (0, 1):
-                for sj in (0, 1):
-                    x, y = edges[i][si], edges[j][sj]
-                    if adj[x] >> y & 1:
-                        # Choosing (i, si) forces (j, 1 - sj) and vice versa.
-                        out[2 * i + si].append(2 * j + (1 - sj))
-                        out[2 * j + sj].append(2 * i + (1 - si))
-    comp = _tarjan_scc(2 * k, out)
-    pairs = []
-    for i in range(k):
-        if comp[2 * i] == comp[2 * i + 1]:
-            return None
-        # Smaller component id = nearer the sinks = safe to assert.
-        side = 0 if comp[2 * i] < comp[2 * i + 1] else 1
-        tail = edges[i][side]
-        head = edges[i][1 - side]
-        pairs.append((tail, head))
-    return Orientation(tuple(pairs))
+    """An orientation whose tail set is independent in G, or None."""
+    return _orientation(G, M, False)
 
 
 def is_independent_matching(G: Graph, M) -> bool:
-    return find_independent_orientation(G, M) is not None
+    return _orientation(G, M, False) is not None
 
 
 def find_bipartite_orientation(G: Graph, M) -> Orientation | None:
-    """An orientation with both tails and heads independent, or None.
-
-    Such an orientation is exactly a proper 2-coloring of <M> (every edge of
-    <M>, matched or not, must cross the tail/head split, and any proper
-    2-coloring splits each matched edge). The verification suite checks this
-    reduction against exhaustive orientation search before trusting it.
-    """
-    m = as_matching(G, M)
-    if m.size == 0:
-        return Orientation(())
-    adj = G.adj_masks
-    sat = m.sat_mask
-    color: dict[int, int] = {}
-    for s in _bits(sat):
-        if s in color:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in _bits(adj[v] & sat):
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    pairs = tuple((u, v) if color[u] == 0 else (v, u) for u, v in m.edges)
-    return Orientation(pairs)
+    """An orientation with both tails and heads independent, or None: a
+    proper 2-coloring of <M>, whose lowest vertex in each component is a
+    tail."""
+    return _orientation(G, M, True)
 
 
 def is_bipartite_matching(G: Graph, M) -> bool:
-    return find_bipartite_orientation(G, M) is not None
+    return _orientation(G, M, True) is not None
 
 
 # -- neighborhood adjacency variants ----------------------------------------
@@ -550,22 +490,24 @@ def are_onbr_adjacent(G: Graph, e1, e2) -> bool:
     return bool(adj[a] & adj[b] & adj[c] & adj[d])
 
 
-def cnbr_violation(G: Graph, M) -> tuple[Edge, Edge] | None:
-    m = as_matching(G, M)
-    for i in range(m.size):
-        for j in range(i + 1, m.size):
-            if are_cnbr_adjacent(G, m.edges[i], m.edges[j]):
-                return m.edges[i], m.edges[j]
+def _common_nbr_pair(m: Matching, nbr: tuple[int, ...]) -> tuple[Edge, Edge] | None:
+    """The first pair of matched edges whose four ends all lie in one
+    neighborhood of the table ``nbr`` (closed or open), or None."""
+    edges = m.edges
+    common = [nbr[a] & nbr[b] for a, b in edges]
+    for i, c in enumerate(common):
+        for j in range(i + 1, len(edges)):
+            if c & common[j]:
+                return edges[i], edges[j]
     return None
+
+
+def cnbr_violation(G: Graph, M) -> tuple[Edge, Edge] | None:
+    return _common_nbr_pair(as_matching(G, M), G.closed_adj_masks)
 
 
 def onbr_violation(G: Graph, M) -> tuple[Edge, Edge] | None:
-    m = as_matching(G, M)
-    for i in range(m.size):
-        for j in range(i + 1, m.size):
-            if are_onbr_adjacent(G, m.edges[i], m.edges[j]):
-                return m.edges[i], m.edges[j]
-    return None
+    return _common_nbr_pair(as_matching(G, M), G.adj_masks)
 
 
 def is_cnbr_matching(G: Graph, M) -> bool:

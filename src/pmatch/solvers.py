@@ -345,17 +345,18 @@ def compute_beta_p(
     prefix that has lost P. With no hit, the value is 0 and the witness empty.
     """
     cfg = config or DEFAULT_CONFIG
+    pid = PROPERTY_MAX_PARAM[P]
     conflict = pairwise_conflict_masks(G, P)
     if conflict is not None:
-        chosen, nodes = _max_independent(conflict, cfg, f"beta_{P.value}")
-        return _edge_result(G, PROPERTY_MAX_PARAM[P], chosen, nodes)
+        chosen, nodes = _max_independent(conflict, cfg, pid.value)
+        return _edge_result(G, pid, chosen, nodes)
 
     holds = _memoized_holds(G, P)
     keep = holds if P in HEREDITARY_PROPERTIES else None
     sizes = range(max_matching_size(G), 0, -1)
-    hit, nodes = _first_hit(G, sizes, holds, keep, cfg, f"beta_{P.value}")
+    hit, nodes = _first_hit(G, sizes, holds, keep, cfg, pid.value)
     witness = hit or ()
-    return ParameterResult(PROPERTY_MAX_PARAM[P], len(witness), witness, "search", nodes)
+    return ParameterResult(pid, len(witness), witness, "search", nodes)
 
 
 def _maximal_test(G: Graph, P: PropertyId, holds):
@@ -401,20 +402,19 @@ def compute_beta_minus_p(
     Prefixes are kept as for the maximum.
     """
     cfg = config or DEFAULT_CONFIG
+    pid = PROPERTY_MIN_PARAM[P]
     conflict = pairwise_conflict_masks(G, P)
     if conflict is not None:
         if not conflict:
-            return ParameterResult(PROPERTY_MIN_PARAM[P], None, None, "search", 0)
-        chosen, nodes = _min_dominating(conflict, True, cfg, f"beta_{P.value}_minus")
-        return _edge_result(G, PROPERTY_MIN_PARAM[P], chosen, nodes)
+            return ParameterResult(pid, None, None, "search", 0)
+        chosen, nodes = _min_dominating(conflict, True, cfg, pid.value)
+        return _edge_result(G, pid, chosen, nodes)
     holds = _memoized_holds(G, P)
     keep = holds if P in HEREDITARY_PROPERTIES else None
     sizes = range(1, max_matching_size(G) + 1)
     maximal = _maximal_test(G, P, holds)
-    hit, nodes = _first_hit(G, sizes, maximal, keep, cfg, f"beta_{P.value}_minus")
-    return ParameterResult(
-        PROPERTY_MIN_PARAM[P], len(hit) if hit else None, hit, "search", nodes
-    )
+    hit, nodes = _first_hit(G, sizes, maximal, keep, cfg, pid.value)
+    return ParameterResult(pid, len(hit) if hit else None, hit, "search", nodes)
 
 
 # -- classical parameters -----------------------------------------------------
@@ -540,13 +540,13 @@ def _total_matching(G: Graph, cfg: EngineConfig, largest: bool) -> ParameterResu
     def key(sel: tuple[int, ...]):  # witnesses compare as (vertices, edges)
         return tuple(i for i in sel if i < n), tuple(i for i in sel if i >= n)
 
+    pid = ParameterId.BETA_TOTAL_MAX if largest else ParameterId.BETA_TOTAL_MIN
     if largest:
-        chosen, nodes = _max_independent(conflict, cfg, "beta_total", key)
+        chosen, nodes = _max_independent(conflict, cfg, pid.value, key)
     else:
-        chosen, nodes = _min_dominating(conflict, True, cfg, "beta_total", key)
+        chosen, nodes = _min_dominating(conflict, True, cfg, pid.value, key)
     vs, es = key(chosen)
     witness = (vs, tuple(G.edges[i - n] for i in es))
-    pid = ParameterId.BETA_TOTAL_MAX if largest else ParameterId.BETA_TOTAL_MIN
     return ParameterResult(pid, len(chosen), witness, "search", nodes)
 
 

@@ -17,6 +17,7 @@ from .graph import (
     Graph,
     complement,
     from_edge_mask,
+    induced_subgraph,
     is_bipartite,
     is_connected,
 )
@@ -293,8 +294,6 @@ def check_ur_characterization(G: Graph) -> TheoremVerdict:
     """For every matching M: the alternating-cycle test must agree with
     counting the perfect matchings of <M> (uniquely restricted means exactly
     one, namely M itself)."""
-    from .graph import induced_subgraph
-
     checked = 0
     for m in all_matchings(G):
         via_cycle = is_uniquely_restricted(G, m)

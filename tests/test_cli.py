@@ -92,6 +92,7 @@ def test_compute_budget_exhaustion(capsys):
     assert code == 3
     entry = json.loads(out)["params"]["beta_star"]
     assert entry.get("budget_exceeded") is True
+    assert entry["error"].startswith("beta_star: node budget exceeded after ")
 
 
 def test_compute_budget_error_reports_elapsed_time(capsys):

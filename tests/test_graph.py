@@ -66,6 +66,11 @@ def test_parse_malformed_line():
         parse_graph("0 1\n1 two")
     with pytest.raises(ParseError):
         parse_graph("0 1 2")
+    # Tokens that look numeric to a header test but that int() rejects, and
+    # a negative header count.
+    for text in ("0 --3", "0 \u00b2", "-3 0"):
+        with pytest.raises(ParseError, match="^line 1: "):
+            parse_graph(text)
 
 
 def test_parse_empty_text_is_empty_graph():
@@ -86,6 +91,9 @@ def test_parse_dimacs_errors():
         parse_graph("p edge 3 2\ne 1 2")  # count mismatch
     with pytest.raises(ParseError):
         parse_graph("p edge 3 1\ne 1 4")
+    for header in ("p edge 3 x", "p edge 1.5 0", "p edge -3 0", "p edge 3 -1"):
+        with pytest.raises(ParseError, match="^line 1: "):
+            parse_graph(header)
 
 
 def test_serialize_round_trip_examples(p8):
@@ -96,6 +104,25 @@ def test_serialize_round_trip_examples(p8):
 
 @given(graphs(max_n=7))
 def test_serialize_round_trip(G):
+    H = parse_graph(serialize_graph(G))
+    assert (H.n, H.edges) == (G.n, G.edges)
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["p", "edge", "e", "c", "#", "x", "-", "--3", "+2", "1.5", "0x1", "1_0", "²"]),
+)
+_LINES = st.lists(st.lists(_TOKENS, max_size=5).map(" ".join), max_size=8).map("\n".join)
+
+
+@given(_LINES)
+def test_parse_token_soup_is_parse_error_or_round_trips(text):
+    # Edge-list and DIMACS-like lines of any shape: a ParseError, or a graph
+    # that survives serialization unchanged.
+    try:
+        G = parse_graph(text)
+    except ParseError:
+        return
     H = parse_graph(serialize_graph(G))
     assert (H.n, H.edges) == (G.n, G.edges)
 

@@ -181,9 +181,9 @@ def test_independent_orientation_figures():
     tails = sorted(o.tails)
     assert all(not (adj[u] >> v & 1) for i, u in enumerate(tails) for v in tails[i + 1 :])
     assert o.tails | o.heads == m.saturated and not (o.tails & o.heads)
-    # the drawn tail set {1, 2, 3', 4} is one valid answer
-    drawn_x = {0, 1, 6, 3}
-    assert all(not (adj[u] >> v & 1) for u in drawn_x for v in drawn_x if u < v)
+    # the lowest open vertex is tried as a tail first, which gives the drawn
+    # tail set {1, 2, 3', 4}
+    assert o.tails == {0, 1, 6, 3}
 
 
 def test_independent_orientation_simple_cases(k4):
@@ -210,6 +210,31 @@ def test_orientation_solvers_match_exhaustive(gm):
     G, m = gm
     assert is_independent_matching(G, m) == oracle_orientation_feasible(G, m, "independent")
     assert is_bipartite_matching(G, m) == oracle_orientation_feasible(G, m, "bipartite")
+
+
+def test_orientation_certificates_exhaustive():
+    # Every matching of every graph with n <= 5: an orientation comes back
+    # exactly when exhaustive search finds one, it orients each matched edge
+    # once, and its tails (for bipartite, its heads too) are independent.
+    def independent(adj, side):
+        return not any(adj[v] >> w & 1 for v in side for w in side)
+
+    for n in range(6):
+        for G in all_graphs(n):
+            adj = G.adj_masks
+            for m in all_matchings(G):
+                for mode, find in (
+                    ("independent", find_independent_orientation),
+                    ("bipartite", find_bipartite_orientation),
+                ):
+                    o = find(G, m)
+                    assert (o is not None) == oracle_orientation_feasible(G, m, mode)
+                    if o is None:
+                        continue
+                    assert tuple(sorted(tuple(sorted(p)) for p in o.pairs)) == m.edges
+                    assert independent(adj, o.tails)
+                    if mode == "bipartite":
+                        assert independent(adj, o.heads)
 
 
 def test_orientation_serialization():

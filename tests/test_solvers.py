@@ -115,6 +115,21 @@ def test_budget_raises():
         min_separating_matching(c20, EngineConfig(node_budget=100))
 
 
+# Tags answered from another tag's search name the search that ran.
+_SEARCH_RUN = {ParameterId.BETA1_MINUS: "beta_plain_minus", ParameterId.ALPHA0: "beta0"}
+
+
+@pytest.mark.parametrize("pid", [p for p in ParameterId if p is not ParameterId.B_MATCHING_MAX])
+def test_budget_error_names_the_tag(pid):
+    # K4 is in no collapse class, so every variant runs its own search.
+    k4 = generate("complete", n=4)
+    if compute_parameter(k4, pid).nodes_explored == 0:
+        compute_parameter(k4, pid, EngineConfig(node_budget=0))
+        return
+    with pytest.raises(BudgetExceededError, match=f"^{_SEARCH_RUN.get(pid, pid.value)}: "):
+        compute_parameter(k4, pid, EngineConfig(node_budget=0))
+
+
 def test_engine_witness_is_lexmin():
     rng = random.Random(11)
     for _ in range(25):
