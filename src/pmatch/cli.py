@@ -105,35 +105,44 @@ class UsageError(ValueError):
     pass
 
 
+def _int(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise UsageError(f"bad {what} {tok.strip()!r}: expected an integer") from None
+
+
 def _parse_edges(spec: str) -> tuple[tuple[int, int], ...]:
     edges = []
     for tok in spec.replace(";", ",").split(","):
-        tok = tok.strip().replace("-", " ")
-        if not tok:
+        if not tok.strip():
             continue
-        parts = tok.split()
-        if len(parts) != 2:
-            raise UsageError(f"bad edge token {tok!r}: expected 'u v'")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, tok.replace("-", " ").split())
+        except ValueError:
+            raise UsageError(f"bad edge token {tok.strip()!r}: expected 'u v'") from None
+        edges.append((u, v))
     return tuple(edges)
 
 
 def _parse_vertices(spec: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in spec.replace(";", ",").split(",") if t.strip())
+    return tuple(_int(t, "vertex") for t in spec.replace(";", ",").split(",") if t.strip())
 
 
 def _parse_bounds(spec: str, G: Graph) -> BoundFunction:
     spec = spec.strip()
     if ":" not in spec:
-        bound = BoundFunction.uniform(G, int(spec))
+        bound = BoundFunction.uniform(G, _int(spec, "bound"))
     else:
         values = [0] * G.n
         for tok in spec.split(","):
-            v, k = tok.split(":")
-            vertex = int(v)
+            try:
+                vertex, k = map(int, tok.split(":"))
+            except ValueError:
+                raise UsageError(f"bad bound token {tok.strip()!r}: expected 'v:k'") from None
             if not 0 <= vertex < G.n:
                 raise UsageError(f"bound for vertex {vertex} outside 0..{G.n - 1}")
-            values[vertex] = int(k)
+            values[vertex] = k
         bound = BoundFunction(tuple(values))
     try:
         bound.validate_for(G)

@@ -6,16 +6,19 @@
 - Class-collapse routes (``COLLAPSE_CLASSES``): on bipartite, triangle-free,
   even-cycle-free and acyclic graphs some variants hold for every matching,
   and their maxima and minima are those of plain matchings.
-- One bitset independent-set core. Its maximum search answers ``beta0``
-  (and ``alpha0`` by complement), ``beta_star``, ``beta_on``, ``beta_cn``
-  and ``beta_total_max``; its dominating search answers ``gamma`` and, as the
-  smallest maximal independent set, ``beta1_minus``, ``beta_plain_minus``,
+- One bitset independent-set core, two searches on explicit stacks. Its
+  maximum search answers ``beta0`` (and ``alpha0`` by complement),
+  ``beta_star``, ``beta_on``, ``beta_cn`` and ``beta_total_max``; its
+  dominating search answers ``gamma`` and, as the smallest maximal
+  independent set, ``beta1_minus``, ``beta_plain_minus``,
   ``beta_star_minus``, ``beta_on_minus``, ``beta_cn_minus`` and
-  ``beta_total_min``.
+  ``beta_total_min``. Filtered by the predicate, per component, it answers
+  ``beta_c_minus`` and ``beta_if_minus``.
 - One first-hit search over the edges, which calls the predicates: it walks
   the k-edge matchings in lexicographic order and stops at the first one
   accepted. The nine variants that are not pairwise take it for their maxima
-  (k down from the matching number) and minima (k up from 1).
+  (k down from the matching number), and seven of them for their minima (k
+  up from 1).
 - A matching-cut search for ``beta_sep_min``: it splits each component into
   two sides, branching on one vertex at a time, and forcing leaves a cut
   that is a matching.
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .graph import (
     Graph,
@@ -206,9 +210,10 @@ def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, key=None
     best_set: tuple[int, ...] = ()
     best_key = key(()) if key else ()
     nodes = 0
-
-    def rec(avail: int, cur: tuple[int, ...]):
-        nonlocal best_size, best_set, best_key, nodes
+    # Depth first on an explicit stack: the taking child is popped first.
+    stack = [((1 << len(conflict)) - 1, ())]
+    while stack:
+        avail, cur = stack.pop()
         nodes += 1
         if cfg.node_budget is not None and nodes > cfg.node_budget:
             raise BudgetExceededError(what, nodes)
@@ -218,7 +223,7 @@ def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, key=None
             if k > best_size or cur_key < best_key:
                 best_size, best_set, best_key = k, cur, cur_key
         if not avail or k + avail.bit_count() < best_size:
-            return
+            continue
         # Branch on the available element of highest residual degree, ties
         # toward the lowest index.
         v = v_degree = -1
@@ -226,19 +231,21 @@ def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, key=None
             degree = (conflict[x] & avail).bit_count()
             if degree > v_degree:
                 v, v_degree = x, degree
-        rec(avail & ~conflict[v] & ~(1 << v), tuple(sorted(cur + (v,))))
-        rec(avail & ~(1 << v), cur)
-
-    rec((1 << len(conflict)) - 1, ())
+        stack.append((avail & ~(1 << v), cur))
+        stack.append((avail & ~conflict[v] & ~(1 << v), tuple(sorted(cur + (v,)))))
     return best_set, nodes
 
 
-def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what: str, key=None):
+def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what: str,
+                    key=None, accept=None, roots=(0,)):
     """Smallest set covering every element, where element i covers itself
     and the set bits of ``masks[i]``, by branching on who covers the first
     uncovered element. With ``independent`` only uncovered elements are
-    candidates, which gives the smallest maximal independent set. Returns
-    the key-smallest such set and the node count."""
+    candidates, which gives the smallest maximal independent set. A covering
+    set becomes the best one only if ``accept`` (when given) takes it. The
+    search starts from each covered mask of ``roots`` in turn, with one bound
+    and one node count over all of them. Returns the key-smallest such set
+    and the node count."""
     if not masks:
         return (), 0
     closed = [c | 1 << i for i, c in enumerate(masks)]
@@ -247,9 +254,10 @@ def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what
     best_set: tuple[int, ...] = ()
     best_key = None
     nodes = 0
-
-    def rec(dominated: int, cur: tuple[int, ...]):
-        nonlocal best_size, best_set, best_key, nodes
+    # Depth first on an explicit stack, the lowest candidate popped first.
+    stack = [(root, ()) for root in reversed(roots)]
+    while stack:
+        dominated, cur = stack.pop()
         nodes += 1
         if cfg.node_budget is not None and nodes > cfg.node_budget:
             raise BudgetExceededError(what, nodes)
@@ -257,16 +265,18 @@ def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what
             found = tuple(sorted(cur))
             found_key = key(found) if key else found
             if len(cur) < best_size or found_key < best_key:
-                best_size, best_set, best_key = len(cur), found, found_key
-            return
+                if accept is None or accept(found):
+                    best_size, best_set, best_key = len(cur), found, found_key
+            continue
         if len(cur) + 1 > best_size:
-            return
+            continue
         free = full & ~dominated
         first = (free & -free).bit_length() - 1
-        for v in _bits(closed[first] & free if independent else closed[first]):
-            rec(dominated | closed[v], cur + (v,))
-
-    rec(0, ())
+        cands = closed[first] & free if independent else closed[first]
+        while cands:
+            v = cands.bit_length() - 1
+            cands ^= 1 << v
+            stack.append((dominated | closed[v], cur + (v,)))
     return best_set, nodes
 
 
@@ -318,21 +328,6 @@ def _first_hit(G: Graph, sizes, accept, keep, cfg: EngineConfig, what: str):
     return None, nodes
 
 
-def _memoized_holds(G: Graph, P: PropertyId):
-    """``property_holds`` on G and P, memoized: one search meets the same
-    matching as a prefix at several sizes, and a minimum also as the
-    extension of another candidate."""
-    memo: dict[tuple[Edge, ...], bool] = {}
-
-    def holds(cand: tuple[Edge, ...]) -> bool:
-        got = memo.get(cand)
-        if got is None:
-            got = memo[cand] = property_holds(G, P, cand)
-        return got
-
-    return holds
-
-
 def compute_beta_p(
     G: Graph, P: PropertyId, config: EngineConfig | None = None
 ) -> ParameterResult:
@@ -351,7 +346,8 @@ def compute_beta_p(
         chosen, nodes = _max_independent(conflict, cfg, pid.value)
         return _edge_result(G, pid, chosen, nodes)
 
-    holds = _memoized_holds(G, P)
+    # Memoized: one search meets a matching as a prefix at several sizes.
+    holds = cache(lambda cand: property_holds(G, P, cand))
     keep = holds if P in HEREDITARY_PROPERTIES else None
     sizes = range(max_matching_size(G), 0, -1)
     hit, nodes = _first_hit(G, sizes, holds, keep, cfg, pid.value)
@@ -359,60 +355,55 @@ def compute_beta_p(
     return ParameterResult(pid, len(witness), witness, "search", nodes)
 
 
-def _maximal_test(G: Graph, P: PropertyId, holds):
-    """The acceptance test of the minimum's search: the candidate has P
-    (by ``holds``) and no one-edge extension keeps P.
+def compute_beta_minus_p(
+    G: Graph, P: PropertyId, config: EngineConfig | None = None
+) -> ParameterResult:
+    """Smallest nonempty matching with property P admitting no one-edge
+    extension that keeps P. Value None when G has no edge.
 
-    When <M> is connected, or has no isolated edge, M + e keeps that exactly
-    when an end of e has a saturated neighbor: the new edge then joins <M>,
-    and the old edges keep every neighbor they had. So for those two
-    variants M is maximal when no unsaturated neighbor of <M> has an
-    unsaturated neighbor, a mask test per vertex and no predicate call."""
-    adj = G.adj_masks if P in (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE) else None
+    Pairwise variants are the smallest maximal independent set in the edge
+    conflict masks, and the connected and isolate-free minima the smallest
+    maximal matching of one component that has P. The rest take the
+    first-hit search with k running up from 1, accepting a P-matching that no
+    one-edge extension keeps in P. Prefixes are kept as for the maximum.
+    """
+    cfg = config or DEFAULT_CONFIG
+    pid = PROPERTY_MIN_PARAM[P]
+    if not G.edges:
+        return ParameterResult(pid, None, None, "search", 0)
+    conflict = pairwise_conflict_masks(G, P)
+    accept, roots = None, (0,)
+    if P in (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE):
+        # A connected (isolate-free) M is maximal exactly when it is a maximal
+        # matching of each component it meets: else a shortest path from V(M)
+        # to an edge there with both ends unsaturated ends in such an edge next
+        # to V(M), and adding it keeps P. A smallest M meets one component, so
+        # filter each component's maximal matchings (a root covers all others).
+        conflict = pairwise_conflict_masks(G, PropertyId.PLAIN)
+        every = (1 << len(G.edges)) - 1
+        roots = [
+            every & ~sum(1 << j for j, (u, _) in enumerate(G.edges) if u in comp)
+            for comp in components(G) if len(comp) > 1
+        ]
+        accept = lambda found: property_holds(G, P, tuple(G.edges[i] for i in found))
+    if conflict is not None:
+        chosen, nodes = _min_dominating(conflict, True, cfg, pid.value, accept=accept, roots=roots)
+        return _edge_result(G, pid, chosen, nodes)
+    # Memoized: a matching is met as a prefix and as another's extension.
+    holds = cache(lambda cand: property_holds(G, P, cand))
+    keep = holds if P in HEREDITARY_PROPERTIES else None
+    sizes = range(1, max_matching_size(G) + 1)
 
     def maximal(cand: tuple[Edge, ...]) -> bool:
         if not holds(cand):
             return False
-        sat = 0
-        for u, v in cand:
-            sat |= (1 << u) | (1 << v)
-        if adj is not None:
-            near = 0
-            for x in _bits(sat):
-                near |= adj[x]
-            return not any(adj[w] & ~sat for w in _bits(near & ~sat))
+        sat = sum((1 << u) | (1 << v) for u, v in cand)
         return not any(
             holds(tuple(sorted(cand + (e,))))
             for e in G.edges
             if not sat >> e[0] & 1 and not sat >> e[1] & 1
         )
 
-    return maximal
-
-
-def compute_beta_minus_p(
-    G: Graph, P: PropertyId, config: EngineConfig | None = None
-) -> ParameterResult:
-    """Smallest nonempty matching with property P admitting no one-edge
-    extension that keeps P. Value None when no nonempty P-matching exists.
-
-    Pairwise variants are the smallest maximal independent set in the edge
-    conflict masks. The rest take the first-hit search with k running up from
-    1, accepting a P-matching that no one-edge extension keeps in P.
-    Prefixes are kept as for the maximum.
-    """
-    cfg = config or DEFAULT_CONFIG
-    pid = PROPERTY_MIN_PARAM[P]
-    conflict = pairwise_conflict_masks(G, P)
-    if conflict is not None:
-        if not conflict:
-            return ParameterResult(pid, None, None, "search", 0)
-        chosen, nodes = _min_dominating(conflict, True, cfg, pid.value)
-        return _edge_result(G, pid, chosen, nodes)
-    holds = _memoized_holds(G, P)
-    keep = holds if P in HEREDITARY_PROPERTIES else None
-    sizes = range(1, max_matching_size(G) + 1)
-    maximal = _maximal_test(G, P, holds)
     hit, nodes = _first_hit(G, sizes, maximal, keep, cfg, pid.value)
     return ParameterResult(pid, len(hit) if hit else None, hit, "search", nodes)
 

@@ -233,6 +233,23 @@ def test_usage_errors():
         assert code == 2 and out == "" and "--budget must be 0 or more" in err
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["compute", "--family", "path", "--n", "4", "--params", "b_matching_max",
+      "--b-bounds", "1:2:3"], "'1:2:3'"),
+    (["compute", "--family", "path", "--n", "4", "--params", "b_matching_max",
+      "--b-bounds", "x"], "'x'"),
+    (["verify", "--family", "path", "--n", "4", "--matching", "0-x",
+      "--property", "matching"], "'0-x'"),
+    (["verify", "--family", "path", "--n", "4", "--matching", "0 1",
+      "--vertices", "a", "--property", "total"], "'a'"),
+])
+def test_bad_option_tokens_are_named(argv, token, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad ") and token in err and err.count("\n") == 1
+
+
 def test_oracle_subcommand(capsys):
     code = main(["oracle", "--family", "path", "--n", "8", "--params", "beta1,beta1_minus"])
     out = json.loads(capsys.readouterr().out)
@@ -287,6 +304,16 @@ def test_compute_long_path_has_no_traceback():
     assert code == 0 and "Traceback" not in err
     params = json.loads(out)["params"]
     assert params["beta_c"]["value"] == params["beta_if"]["value"] == 1500
+
+
+def test_compute_budget_on_a_long_path_is_a_budget_error(capsys):
+    # The dominating search keeps its own stack: its first dive on a
+    # 2,500-vertex path runs past the interpreter's recursion limit.
+    code = main(["compute", "--family", "path", "--n", "2500", "--params", "gamma",
+                 "--budget", "20000"])
+    entry = json.loads(capsys.readouterr().out)["params"]["gamma"]
+    assert code == 3
+    assert entry["error"] == "gamma: node budget exceeded after 20001 nodes"
 
 
 def test_compute_collapsed_maxima_run_no_search(capsys):

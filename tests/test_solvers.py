@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -15,7 +17,7 @@ from pmatch.graph import (
     is_edge_cut,
     is_even_cycle_free,
 )
-from pmatch.oracle import all_matchings, oracle_parameter
+from pmatch.oracle import oracle_parameter
 from pmatch.properties import (
     BoundFunction,
     Matching,
@@ -47,8 +49,6 @@ from pmatch.solvers import (
     min_separating_matching,
     sdr_solve,
     tree_b_matching_max,
-    _maximal_test,
-    _memoized_holds,
 )
 from pmatch.matching import lexmin_maximum_matching, max_matching_size
 from pmatch.theorems import all_graphs
@@ -113,6 +113,29 @@ def test_budget_raises():
     c20 = generate("cycle", n=20)
     with pytest.raises(BudgetExceededError, match="^beta_sep_min: .* after 101 nodes"):
         min_separating_matching(c20, EngineConfig(node_budget=100))
+    # The connected minimum searches Q3 (64 nodes), then a three-vertex path
+    # (3 nodes) under the same count: the budget runs out in the second one.
+    q3_and_path = Graph(11, q3.edges + ((8, 9), (9, 10)))
+    res = compute_parameter(q3_and_path, ParameterId.BETA_C_MINUS)
+    assert (res.value, res.witness, res.nodes_explored) == (1, ((8, 9),), 67)
+    with pytest.raises(BudgetExceededError, match="^beta_c_minus: .* after 66 nodes"):
+        compute_parameter(q3_and_path, ParameterId.BETA_C_MINUS, EngineConfig(node_budget=65))
+
+
+@pytest.mark.parametrize("pid", [ParameterId.GAMMA, ParameterId.BETA0, ParameterId.ALPHA0,
+                                 ParameterId.BETA_TOTAL_MAX, ParameterId.BETA_TOTAL_MIN])
+def test_core_searches_keep_their_own_stack(pid):
+    # Each core search dives one level per node, so on a long path its first
+    # dive runs hundreds of levels deep. Under a recursion limit 100 frames
+    # above this one, only a search on an explicit stack reaches its budget.
+    G = generate("path", n=600)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        with pytest.raises(BudgetExceededError, match=" after 501 nodes"):
+            compute_parameter(G, pid, EngineConfig(node_budget=500))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # Tags answered from another tag's search name the search that ran.
@@ -426,20 +449,14 @@ def test_collapsed_minima_explore_as_many_nodes_as_beta1_minus():
         assert compute_parameter(T, pid).nodes_explored == nodes
 
 
-def test_maximal_test_matches_the_predicate_exhaustive():
-    # The mask shortcut of the connected and isolate-free minima against
-    # is_maximal_p_matching on every nonempty matching with P.
-    props = (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE)
-    for n in range(0, 7):
-        for G in all_graphs(n):
-            tests = []
-            for P in props:
-                holds = _memoized_holds(G, P)
-                tests.append((P, holds, _maximal_test(G, P, holds)))
-            for m in all_matchings(G):
-                for P, holds, maximal in tests:
-                    if m.size and holds(m.edges):
-                        assert maximal(m.edges) == is_maximal_p_matching(G, m, P)
+def test_connected_minima_search_maximal_matchings():
+    """Counter gate: on a 40-vertex tree the connected and isolate-free
+    minima filter the maximal matchings of the dominating search, where the
+    first-hit search walked over 3M smaller matchings."""
+    T = generate("random_tree", n=40, seed=1)
+    got = {pid: compute_parameter(T, pid).nodes_explored
+           for pid in (ParameterId.BETA_C_MINUS, ParameterId.BETA_IF_MINUS)}
+    assert got == {ParameterId.BETA_C_MINUS: 102108, ParameterId.BETA_IF_MINUS: 68598}
 
 
 # Exact search node counts of the independent-set core, the first-hit search
@@ -454,8 +471,8 @@ PINNED_NODES = {
         "beta_star": 35, "beta_on": 0, "beta_cn": 0, "beta1_minus": 64,
         "beta_plain_minus": 64, "beta_star_minus": 23, "beta_on_minus": 64,
         "beta_cn_minus": 64, "beta_total_max": 501, "beta_total_min": 564,
-        "beta_ur_minus": 15, "beta_c": 4, "beta_c_minus": 75, "beta_if": 4,
-        "beta_if_minus": 75, "beta_dc": 157, "beta_dc_minus": 20, "beta_ac": 115,
+        "beta_ur_minus": 15, "beta_c": 4, "beta_c_minus": 64, "beta_if": 4,
+        "beta_if_minus": 64, "beta_dc": 157, "beta_dc_minus": 20, "beta_ac": 115,
         "beta_ac_minus": 15, "beta_i": 0, "beta_i_minus": 64, "beta_b": 0,
         "beta_b_minus": 64, "beta_v_IR": 139, "beta_v_ir": 14, "beta_e_IR": 64,
         "beta_e_ir": 20, "beta_sep_min": 7,
@@ -465,8 +482,8 @@ PINNED_NODES = {
         "beta_star": 113, "beta_on": 899, "beta_cn": 507, "beta1_minus": 1066,
         "beta_plain_minus": 1066, "beta_star_minus": 30, "beta_on_minus": 1127,
         "beta_cn_minus": 111, "beta_total_max": 8525, "beta_total_min": 9283,
-        "beta_ur_minus": 35, "beta_c": 10, "beta_c_minus": 1212, "beta_if": 10,
-        "beta_if_minus": 1212, "beta_dc": 3407, "beta_dc_minus": 3, "beta_ac": 926,
+        "beta_ur_minus": 35, "beta_c": 10, "beta_c_minus": 1066, "beta_if": 10,
+        "beta_if_minus": 1066, "beta_dc": 3407, "beta_dc_minus": 3, "beta_ac": 926,
         "beta_ac_minus": 30, "beta_i": 817, "beta_i_minus": 649, "beta_b": 1180,
         "beta_b_minus": 265, "beta_v_IR": 1398, "beta_v_ir": 4, "beta_e_IR": 981,
         "beta_e_ir": 278, "beta_sep_min": 3,
