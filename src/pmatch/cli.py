@@ -160,7 +160,11 @@ def _engine_config(args) -> EngineConfig:
 def _parse_params(spec: str) -> list[ParameterId]:
     if spec.strip().lower() == "all":
         return list(ParameterId.all())
-    return [ParameterId.from_string(t.strip()) for t in spec.split(",") if t.strip()]
+    # Each tag once, in first-seen order: beta1,beta_1 names one tag twice.
+    params = list(dict.fromkeys(ParameterId.from_string(t) for t in spec.split(",") if t.strip()))
+    if not params:
+        raise UsageError(f"--params names no parameter: {spec!r}")
+    return params
 
 
 # -- witness rendering ---------------------------------------------------------

@@ -13,25 +13,30 @@
   independent set, ``beta1_minus``, ``beta_plain_minus``,
   ``beta_star_minus``, ``beta_on_minus``, ``beta_cn_minus`` and
   ``beta_total_min``. Filtered by the predicate, per component, it answers
-  ``beta_c_minus`` and ``beta_if_minus``.
+  ``beta_c_minus`` and ``beta_if_minus``. The maximum search cuts on a
+  greedy clique partition of the available elements, the dominating search
+  on a greedy packing of undominated elements that share no candidate.
 - One first-hit search over the edges, which calls the predicates: it walks
   the k-edge matchings in lexicographic order and stops at the first one
   accepted. The nine variants that are not pairwise take it for their maxima
   (k down from the matching number), and seven of them for their minima (k
-  up from 1).
+  up from 1). It cuts a prefix that half the vertices its remaining edges
+  touch cannot bring up to k.
 - A matching-cut search for ``beta_sep_min``: it splits each component into
   two sides, branching on one vertex at a time, and forcing leaves a cut
   that is a matching.
 
 Every route is deterministic: among equally sized optima the
-lexicographically smallest witness wins.
+lexicographically smallest witness wins. Every cut is strict, so a branch
+that can still tie the best is kept.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, reduce
+from operator import or_
 
 from .graph import (
     Graph,
@@ -204,8 +209,9 @@ class ParameterResult:
 
 def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, key=None):
     """Largest independent set by branch and bound: take or drop one element,
-    and cut a branch that cannot reach the best size. Returns the
-    key-smallest largest set and the node count."""
+    and cut a branch whose available elements split greedily into fewer
+    cliques than it lacks of the best size (Tomita & Seki, DMTCS 2003).
+    Returns the key-smallest largest set and the node count."""
     best_size = 0
     best_set: tuple[int, ...] = ()
     best_key = key(()) if key else ()
@@ -222,7 +228,19 @@ def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, key=None
             cur_key = key(cur) if key else cur
             if k > best_size or cur_key < best_key:
                 best_size, best_set, best_key = k, cur, cur_key
-        if not avail or k + avail.bit_count() < best_size:
+        # Each clique of the conflict graph holds one chosen element at most:
+        # cut unless a greedy clique partition of avail can still tie the best.
+        rest, parts = avail, k
+        while rest and parts < best_size:
+            clique = rest & -rest
+            grow = rest & conflict[clique.bit_length() - 1]
+            while grow:
+                low = grow & -grow
+                clique |= low
+                grow = (grow ^ low) & conflict[low.bit_length() - 1]
+            rest ^= clique
+            parts += 1
+        if not avail or parts < best_size:
             continue
         # Branch on the available element of highest residual degree, ties
         # toward the lowest index.
@@ -242,13 +260,16 @@ def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what
     and the set bits of ``masks[i]``, by branching on who covers the first
     uncovered element. With ``independent`` only uncovered elements are
     candidates, which gives the smallest maximal independent set. A covering
-    set becomes the best one only if ``accept`` (when given) takes it. The
-    search starts from each covered mask of ``roots`` in turn, with one bound
-    and one node count over all of them. Returns the key-smallest such set
-    and the node count."""
+    set becomes the best one only if ``accept`` (when given) takes it. A node
+    is cut when more uncovered elements that pairwise share no candidate are
+    packed than it may still add. The search starts from each covered mask of
+    ``roots`` in turn, with one bound and one node count over all of them.
+    Returns the key-smallest such set and the node count."""
     if not masks:
         return (), 0
     closed = [c | 1 << i for i, c in enumerate(masks)]
+    # ball[i]: the elements that share a candidate with i.
+    ball = [reduce(or_, (closed[j] for j in _bits(c))) for c in closed]
     full = (1 << len(closed)) - 1
     best_size = len(closed) + 1
     best_set: tuple[int, ...] = ()
@@ -268,9 +289,15 @@ def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what
                 if accept is None or accept(found):
                     best_size, best_set, best_key = len(cur), found, found_key
             continue
-        if len(cur) + 1 > best_size:
-            continue
         free = full & ~dominated
+        # Uncovered elements that pairwise share no candidate each need their
+        # own: pack them greedily, and cut once the best can no longer be tied.
+        rest, need = free, len(cur)
+        while rest and need <= best_size:
+            rest &= ~ball[(rest & -rest).bit_length() - 1]
+            need += 1
+        if need > best_size:
+            continue
         first = (free & -free).bit_length() - 1
         cands = closed[first] & free if independent else closed[first]
         while cands:
@@ -293,15 +320,17 @@ def _first_hit(G: Graph, sizes, accept, keep, cfg: EngineConfig, what: str):
     ``G.edges`` in lexicographic order and return the first that ``accept``
     takes. Edges are sorted, so the first hit is the lexicographically
     smallest accepted matching of its size. A prefix is never extended when
-    ``keep`` (if not None) rejects it or when fewer compatible edges follow
-    it than it still lacks. Returns the hit (None when no size hits) and the
-    node count, one node per prefix tried, summed over all sizes."""
+    ``keep`` (if not None) rejects it, or when the compatible edges after it
+    touch too few vertices to hold the edges it still lacks, two ends each.
+    Returns the hit (None when no size hits) and the node count, one node per
+    prefix tried, summed over all sizes."""
     edges = G.edges
     at = [0] * G.n
     for j, (u, v) in enumerate(edges):
         at[u] |= 1 << j
         at[v] |= 1 << j
     clash = [at[u] | at[v] for u, v in edges]  # edges sharing an end with edge j
+    ends = [1 << u | 1 << v for u, v in edges]
     nodes = 0
     for k in sizes:
         # A frame per depth: the prefix, and as a bitmask the edges after its
@@ -324,7 +353,14 @@ def _first_hit(G: Graph, sizes, accept, keep, cfg: EngineConfig, what: str):
                 if accept(cand):
                     return cand, nodes
             elif keep is None or keep(cand):
-                stack.append([cand, avail & ~clash[i]])
+                rest = avail & ~clash[i]
+                if k - len(cand) > 1:  # rest matches at most half the vertices it touches
+                    touched = 0
+                    for j in _bits(rest):
+                        touched |= ends[j]
+                    if len(cand) + touched.bit_count() // 2 < k:
+                        continue
+                stack.append([cand, rest])
     return None, nodes
 
 

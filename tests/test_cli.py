@@ -250,6 +250,37 @@ def test_bad_option_tokens_are_named(argv, token, capsys):
     assert err.startswith("error: bad ") and token in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["compute", "oracle"])
+@pytest.mark.parametrize("spec", ["", ",", " , "])
+def test_empty_params_is_a_usage_error(command, spec, capsys):
+    code = main([command, "--family", "path", "--n", "4", "--params", spec])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: --params names no parameter") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, callee", [("compute", "compute_parameter"),
+                                             ("oracle", "oracle_parameter")])
+def test_repeated_params_run_once(command, callee, monkeypatch, capsys):
+    import pmatch.cli
+
+    calls = []
+    inner = getattr(pmatch.cli, callee)
+    monkeypatch.setattr(pmatch.cli, callee, lambda G, pid, *a, **kw: calls.append(pid.value)
+                        or inner(G, pid, *a, **kw))
+    code = main([command, "--family", "path", "--n", "4",
+                 "--params", "gamma,beta1,beta_1,gamma,beta1"])
+    assert code == 0 and calls == ["gamma", "beta1"]
+    assert sorted(json.loads(capsys.readouterr().out)["params"]) == ["beta1", "gamma"]
+
+
+def test_repeated_params_print_once_in_tsv(capsys):
+    code = main(["compute", "--family", "path", "--n", "4",
+                 "--params", "gamma,beta1,beta_1,gamma", "--format", "tsv"])
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert code == 0 and [row.split("\t")[1] for row in rows] == ["gamma", "beta1"]
+
+
 def test_oracle_subcommand(capsys):
     code = main(["oracle", "--family", "path", "--n", "8", "--params", "beta1,beta1_minus"])
     out = json.loads(capsys.readouterr().out)

@@ -113,13 +113,13 @@ def test_budget_raises():
     c20 = generate("cycle", n=20)
     with pytest.raises(BudgetExceededError, match="^beta_sep_min: .* after 101 nodes"):
         min_separating_matching(c20, EngineConfig(node_budget=100))
-    # The connected minimum searches Q3 (64 nodes), then a three-vertex path
+    # The connected minimum searches Q3 (62 nodes), then a three-vertex path
     # (3 nodes) under the same count: the budget runs out in the second one.
     q3_and_path = Graph(11, q3.edges + ((8, 9), (9, 10)))
     res = compute_parameter(q3_and_path, ParameterId.BETA_C_MINUS)
-    assert (res.value, res.witness, res.nodes_explored) == (1, ((8, 9),), 67)
-    with pytest.raises(BudgetExceededError, match="^beta_c_minus: .* after 66 nodes"):
-        compute_parameter(q3_and_path, ParameterId.BETA_C_MINUS, EngineConfig(node_budget=65))
+    assert (res.value, res.witness, res.nodes_explored) == (1, ((8, 9),), 65)
+    with pytest.raises(BudgetExceededError, match="^beta_c_minus: .* after 64 nodes"):
+        compute_parameter(q3_and_path, ParameterId.BETA_C_MINUS, EngineConfig(node_budget=63))
 
 
 @pytest.mark.parametrize("pid", [ParameterId.GAMMA, ParameterId.BETA0, ParameterId.ALPHA0,
@@ -181,6 +181,41 @@ def test_engine_witness_is_lexmin():
                 assert res.witness == min(optima)
             else:
                 assert res.value == 0 and res.witness == ()
+
+
+# Symmetric graphs, where optima tie in every search. The
+# oracle's mixed enumeration stops at 22 vertices plus edges: K_{4,4} and
+# Petersen skip the total tags.
+_PETERSEN = tuple([(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                  + [(i, i + 5) for i in range(5)])
+TIE_HEAVY = {
+    "Q3": (generate("hypercube", n=3), True),
+    "C8": (generate("cycle", n=8), True),
+    "prism": (Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5))),
+              True),
+    "K44": (generate("complete_bipartite", a=4, b=4), False),
+    "petersen": (Graph(10, _PETERSEN), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_HEAVY))
+def test_search_witnesses_are_lexmin_under_ties(name):
+    """Every search tag returns the oracle's value and lexicographically
+    smallest witness on graphs full of tied optima, where a bound that cut a
+    branch able to tie the best would lose the witness. The variants run
+    their own searches here, past any collapse route."""
+    G, with_total = TIE_HEAVY[name]
+    got = {pid: compute_parameter(G, pid) for pid in (
+        ParameterId.BETA0, ParameterId.GAMMA, ParameterId.BETA1_MINUS, ParameterId.BETA_SEP_MIN)}
+    if with_total:
+        for pid in (ParameterId.BETA_TOTAL_MAX, ParameterId.BETA_TOTAL_MIN):
+            got[pid] = compute_parameter(G, pid)
+    for P in PropertyId:
+        got[PROPERTY_MAX_PARAM[P]] = compute_beta_p(G, P)
+        got[PROPERTY_MIN_PARAM[P]] = compute_beta_minus_p(G, P)
+    wrong = [pid.value for pid, res in got.items()
+             if not _same_answer(res, oracle_parameter(G, pid))]
+    assert wrong == []
 
 
 # -- classical parameters ---------------------------------------------------------------
@@ -456,7 +491,21 @@ def test_connected_minima_search_maximal_matchings():
     T = generate("random_tree", n=40, seed=1)
     got = {pid: compute_parameter(T, pid).nodes_explored
            for pid in (ParameterId.BETA_C_MINUS, ParameterId.BETA_IF_MINUS)}
-    assert got == {ParameterId.BETA_C_MINUS: 102108, ParameterId.BETA_IF_MINUS: 68598}
+    assert got == {ParameterId.BETA_C_MINUS: 53071, ParameterId.BETA_IF_MINUS: 21706}
+
+
+@pytest.mark.parametrize("family, kw, pid, nodes", [
+    # The maximum search's clique partition.
+    ("hypercube", dict(n=4), ParameterId.BETA_TOTAL_MAX, 9029),
+    # The dominating search's packing: millions of nodes without it.
+    ("random_tree", dict(n=40, seed=1), ParameterId.GAMMA, 42757),
+    ("random_tree", dict(n=60, seed=2), ParameterId.BETA1_MINUS, 26634),
+    # The first-hit search's matching-room test.
+    ("hypercube", dict(n=4), ParameterId.BETA_E_IR_MAX, 1794),
+])
+def test_search_bounds_cut(family, kw, pid, nodes):
+    """Counter gate: each search's bound, where it bites."""
+    assert compute_parameter(generate(family, **kw), pid).nodes_explored == nodes
 
 
 # Exact search node counts of the independent-set core, the first-hit search
@@ -467,25 +516,25 @@ PINNED_GRAPHS = {
 }
 PINNED_NODES = {
     "hypercube-3": {
-        "beta0": 27, "alpha0": 27, "gamma": 41, "beta_plain": 0, "beta_ur": 115,
-        "beta_star": 35, "beta_on": 0, "beta_cn": 0, "beta1_minus": 64,
-        "beta_plain_minus": 64, "beta_star_minus": 23, "beta_on_minus": 64,
-        "beta_cn_minus": 64, "beta_total_max": 501, "beta_total_min": 564,
-        "beta_ur_minus": 15, "beta_c": 4, "beta_c_minus": 64, "beta_if": 4,
-        "beta_if_minus": 64, "beta_dc": 157, "beta_dc_minus": 20, "beta_ac": 115,
-        "beta_ac_minus": 15, "beta_i": 0, "beta_i_minus": 64, "beta_b": 0,
-        "beta_b_minus": 64, "beta_v_IR": 139, "beta_v_ir": 14, "beta_e_IR": 64,
+        "beta0": 25, "alpha0": 25, "gamma": 41, "beta_plain": 0, "beta_ur": 100,
+        "beta_star": 35, "beta_on": 0, "beta_cn": 0, "beta1_minus": 62,
+        "beta_plain_minus": 62, "beta_star_minus": 23, "beta_on_minus": 62,
+        "beta_cn_minus": 62, "beta_total_max": 111, "beta_total_min": 564,
+        "beta_ur_minus": 15, "beta_c": 4, "beta_c_minus": 62, "beta_if": 4,
+        "beta_if_minus": 62, "beta_dc": 141, "beta_dc_minus": 20, "beta_ac": 100,
+        "beta_ac_minus": 15, "beta_i": 0, "beta_i_minus": 62, "beta_b": 0,
+        "beta_b_minus": 62, "beta_v_IR": 123, "beta_v_ir": 14, "beta_e_IR": 49,
         "beta_e_ir": 20, "beta_sep_min": 7,
     },
     "gnp-12": {
-        "beta0": 69, "alpha0": 69, "gamma": 162, "beta_plain": 0, "beta_ur": 862,
-        "beta_star": 113, "beta_on": 899, "beta_cn": 507, "beta1_minus": 1066,
-        "beta_plain_minus": 1066, "beta_star_minus": 30, "beta_on_minus": 1127,
-        "beta_cn_minus": 111, "beta_total_max": 8525, "beta_total_min": 9283,
-        "beta_ur_minus": 35, "beta_c": 10, "beta_c_minus": 1066, "beta_if": 10,
-        "beta_if_minus": 1066, "beta_dc": 3407, "beta_dc_minus": 3, "beta_ac": 926,
-        "beta_ac_minus": 30, "beta_i": 817, "beta_i_minus": 649, "beta_b": 1180,
-        "beta_b_minus": 265, "beta_v_IR": 1398, "beta_v_ir": 4, "beta_e_IR": 981,
+        "beta0": 47, "alpha0": 47, "gamma": 138, "beta_plain": 0, "beta_ur": 424,
+        "beta_star": 55, "beta_on": 593, "beta_cn": 413, "beta1_minus": 1017,
+        "beta_plain_minus": 1017, "beta_star_minus": 30, "beta_on_minus": 1065,
+        "beta_cn_minus": 111, "beta_total_max": 2357, "beta_total_min": 4956,
+        "beta_ur_minus": 35, "beta_c": 8, "beta_c_minus": 1017, "beta_if": 8,
+        "beta_if_minus": 1017, "beta_dc": 2592, "beta_dc_minus": 3, "beta_ac": 587,
+        "beta_ac_minus": 30, "beta_i": 263, "beta_i_minus": 649, "beta_b": 751,
+        "beta_b_minus": 265, "beta_v_IR": 1046, "beta_v_ir": 4, "beta_e_IR": 370,
         "beta_e_ir": 278, "beta_sep_min": 3,
     },
 }
