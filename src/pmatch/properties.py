@@ -406,7 +406,22 @@ def is_acyclic_matching(G: Graph, M) -> bool:
 
 def _orientation(G: Graph, M, heads_too: bool) -> Orientation | None:
     """An orientation whose tails are independent in G (with ``heads_too``,
-    whose heads are too), or None.
+    whose heads are too), or None. See ``_orient_masks``."""
+    m = as_matching(G, M)
+    partner = [0] * G.n
+    sat = 0
+    for u, v in m.edges:
+        partner[u], partner[v] = v, u
+        sat |= 1 << u | 1 << v
+    tails = _orient_masks(G.adj_masks, partner, sat, heads_too)
+    if tails is None:
+        return None
+    return Orientation(tuple((u, v) if tails >> u & 1 else (v, u) for u, v in m.edges))
+
+
+def _orient_masks(adj, partner, sat: int, heads_too: bool) -> int | None:
+    """The tails mask of such an orientation of the matching that saturates
+    ``sat`` and pairs x with ``partner[x]``, or None.
 
     A 2-SAT instance over the saturated vertices, solved by the limited
     backtracking of Even, Itai and Shamir (SIAM J. Comput. 1976): literal x
@@ -419,13 +434,6 @@ def _orientation(G: Graph, M, heads_too: bool) -> Orientation | None:
     that succeeds leaves every clause it touched satisfied, so when both
     attempts fail no orientation exists.
     """
-    m = as_matching(G, M)
-    adj = G.adj_masks
-    partner = [0] * G.n
-    sat = 0
-    for u, v in m.edges:
-        partner[u], partner[v] = v, u
-        sat |= 1 << u | 1 << v
     tails = heads = 0
     for x in _bits(sat):
         if (tails | heads) >> x & 1:
@@ -446,7 +454,7 @@ def _orientation(G: Graph, M, heads_too: bool) -> Orientation | None:
                 break
         else:
             return None
-    return Orientation(tuple((u, v) if tails >> u & 1 else (v, u) for u, v in m.edges))
+    return tails
 
 
 def find_independent_orientation(G: Graph, M) -> Orientation | None:

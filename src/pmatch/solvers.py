@@ -16,12 +16,14 @@
   ``beta_c_minus`` and ``beta_if_minus``. The maximum search cuts on a
   greedy clique partition of the available elements, the dominating search
   on a greedy packing of undominated elements that share no candidate.
-- One first-hit search over the edges, which calls the predicates: it walks
-  the k-edge matchings in lexicographic order and stops at the first one
-  accepted. The nine variants that are not pairwise take it for their maxima
-  (k down from the matching number), and seven of them for their minima (k
-  up from 1). It cuts a prefix that half the vertices its remaining edges
-  touch cannot bring up to k.
+- One first-hit search over the edges: it walks the k-edge matchings in
+  lexicographic order and stops at the first one accepted. The nine
+  variants that are not pairwise take it for their maxima (k down from the
+  matching number), and seven of them for their minima (k up from 1). Each
+  frame carries its prefix's per-variant state, and a step settles a
+  candidate with the work its new edge can change; the predicates of
+  ``properties`` are the reference. It cuts a prefix that half the vertices
+  its remaining edges touch cannot bring up to k.
 - A matching-cut search for ``beta_sep_min``: it splits each component into
   two sides, branching on one vertex at a time, and forcing leaves a cut
   that is a matching.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from functools import cache, reduce
+from functools import reduce
 from operator import or_
 
 from .graph import (
@@ -57,6 +59,7 @@ from .properties import (
     BoundFunction,
     PropertyId,
     _bits,
+    _orient_masks,
     pairwise_conflict_masks,
     property_holds,
 )
@@ -268,8 +271,8 @@ def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what
     if not masks:
         return (), 0
     closed = [c | 1 << i for i, c in enumerate(masks)]
-    # ball[i]: the elements that share a candidate with i.
-    ball = [reduce(or_, (closed[j] for j in _bits(c))) for c in closed]
+    # ball[i]: the elements that share a candidate with i, filled on first use.
+    ball = [0] * len(closed)
     full = (1 << len(closed)) - 1
     best_size = len(closed) + 1
     best_set: tuple[int, ...] = ()
@@ -292,9 +295,13 @@ def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what
         free = full & ~dominated
         # Uncovered elements that pairwise share no candidate each need their
         # own: pack them greedily, and cut once the best can no longer be tied.
-        rest, need = free, len(cur)
+        # Before a best exists nothing is cut: cur and free are disjoint.
+        rest, need = free if best_key is not None else 0, len(cur)
         while rest and need <= best_size:
-            rest &= ~ball[(rest & -rest).bit_length() - 1]
+            i = (rest & -rest).bit_length() - 1
+            if not ball[i]:
+                ball[i] = reduce(or_, (closed[j] for j in _bits(closed[i])))
+            rest &= ~ball[i]
             need += 1
         if need > best_size:
             continue
@@ -315,16 +322,136 @@ def _edge_result(G: Graph, pid: "ParameterId", chosen: tuple[int, ...], nodes: i
 # -- the first-hit search for the variants that are not pairwise ------------
 
 
-def _first_hit(G: Graph, sizes, accept, keep, cfg: EngineConfig, what: str):
+def _stepper(G: Graph, P: PropertyId):
+    """The empty matching's state for P and ``step(state, j) -> (holds,
+    state')``: whether the matching with state ``state`` plus edge j, which
+    is disjoint from it, has P, and the state of that larger matching. A step
+    does only the work that edge j can change. For hereditary P, ``state``
+    must be that of a matching with P. The predicates of ``properties`` are
+    the reference."""
+    adj, edges = G.adj_masks, G.edges
+    # One partner array serves every frame of the search: a step's edge is
+    # disjoint from every live prefix, so it never overwrites a live entry.
+    partner = [0] * G.n
+
+    if P is PropertyId.UNIQUELY_RESTRICTED:
+        # The state is V(M). M has no alternating cycle, so one of M + uv
+        # runs through uv: search the simple paths from v that leave each
+        # vertex on an unmatched edge and go on along the matched one, until
+        # one can close at u.
+        def step(sat, j):
+            u, v = edges[j]
+            partner[u], partner[v] = v, u
+            sat |= 1 << u | 1 << v
+            paths = [(v, 1 << u | 1 << v)]
+            while paths:
+                x, seen = paths.pop()
+                out = adj[x] & sat & ~(1 << partner[x])
+                if out >> u & 1:
+                    return False, None
+                for w in _bits(out & ~seen):
+                    y = partner[w]
+                    paths.append((y, seen | 1 << w | 1 << y))
+            return True, sat
+        return 0, step
+
+    if P is PropertyId.INDEPENDENT:
+        # The state is V(M) and the tails of an orientation of M. Edge uv
+        # takes u (else v) as its tail when no tail sees it; otherwise the
+        # 2-SAT decides anew, on masks.
+        def step(state, j):
+            sat, tails = state
+            u, v = edges[j]
+            partner[u], partner[v] = v, u
+            sat |= 1 << u | 1 << v
+            if not adj[u] & tails:
+                tails |= 1 << u
+            elif not adj[v] & tails:
+                tails |= 1 << v
+            else:
+                tails = _orient_masks(adj, partner, sat, False)
+            return tails is not None, (sat, tails)
+        return (0, 0), step
+
+    if P is PropertyId.BIPARTITE:
+        # The state is a 2-colouring (a, b) of each component of <M>. Edge uv
+        # joins the components its ends see, u on one side and v on the
+        # other, which fails unless each of them has all of u's neighbors on
+        # one side and all of v's on the other.
+        def step(comps, j):
+            u, v = edges[j]
+            p, q, rest = 1 << u, 1 << v, []
+            for a, b in comps:
+                nu, nv = adj[u] & (a | b), adj[v] & (a | b)
+                if not nu | nv:
+                    rest.append((a, b))
+                elif not (nu & a or nv & b):
+                    p, q = p | a, q | b
+                elif not (nu & b or nv & a):
+                    p, q = p | b, q | a
+                else:
+                    return False, None
+            return True, (*rest, (p, q))
+        return (), step
+
+    if P in (PropertyId.VERTEX_IRREDUNDANT, PropertyId.EDGE_IRREDUNDANT):
+        # The state: the vertices next to exactly one saturated vertex
+        # (``one``) and to more (``many``), V(M), and per matched edge the
+        # vertices next to its ends. An edge is irredundant while one of
+        # those lies outside V(M), for v_IR one next to no other saturated
+        # vertex either: an external private neighbor of one of its ends.
+        private = P is PropertyId.VERTEX_IRREDUNDANT
+
+        def step(state, j):
+            one, many, sat, nears = state
+            u, v = edges[j]
+            for w in (u, v):
+                many |= one & adj[w]
+                one = (one | adj[w]) & ~many
+            sat |= 1 << u | 1 << v
+            nears += (adj[u] | adj[v],)
+            free = one & ~sat if private else ~sat
+            return all(near & free for near in nears), (one, many, sat, nears)
+        return (0, 0, 0, ()), step
+
+    # Connected, isolate-free, disconnected, acyclic: the state is the
+    # components of <M> as vertex masks. Edge uv merges those its ends see;
+    # a forest stays one when its ends see each of them once. Single edges
+    # pass the isolate-free and disconnected tests by fiat.
+    def step(comps, j):
+        u, v = edges[j]
+        near, merged, rest = adj[u] | adj[v], 0, []
+        for c in comps:
+            if c & near:
+                merged |= c
+            else:
+                rest.append(c)
+        new = (*rest, merged | 1 << u | 1 << v)
+        if P is PropertyId.CONNECTED:
+            return not rest, new
+        if P is PropertyId.DISCONNECTED:
+            return not comps or bool(rest), new
+        if P is PropertyId.ISOLATE_FREE:
+            return not comps or all(c.bit_count() > 2 for c in new), new
+        met = len(comps) - len(rest)
+        return (adj[u] & merged).bit_count() + (adj[v] & merged).bit_count() == met, new
+    return (), step
+
+
+def _first_hit(G: Graph, P: PropertyId, sizes, minimum: bool, cfg: EngineConfig, what: str):
     """For each k of ``sizes`` in turn, walk the k-edge matchings of
-    ``G.edges`` in lexicographic order and return the first that ``accept``
-    takes. Edges are sorted, so the first hit is the lexicographically
-    smallest accepted matching of its size. A prefix is never extended when
-    ``keep`` (if not None) rejects it, or when the compatible edges after it
-    touch too few vertices to hold the edges it still lacks, two ends each.
-    Returns the hit (None when no size hits) and the node count, one node per
-    prefix tried, summed over all sizes."""
+    ``G.edges`` in lexicographic order and return the first with P; with
+    ``minimum``, the first with P that no edge disjoint from it extends with
+    P. Edges are sorted, so the first hit is the lexicographically smallest
+    accepted matching of its size. Each frame carries its prefix's state,
+    and ``_stepper``'s step settles P for each candidate. A prefix is never
+    extended when P is hereditary and the prefix lacks it, or when the
+    compatible edges after it touch too few vertices to hold the edges it
+    still lacks, two ends each. Returns the hit (None when no size hits) and
+    the node count, one node per prefix tried, summed over all sizes."""
     edges = G.edges
+    start, step = _stepper(G, P)
+    hereditary = P in HEREDITARY_PROPERTIES
     at = [0] * G.n
     for j, (u, v) in enumerate(edges):
         at[u] |= 1 << j
@@ -333,12 +460,13 @@ def _first_hit(G: Graph, sizes, accept, keep, cfg: EngineConfig, what: str):
     ends = [1 << u | 1 << v for u, v in edges]
     nodes = 0
     for k in sizes:
-        # A frame per depth: the prefix, and as a bitmask the edges after its
-        # last edge that are still compatible with it and not yet tried.
-        stack = [[(), (1 << len(edges)) - 1]]
+        # A frame per depth: the prefix, as a bitmask the edges after its
+        # last edge that are still compatible with it and not yet tried, and
+        # the prefix's state.
+        stack = [[(), (1 << len(edges)) - 1, start]]
         while stack:
             frame = stack[-1]
-            prefix, avail = frame
+            prefix, avail, state = frame
             if len(prefix) + avail.bit_count() < k:  # too few edges left
                 stack.pop()
                 continue
@@ -348,11 +476,15 @@ def _first_hit(G: Graph, sizes, accept, keep, cfg: EngineConfig, what: str):
             if cfg.node_budget is not None and nodes > cfg.node_budget:
                 raise BudgetExceededError(what, nodes)
             i = low.bit_length() - 1
+            holds, state = step(state, i)
             cand = prefix + (edges[i],)
             if len(cand) == k:
-                if accept(cand):
+                if holds and minimum:  # maximal: no edge disjoint from it extends it with P
+                    sat = reduce(or_, (1 << x for e in cand for x in e))
+                    holds = not any(step(state, j)[0] for j, e in enumerate(ends) if not e & sat)
+                if holds:
                     return cand, nodes
-            elif keep is None or keep(cand):
+            elif holds or not hereditary:
                 rest = avail & ~clash[i]
                 if k - len(cand) > 1:  # rest matches at most half the vertices it touches
                     touched = 0
@@ -360,7 +492,7 @@ def _first_hit(G: Graph, sizes, accept, keep, cfg: EngineConfig, what: str):
                         touched |= ends[j]
                     if len(cand) + touched.bit_count() // 2 < k:
                         continue
-                stack.append([cand, rest])
+                stack.append([cand, rest, state])
     return None, nodes
 
 
@@ -381,12 +513,8 @@ def compute_beta_p(
     if conflict is not None:
         chosen, nodes = _max_independent(conflict, cfg, pid.value)
         return _edge_result(G, pid, chosen, nodes)
-
-    # Memoized: one search meets a matching as a prefix at several sizes.
-    holds = cache(lambda cand: property_holds(G, P, cand))
-    keep = holds if P in HEREDITARY_PROPERTIES else None
     sizes = range(max_matching_size(G), 0, -1)
-    hit, nodes = _first_hit(G, sizes, holds, keep, cfg, pid.value)
+    hit, nodes = _first_hit(G, P, sizes, False, cfg, pid.value)
     witness = hit or ()
     return ParameterResult(pid, len(witness), witness, "search", nodes)
 
@@ -425,22 +553,8 @@ def compute_beta_minus_p(
     if conflict is not None:
         chosen, nodes = _min_dominating(conflict, True, cfg, pid.value, accept=accept, roots=roots)
         return _edge_result(G, pid, chosen, nodes)
-    # Memoized: a matching is met as a prefix and as another's extension.
-    holds = cache(lambda cand: property_holds(G, P, cand))
-    keep = holds if P in HEREDITARY_PROPERTIES else None
     sizes = range(1, max_matching_size(G) + 1)
-
-    def maximal(cand: tuple[Edge, ...]) -> bool:
-        if not holds(cand):
-            return False
-        sat = sum((1 << u) | (1 << v) for u, v in cand)
-        return not any(
-            holds(tuple(sorted(cand + (e,))))
-            for e in G.edges
-            if not sat >> e[0] & 1 and not sat >> e[1] & 1
-        )
-
-    hit, nodes = _first_hit(G, sizes, maximal, keep, cfg, pid.value)
+    hit, nodes = _first_hit(G, P, sizes, True, cfg, pid.value)
     return ParameterResult(pid, len(hit) if hit else None, hit, "search", nodes)
 
 

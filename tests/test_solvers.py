@@ -17,8 +17,10 @@ from pmatch.graph import (
     is_edge_cut,
     is_even_cycle_free,
 )
-from pmatch.oracle import oracle_parameter
+from pmatch import properties
+from pmatch.oracle import all_matchings, oracle_parameter
 from pmatch.properties import (
+    HEREDITARY_PROPERTIES,
     BoundFunction,
     Matching,
     MixedSet,
@@ -50,10 +52,11 @@ from pmatch.solvers import (
     sdr_solve,
     tree_b_matching_max,
 )
+from pmatch.solvers import _stepper
 from pmatch.matching import lexmin_maximum_matching, max_matching_size
 from pmatch.theorems import all_graphs
 
-from conftest import graphs
+from conftest import graph_with_matching, graphs
 
 
 # -- engine versus oracle ------------------------------------------------------------
@@ -546,6 +549,71 @@ def test_pinned_node_counts(name):
     got = {tag: compute_parameter(G, ParameterId.from_string(tag)).nodes_explored
            for tag in PINNED_NODES[name]}
     assert got == PINNED_NODES[name]
+
+
+# The variants that the first-hit search answers: all nine for their maxima,
+# all but connected and isolate-free for their minima.
+FIRST_HIT = (
+    PropertyId.UNIQUELY_RESTRICTED, PropertyId.CONNECTED, PropertyId.ISOLATE_FREE,
+    PropertyId.DISCONNECTED, PropertyId.ACYCLIC, PropertyId.INDEPENDENT,
+    PropertyId.BIPARTITE, PropertyId.VERTEX_IRREDUNDANT, PropertyId.EDGE_IRREDUNDANT,
+)
+FIRST_HIT_MINIMA = tuple(P for P in FIRST_HIT
+                         if P not in (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE))
+
+
+def _step_disagreements(G, m, P):
+    """The edges e disjoint from V(M) on which the first-hit step from M's
+    state and ``has_property(G, M + e, P)`` disagree. M is stepped in edge
+    by edge; a hereditary P must hold on M."""
+    start, step = _stepper(G, P)
+    pos = {e: j for j, e in enumerate(G.edges)}
+    state = start
+    for e in m.edges:
+        _, state = step(state, pos[e])
+    return [e for e in G.edges
+            if not m.sat_mask & (1 << e[0] | 1 << e[1])
+            and step(state, pos[e])[0] != has_property(G, m.edges + (e,), P)]
+
+
+@pytest.mark.parametrize("P", FIRST_HIT, ids=lambda P: P.value)
+def test_first_hit_steps_match_the_predicates_exhaustive(P):
+    """Every labeled graph with n <= 5, every matching M (with P when P is
+    hereditary), every edge disjoint from V(M)."""
+    for n in range(2, 6):
+        for G in all_graphs(n):
+            for m in all_matchings(G):
+                if P in HEREDITARY_PROPERTIES and not has_property(G, m, P):
+                    continue
+                assert _step_disagreements(G, m, P) == [], (G.edges, m.edges)
+
+
+@given(graph_with_matching(min_n=6, max_n=8))
+def test_first_hit_steps_match_the_predicates_sampled_larger(gm):
+    G, m = gm
+    for P in FIRST_HIT:
+        if P in HEREDITARY_PROPERTIES and not has_property(G, m, P):
+            continue
+        assert _step_disagreements(G, m, P) == [], P
+
+
+def test_first_hit_search_calls_no_predicate(monkeypatch):
+    """Counter gate: the first-hit maxima and minima settle every candidate
+    with their steps, never through ``properties``' predicates."""
+    calls = []
+    counted = {P: (lambda P, f: lambda G, m: calls.append(P) or f(G, m))(P, f)
+               for P, f in properties._DISPATCH.items()}
+    monkeypatch.setattr(properties, "_DISPATCH", counted)
+    has_property(PINNED_GRAPHS["hypercube-3"](), ((0, 1),), PropertyId.ACYCLIC)
+    assert calls == [PropertyId.ACYCLIC]  # the patch sees predicate calls
+    calls.clear()
+    for name in sorted(PINNED_GRAPHS):
+        G = PINNED_GRAPHS[name]()
+        for P in FIRST_HIT:
+            compute_beta_p(G, P)
+        for P in FIRST_HIT_MINIMA:
+            compute_beta_minus_p(G, P)
+    assert calls == []
 
 
 def test_kernels_build_no_graph(monkeypatch):
