@@ -84,9 +84,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     @cached_property
     def adj_lists(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuples; linear in n + m, usable at any scale."""

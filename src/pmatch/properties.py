@@ -317,41 +317,46 @@ def is_induced_matching(G: Graph, M) -> bool:
     return _edges_within(G.adj_masks, m.sat_mask) == m.size
 
 
+def _alternating_cycle(adj, partner, sat: int, u: int, v: int) -> list[int] | None:
+    """An alternating cycle through uv of the matching that saturates
+    ``sat`` and pairs x with ``partner[x]``, as [u, v, w1, y1, ...], or None.
+    Backtracking over one path of whole matched edges: from its end, leave
+    on an unmatched edge to a w of <M> off the path, go on to partner[w],
+    and close once that end sees u. Each matched edge on the path keeps a
+    mask of its untried exits."""
+    path = [u, v]
+    seen = 1 << u | 1 << v
+    exits = [adj[v] & sat & ~seen]
+    while exits:
+        out = exits[-1]
+        if not out:
+            exits.pop()
+            seen ^= 1 << path.pop() | 1 << path.pop()
+            continue
+        low = out & -out
+        exits[-1] = out ^ low
+        w = low.bit_length() - 1
+        y = partner[w]
+        path += (w, y)
+        if adj[y] >> u & 1:
+            return path
+        seen |= low | 1 << y
+        exits.append(adj[y] & sat & ~seen)
+    return None
+
+
 def find_alternating_cycle(G: Graph, M) -> list[int] | None:
-    """A cycle in <M> alternating between matched and unmatched edges,
-    as a vertex sequence, or None. Backtracking search; every vertex of <M>
-    is matched, so after an unmatched step the matched step is forced."""
-    m = as_matching(G, M)
-    if m.size < 2:
-        return None
+    """A cycle in <M> alternating between matched and unmatched edges, as a
+    vertex sequence with a matched edge first, or None. M's edges come in
+    in order and each search starts from the new one, so the cycle found
+    lies in the shortest prefix of M that has one."""
     adj = G.adj_masks
-    sat = m.sat_mask
-    partner = m.partner
-
-    for a, b in m.edges:
-        # Look for: a -(matched)- b -(unmatched)- ... -(unmatched)- a.
-        path = [a, b]
-        visited = (1 << a) | (1 << b)
-
-        def extend(v: int, visited: int) -> list[int] | None:
-            # v was entered on a matched edge; leave on an unmatched one.
-            choices = adj[v] & sat & ~(1 << partner[v])
-            if choices & (1 << a):
-                return path.copy()
-            for w in _bits(choices & ~visited):
-                u = partner[w]
-                if visited & (1 << u):
-                    continue
-                path.append(w)
-                path.append(u)
-                found = extend(u, visited | (1 << w) | (1 << u))
-                if found is not None:
-                    return found
-                path.pop()
-                path.pop()
-            return None
-
-        cycle = extend(b, visited)
+    partner = [0] * G.n
+    sat = 0
+    for u, v in as_matching(G, M).edges:
+        partner[u], partner[v] = v, u
+        sat |= 1 << u | 1 << v
+        cycle = _alternating_cycle(adj, partner, sat, u, v)
         if cycle is not None:
             return cycle
     return None
@@ -404,35 +409,19 @@ def is_acyclic_matching(G: Graph, M) -> bool:
 # -- orientations -----------------------------------------------------------
 
 
-def _orientation(G: Graph, M, heads_too: bool) -> Orientation | None:
-    """An orientation whose tails are independent in G (with ``heads_too``,
-    whose heads are too), or None. See ``_orient_masks``."""
-    m = as_matching(G, M)
-    partner = [0] * G.n
-    sat = 0
-    for u, v in m.edges:
-        partner[u], partner[v] = v, u
-        sat |= 1 << u | 1 << v
-    tails = _orient_masks(G.adj_masks, partner, sat, heads_too)
-    if tails is None:
-        return None
-    return Orientation(tuple((u, v) if tails >> u & 1 else (v, u) for u, v in m.edges))
-
-
-def _orient_masks(adj, partner, sat: int, heads_too: bool) -> int | None:
-    """The tails mask of such an orientation of the matching that saturates
-    ``sat`` and pairs x with ``partner[x]``, or None.
+def _orient_masks(adj, partner, sat: int) -> int | None:
+    """The tails mask of an orientation with independent tails of the
+    matching that saturates ``sat`` and pairs x with ``partner[x]``, or None.
 
     A 2-SAT instance over the saturated vertices, solved by the limited
     backtracking of Even, Itai and Shamir (SIAM J. Comput. 1976): literal x
     says "x is a tail", and its negation is its partner. An unmatched edge xy
-    of <M> makes x imply partner[y]; with ``heads_too`` partner[x] implies y
-    as well. So a tail makes its neighbors in <M> heads, and a head makes its
-    partner (with ``heads_too``, its neighbors too) tails. Take the lowest
-    open vertex, assert it with unit propagation, and keep the outcome when
-    no vertex became both; otherwise assert its partner instead. An attempt
-    that succeeds leaves every clause it touched satisfied, so when both
-    attempts fail no orientation exists.
+    of <M> makes x imply partner[y]. So a tail makes its neighbors in <M>
+    heads, and a head makes its partner a tail. Take the lowest open vertex,
+    assert it with unit propagation, and keep the outcome when no vertex
+    became both; otherwise assert its partner instead. An attempt that
+    succeeds leaves every clause it touched satisfied, so when both attempts
+    fail no orientation exists.
     """
     tails = heads = 0
     for x in _bits(sat):
@@ -447,7 +436,7 @@ def _orient_masks(adj, partner, sat: int, heads_too: bool) -> int | None:
                 new_h = (adj[v] & sat | 1 << partner[v]) & ~h
                 h |= new_h
                 for w in _bits(new_h):
-                    todo |= (adj[w] & sat | 1 << partner[w]) if heads_too else 1 << partner[w]
+                    todo |= 1 << partner[w]
                 todo &= ~t
             if not (t | todo) & h:
                 tails, heads = t, h
@@ -459,22 +448,55 @@ def _orient_masks(adj, partner, sat: int, heads_too: bool) -> int | None:
 
 def find_independent_orientation(G: Graph, M) -> Orientation | None:
     """An orientation whose tail set is independent in G, or None."""
-    return _orientation(G, M, False)
+    m = as_matching(G, M)
+    tails = _orient_masks(G.adj_masks, m.partner, m.sat_mask)
+    if tails is None:
+        return None
+    return Orientation(tuple((u, v) if tails >> u & 1 else (v, u) for u, v in m.edges))
 
 
 def is_independent_matching(G: Graph, M) -> bool:
-    return _orientation(G, M, False) is not None
+    return find_independent_orientation(G, M) is not None
+
+
+def _join_coloured(adj, comps: tuple, u: int, v: int) -> tuple | None:
+    """The 2-colourings (a, b) of the components of <M + uv> from those of
+    <M> in ``comps``, or None when it has none. Edge uv joins the components
+    its ends see, u on one side and v on the other, which fails unless each
+    has all of u's neighbors on one side and all of v's on the other."""
+    p, q, rest = 1 << u, 1 << v, []
+    for a, b in comps:
+        nu, nv = adj[u] & (a | b), adj[v] & (a | b)
+        if not nu | nv:
+            rest.append((a, b))
+        elif not (nu & a or nv & b):
+            p, q = p | a, q | b
+        elif not (nu & b or nv & a):
+            p, q = p | b, q | a
+        else:
+            return None
+    return (*rest, (p, q))
 
 
 def find_bipartite_orientation(G: Graph, M) -> Orientation | None:
     """An orientation with both tails and heads independent, or None: a
     proper 2-coloring of <M>, whose lowest vertex in each component is a
     tail."""
-    return _orientation(G, M, True)
+    m = as_matching(G, M)
+    adj = G.adj_masks
+    comps = ()
+    for u, v in m.edges:
+        comps = _join_coloured(adj, comps, u, v)
+        if comps is None:
+            return None
+    tails = 0
+    for a, b in comps:
+        tails |= a if a & -a < b & -b else b
+    return Orientation(tuple((u, v) if tails >> u & 1 else (v, u) for u, v in m.edges))
 
 
 def is_bipartite_matching(G: Graph, M) -> bool:
-    return _orientation(G, M, True) is not None
+    return find_bipartite_orientation(G, M) is not None
 
 
 # -- neighborhood adjacency variants ----------------------------------------

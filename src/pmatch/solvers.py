@@ -21,9 +21,11 @@
   variants that are not pairwise take it for their maxima (k down from the
   matching number), and seven of them for their minima (k up from 1). Each
   frame carries its prefix's per-variant state, and a step settles a
-  candidate with the work its new edge can change; the predicates of
-  ``properties`` are the reference. It cuts a prefix that half the vertices
-  its remaining edges touch cannot bring up to k.
+  candidate with the work its new edge can change. The ur and bipartite
+  steps call the predicates' own search and join (their references are the
+  oracle's perfect-matching count and orientation scan); the other
+  predicates of ``properties`` are the reference. It cuts a prefix that
+  half the vertices its remaining edges touch cannot bring up to k.
 - A matching-cut search for ``beta_sep_min``: it splits each component into
   two sides, branching on one vertex at a time, and forcing leaves a cut
   that is a matching.
@@ -58,7 +60,9 @@ from .properties import (
     HEREDITARY_PROPERTIES,
     BoundFunction,
     PropertyId,
+    _alternating_cycle,
     _bits,
+    _join_coloured,
     _orient_masks,
     pairwise_conflict_masks,
     property_holds,
@@ -336,23 +340,12 @@ def _stepper(G: Graph, P: PropertyId):
 
     if P is PropertyId.UNIQUELY_RESTRICTED:
         # The state is V(M). M has no alternating cycle, so one of M + uv
-        # runs through uv: search the simple paths from v that leave each
-        # vertex on an unmatched edge and go on along the matched one, until
-        # one can close at u.
+        # runs through uv.
         def step(sat, j):
             u, v = edges[j]
             partner[u], partner[v] = v, u
             sat |= 1 << u | 1 << v
-            paths = [(v, 1 << u | 1 << v)]
-            while paths:
-                x, seen = paths.pop()
-                out = adj[x] & sat & ~(1 << partner[x])
-                if out >> u & 1:
-                    return False, None
-                for w in _bits(out & ~seen):
-                    y = partner[w]
-                    paths.append((y, seen | 1 << w | 1 << y))
-            return True, sat
+            return _alternating_cycle(adj, partner, sat, u, v) is None, sat
         return 0, step
 
     if P is PropertyId.INDEPENDENT:
@@ -369,29 +362,15 @@ def _stepper(G: Graph, P: PropertyId):
             elif not adj[v] & tails:
                 tails |= 1 << v
             else:
-                tails = _orient_masks(adj, partner, sat, False)
+                tails = _orient_masks(adj, partner, sat)
             return tails is not None, (sat, tails)
         return (0, 0), step
 
     if P is PropertyId.BIPARTITE:
-        # The state is a 2-colouring (a, b) of each component of <M>. Edge uv
-        # joins the components its ends see, u on one side and v on the
-        # other, which fails unless each of them has all of u's neighbors on
-        # one side and all of v's on the other.
+        # The state is a 2-colouring (a, b) of each component of <M>.
         def step(comps, j):
-            u, v = edges[j]
-            p, q, rest = 1 << u, 1 << v, []
-            for a, b in comps:
-                nu, nv = adj[u] & (a | b), adj[v] & (a | b)
-                if not nu | nv:
-                    rest.append((a, b))
-                elif not (nu & a or nv & b):
-                    p, q = p | a, q | b
-                elif not (nu & b or nv & a):
-                    p, q = p | b, q | a
-                else:
-                    return False, None
-            return True, (*rest, (p, q))
+            comps = _join_coloured(adj, comps, *edges[j])
+            return comps is not None, comps
         return (), step
 
     if P in (PropertyId.VERTEX_IRREDUNDANT, PropertyId.EDGE_IRREDUNDANT):

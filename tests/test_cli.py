@@ -378,15 +378,29 @@ def test_compute_all_matches_golden(record, capsys):
     assert table == record["table"]
 
 
-def test_verify_recursion_limit_is_an_internal_error(capsys):
-    # The alternating-cycle search recurses once per matched edge, so a
-    # 2,000-edge matching on a path runs past the interpreter's limit.
+def test_verify_ur_on_a_long_path(capsys):
+    # The alternating-cycle search keeps its own stack: a 2,000-edge
+    # matching on a path stays clear of the interpreter's recursion limit.
     spec = ",".join(f"{v} {v + 1}" for v in range(0, 4000, 2))
     code = main(["verify", "--family", "path", "--n", "4000", "--matching", spec,
                  "--property", "ur"])
     out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert '"holds":true' in out
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    import pmatch.cli
+
+    def broken(G, m):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(pmatch.cli, "find_alternating_cycle", broken)
+    code = main(["verify", "--family", "path", "--n", "4", "--matching", "0 1,2 3",
+                 "--property", "ur"])
+    out, err = capsys.readouterr()
     assert code == 4 and out == ""
-    assert err.startswith("error: RecursionError: ") and err.count("\n") == 1
+    assert err == "error: RuntimeError: injected fault\n"
 
 
 _TAGS = [pid.value for pid in ParameterId]

@@ -28,3 +28,17 @@ def test_bench_tracer_hooks_and_desk_item():
     desk = workloads.Desk(seed=0)
     item = next(i for i in desk.build() if i.name == "fig3")
     assert desk.check(item, desk.run(item)) is None
+
+
+def test_kernels_uniquely_restricted_on_long_paths():
+    # The kernels workload's two path items, built here rather than through
+    # kernel_graphs(), which also builds its 10^5-vertex inputs.
+    from pmatch.graph import Graph
+
+    _, workloads = _load_bench()
+    kernels = workloads.Kernels(seed=0)
+    for n in (1000, 4000):
+        G = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+        payload = ("is_uniquely_restricted", (G, tuple((i, i + 1) for i in range(0, n, 2))))
+        item = workloads.Item(workloads.kernel_name("is_uniquely_restricted", "path", n), payload)
+        assert kernels.check(item, kernels.run(item)) is None

@@ -215,7 +215,9 @@ def test_orientation_solvers_match_exhaustive(gm):
 def test_orientation_certificates_exhaustive():
     # Every matching of every graph with n <= 5: an orientation comes back
     # exactly when exhaustive search finds one, it orients each matched edge
-    # once, and its tails (for bipartite, its heads too) are independent.
+    # once, and its tails (for bipartite, its heads too) are independent. An
+    # alternating cycle comes back exactly when <M> has another perfect
+    # matching, and it is one.
     def independent(adj, side):
         return not any(adj[v] >> w & 1 for v in side for w in side)
 
@@ -223,6 +225,16 @@ def test_orientation_certificates_exhaustive():
         for G in all_graphs(n):
             adj = G.adj_masks
             for m in all_matchings(G):
+                cycle = find_alternating_cycle(G, m)
+                count, _ = oracle_perfect_matchings(induced_subgraph(G, m.saturated)[0])
+                assert (cycle is not None) == (count > 1)
+                if cycle is not None:
+                    assert len(cycle) % 2 == 0 and len(cycle) >= 4
+                    assert len(set(cycle)) == len(cycle)
+                    for i, u in enumerate(cycle):
+                        w = cycle[(i + 1) % len(cycle)]
+                        assert G.has_edge(u, w)
+                        assert (m.partner.get(u) == w) == (i % 2 == 0)
                 for mode, find in (
                     ("independent", find_independent_orientation),
                     ("bipartite", find_bipartite_orientation),
