@@ -30,6 +30,9 @@
   two sides, branching on one vertex at a time, and forcing leaves a cut
   that is a matching.
 
+``compute_parameter`` routes every tag. A variant that no theorem or class
+settles on G takes ``_variant_search``, which picks its search above.
+
 Every route is deterministic: among equally sized optima the
 lexicographically smallest witness wins. Every cut is strict, so a branch
 that can still tie the best is kept.
@@ -79,8 +82,6 @@ __all__ = [
     "PROPERTY_MIN_PARAM",
     "max_matching",
     "min_maximal_matching",
-    "compute_beta_p",
-    "compute_beta_minus_p",
     "independence_number",
     "domination_number",
     "edge_cover_number",
@@ -475,48 +476,28 @@ def _first_hit(G: Graph, P: PropertyId, sizes, minimum: bool, cfg: EngineConfig,
     return None, nodes
 
 
-def compute_beta_p(
-    G: Graph, P: PropertyId, config: EngineConfig | None = None
+def _variant_search(
+    G: Graph, P: PropertyId, minimum: bool, config: EngineConfig | None = None
 ) -> ParameterResult:
-    """Largest matching whose induced subgraph has property P.
+    """The search route of variant P: its largest matching, or with
+    ``minimum`` its smallest nonempty matching that no one-edge extension
+    keeps in P (value None when G has no edge). ``compute_parameter`` takes
+    it when no theorem settles P on G.
 
-    Pairwise variants are a maximum independent set in the edge conflict
-    masks. The rest take the first-hit search with k running down from the
-    matching number: the first k-matching with P is the answer and its
-    lexicographically smallest witness. Hereditary variants never extend a
-    prefix that has lost P. With no hit, the value is 0 and the witness empty.
+    Pairwise variants are an independent set in the edge conflict masks: the
+    largest, or the smallest maximal one. The connected and isolate-free
+    minima are the smallest maximal matching of one component that has P.
+    The rest take the first-hit search, k running down from the matching
+    number for a maximum (no hit gives 0 and an empty witness) and up from 1
+    for a minimum. Hereditary variants never extend a prefix that has lost P.
     """
     cfg = config or DEFAULT_CONFIG
-    pid = PROPERTY_MAX_PARAM[P]
-    conflict = pairwise_conflict_masks(G, P)
-    if conflict is not None:
-        chosen, nodes = _max_independent(conflict, cfg, pid.value)
-        return _edge_result(G, pid, chosen, nodes)
-    sizes = range(max_matching_size(G), 0, -1)
-    hit, nodes = _first_hit(G, P, sizes, False, cfg, pid.value)
-    witness = hit or ()
-    return ParameterResult(pid, len(witness), witness, "search", nodes)
-
-
-def compute_beta_minus_p(
-    G: Graph, P: PropertyId, config: EngineConfig | None = None
-) -> ParameterResult:
-    """Smallest nonempty matching with property P admitting no one-edge
-    extension that keeps P. Value None when G has no edge.
-
-    Pairwise variants are the smallest maximal independent set in the edge
-    conflict masks, and the connected and isolate-free minima the smallest
-    maximal matching of one component that has P. The rest take the
-    first-hit search with k running up from 1, accepting a P-matching that no
-    one-edge extension keeps in P. Prefixes are kept as for the maximum.
-    """
-    cfg = config or DEFAULT_CONFIG
-    pid = PROPERTY_MIN_PARAM[P]
-    if not G.edges:
+    pid = (PROPERTY_MIN_PARAM if minimum else PROPERTY_MAX_PARAM)[P]
+    if minimum and not G.edges:
         return ParameterResult(pid, None, None, "search", 0)
     conflict = pairwise_conflict_masks(G, P)
     accept, roots = None, (0,)
-    if P in (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE):
+    if minimum and P in (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE):
         # A connected (isolate-free) M is maximal exactly when it is a maximal
         # matching of each component it meets: else a shortest path from V(M)
         # to an edge there with both ends unsaturated ends in such an edge next
@@ -530,11 +511,19 @@ def compute_beta_minus_p(
         ]
         accept = lambda found: property_holds(G, P, tuple(G.edges[i] for i in found))
     if conflict is not None:
-        chosen, nodes = _min_dominating(conflict, True, cfg, pid.value, accept=accept, roots=roots)
+        if minimum:
+            chosen, nodes = _min_dominating(
+                conflict, True, cfg, pid.value, accept=accept, roots=roots
+            )
+        else:
+            chosen, nodes = _max_independent(conflict, cfg, pid.value)
         return _edge_result(G, pid, chosen, nodes)
-    sizes = range(1, max_matching_size(G) + 1)
-    hit, nodes = _first_hit(G, P, sizes, True, cfg, pid.value)
-    return ParameterResult(pid, len(hit) if hit else None, hit, "search", nodes)
+    nu = max_matching_size(G)
+    sizes = range(1, nu + 1) if minimum else range(nu, 0, -1)
+    hit, nodes = _first_hit(G, P, sizes, minimum, cfg, pid.value)
+    if hit is None and not minimum:  # only the empty matching has P
+        hit = ()
+    return ParameterResult(pid, None if hit is None else len(hit), hit, "search", nodes)
 
 
 # -- classical parameters -----------------------------------------------------
@@ -550,7 +539,7 @@ def max_matching(G: Graph) -> ParameterResult:
 def min_maximal_matching(G: Graph, config: EngineConfig | None = None) -> ParameterResult:
     """Lower matching number: smallest maximal matching, the smallest
     maximal independent set of the edges' shared-vertex conflicts."""
-    res = compute_beta_minus_p(G, PropertyId.PLAIN, config)
+    res = _variant_search(G, PropertyId.PLAIN, True, config)
     return replace(res, parameter=ParameterId.BETA1_MINUS)
 
 
@@ -874,9 +863,7 @@ def compute_parameter(
         if collapses is not None and collapses(G):
             plain = min_maximal_matching(G, config) if minimum else max_matching(G)
             return replace(plain, parameter=pid)
-        if minimum:
-            return compute_beta_minus_p(G, prop, config)
-        return compute_beta_p(G, prop, config)
+        return _variant_search(G, prop, minimum, config)
     if pid in (ParameterId.BETA_TOTAL_MAX, ParameterId.BETA_TOTAL_MIN):
         return _total_matching(G, config or DEFAULT_CONFIG, pid is ParameterId.BETA_TOTAL_MAX)
     if pid is ParameterId.BETA_SEP_MIN:

@@ -38,8 +38,7 @@ from .solvers import (
     PROPERTY_MIN_PARAM,
     ParameterId,
     SetSystem,
-    compute_beta_minus_p,
-    compute_beta_p,
+    _variant_search,
     compute_parameter,
     sdr_solve,
 )
@@ -164,12 +163,18 @@ def check_konig(G: Graph) -> TheoremVerdict:
     return TheoremVerdict("konig", graph_id(G), bool(holds), details)
 
 
-def check_frobenius(G: Graph, exhaustive_limit: int = 12) -> TheoremVerdict:
+# The subset conditions are scanned over every subset: of side A in the
+# marriage check up to this many members, and of an m-set system's indices.
+FROBENIUS_SCAN_LIMIT = 12
+HALL_SET_LIMIT = 8
+
+
+def check_frobenius(G: Graph) -> TheoremVerdict:
     """Perfect-matching biconditional for a bipartite graph with parts (A, B):
     a perfect matching exists iff |A| = |B| and every subset of A has at
     least as many neighbors. The subset side is scanned exhaustively up to
-    ``exhaustive_limit`` members of A, and through the matching deficiency
-    certificate beyond that."""
+    ``FROBENIUS_SCAN_LIMIT`` members of A, and through the matching
+    deficiency certificate beyond that."""
     parts = is_bipartite(G)
     if parts is None:
         raise ValueError("marriage check needs a bipartite graph")
@@ -179,7 +184,7 @@ def check_frobenius(G: Graph, exhaustive_limit: int = 12) -> TheoremVerdict:
 
     sizes_equal = len(a_side) == len(b_side)
     violating = None
-    if len(a_side) <= exhaustive_limit:
+    if len(a_side) <= FROBENIUS_SCAN_LIMIT:
         for r in range(1, len(a_side) + 1):
             for xs in combinations(a_side, r):
                 nbrs = set()
@@ -205,10 +210,6 @@ def check_frobenius(G: Graph, exhaustive_limit: int = 12) -> TheoremVerdict:
         "violating_subset": violating,
     }
     return TheoremVerdict("frobenius", graph_id(G), bool(holds), details)
-
-
-# The subset condition is scanned over all 2^m index sets of an m-set system.
-HALL_SET_LIMIT = 8
 
 
 def check_hall(system: SetSystem) -> TheoremVerdict:
@@ -321,9 +322,10 @@ def check_collapse_identity(G: Graph, config: EngineConfig | None = None) -> The
     """On every class of ``COLLAPSE_CLASSES`` that G belongs to, each listed
     variant must have the extrema of plain matchings: the oracle's value and
     witness for its maximum equal those for ``beta_plain``, and for its
-    minimum those for ``beta1_minus``. Past the oracle's cap the searches
-    answer both sides, called directly: ``compute_parameter`` would answer
-    the variants with the collapse route itself."""
+    minimum those for ``beta1_minus``. Past the oracle's cap the search route
+    ``solvers._variant_search`` answers both sides, called directly:
+    ``compute_parameter`` would answer the variants with the collapse route
+    itself."""
     classes = [(name, props) for name, test, props in COLLAPSE_CLASSES if test(G)]
     if not classes:
         raise ValueError("graph is in no class of the collapse table")
@@ -336,7 +338,7 @@ def check_collapse_identity(G: Graph, config: EngineConfig | None = None) -> The
                  oracle_parameter(G, ParameterId.BETA1_MINUS))
     else:
         def extrema(P):
-            return compute_beta_p(G, P, config), compute_beta_minus_p(G, P, config)
+            return _variant_search(G, P, False, config), _variant_search(G, P, True, config)
 
         plain = extrema(PropertyId.PLAIN)
     mismatched = {}
@@ -395,7 +397,9 @@ def nordhaus_gaddum_scan(
 ) -> tuple[list[NordhausGaddumRecord], dict]:
     """Exact variant maximum on each graph and its complement; purely
     empirical, reporting the running extrema of sum and product with the
-    graphs achieving them. Budget blowups are recorded and skipped."""
+    graphs achieving them. Budget blowups are recorded and skipped. Each
+    maximum takes ``compute_parameter``'s route, as ``compute`` does."""
+    pid = PROPERTY_MAX_PARAM[prop]
     records: list[NordhausGaddumRecord] = []
     summary: dict = {
         "property": prop.value,
@@ -409,8 +413,8 @@ def nordhaus_gaddum_scan(
     for G in graphs:
         gid = graph_id(G)
         try:
-            res_g = compute_beta_p(G, prop, config)
-            res_c = compute_beta_p(complement(G), prop, config)
+            res_g = compute_parameter(G, pid, config)
+            res_c = compute_parameter(complement(G), pid, config)
         except BudgetExceededError as exc:
             records.append(
                 NordhausGaddumRecord(prop.value, gid, None, None, None, None, error=str(exc))

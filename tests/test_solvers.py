@@ -42,8 +42,6 @@ from pmatch.solvers import (
     EngineConfig,
     ParameterId,
     SetSystem,
-    compute_beta_minus_p,
-    compute_beta_p,
     compute_parameter,
     edge_cover_number,
     max_matching,
@@ -52,7 +50,7 @@ from pmatch.solvers import (
     sdr_solve,
     tree_b_matching_max,
 )
-from pmatch.solvers import _stepper
+from pmatch.solvers import _stepper, _variant_search
 from pmatch.matching import lexmin_maximum_matching, max_matching_size
 from pmatch.theorems import all_graphs
 
@@ -70,10 +68,10 @@ def test_engine_matches_oracle_exhaustive_small():
     for n in range(0, 5):
         for G in all_graphs(n):
             for P in PropertyId:
-                assert _same_answer(compute_beta_p(G, P), oracle_parameter(
+                assert _same_answer(_variant_search(G, P, False), oracle_parameter(
                     G, ParameterId.from_string(_max_tag(P))
                 ))
-                assert _same_answer(compute_beta_minus_p(G, P), oracle_parameter(
+                assert _same_answer(_variant_search(G, P, True), oracle_parameter(
                     G, ParameterId.from_string(_min_tag(P))
                 ))
 
@@ -93,10 +91,10 @@ def _min_tag(P):
 @given(graphs(min_n=5, max_n=7), st.sampled_from(list(PropertyId)))
 @settings(max_examples=40)
 def test_engine_matches_oracle_sampled(G, P):
-    assert _same_answer(compute_beta_p(G, P), oracle_parameter(
+    assert _same_answer(_variant_search(G, P, False), oracle_parameter(
         G, ParameterId.from_string(_max_tag(P))
     ))
-    assert _same_answer(compute_beta_minus_p(G, P), oracle_parameter(
+    assert _same_answer(_variant_search(G, P, True), oracle_parameter(
         G, ParameterId.from_string(_min_tag(P))
     ))
 
@@ -104,14 +102,14 @@ def test_engine_matches_oracle_sampled(G, P):
 def test_budget_raises():
     k6 = generate("complete", n=6)
     with pytest.raises(BudgetExceededError):
-        compute_beta_p(k6, PropertyId.INDUCED, EngineConfig(node_budget=3))
+        _variant_search(k6, PropertyId.INDUCED, False, EngineConfig(node_budget=3))
     with pytest.raises(BudgetExceededError):
         compute_parameter(k6, ParameterId.BETA_TOTAL_MAX, EngineConfig(node_budget=2))
     # The first-hit search counts its nodes over all the sizes it tries: 12
     # one-edge tries, then the budget runs out among the two-edge matchings.
     q3 = generate("hypercube", n=3)
     with pytest.raises(BudgetExceededError, match="^beta_ur_minus: .* after 14 nodes"):
-        compute_beta_minus_p(q3, PropertyId.UNIQUELY_RESTRICTED, EngineConfig(node_budget=13))
+        _variant_search(q3, PropertyId.UNIQUELY_RESTRICTED, True, EngineConfig(node_budget=13))
     # The matching-cut search on a long cycle: its many two-edge cuts tie.
     c20 = generate("cycle", n=20)
     with pytest.raises(BudgetExceededError, match="^beta_sep_min: .* after 101 nodes"):
@@ -161,7 +159,7 @@ def test_engine_witness_is_lexmin():
     for _ in range(25):
         G = from_edge_mask(6, rng.randrange(1 << 15))
         for P in (PropertyId.INDUCED, PropertyId.UNIQUELY_RESTRICTED, PropertyId.CONNECTED):
-            res = compute_beta_p(G, P)
+            res = _variant_search(G, P, False)
             # collect all optimal witnesses by brute force
             optima = []
 
@@ -214,8 +212,8 @@ def test_search_witnesses_are_lexmin_under_ties(name):
         for pid in (ParameterId.BETA_TOTAL_MAX, ParameterId.BETA_TOTAL_MIN):
             got[pid] = compute_parameter(G, pid)
     for P in PropertyId:
-        got[PROPERTY_MAX_PARAM[P]] = compute_beta_p(G, P)
-        got[PROPERTY_MIN_PARAM[P]] = compute_beta_minus_p(G, P)
+        got[PROPERTY_MAX_PARAM[P]] = _variant_search(G, P, False)
+        got[PROPERTY_MIN_PARAM[P]] = _variant_search(G, P, True)
     wrong = [pid.value for pid, res in got.items()
              if not _same_answer(res, oracle_parameter(G, pid))]
     assert wrong == []
@@ -426,7 +424,7 @@ def test_block_fast_path_cases(c4, c5):
     for G in [generate("random_tree", n=9, seed=seed) for seed in range(5)] + [c5, c7p]:
         res = compute_parameter(G, ParameterId.BETA_UR)
         assert res.route == "fast-path"
-        assert res.value == compute_beta_p(G, PropertyId.UNIQUELY_RESTRICTED).value
+        assert res.value == _variant_search(G, PropertyId.UNIQUELY_RESTRICTED, False).value
     assert compute_parameter(c5, ParameterId.BETA_UR).value == 2
     assert compute_parameter(c4, ParameterId.BETA_UR).route == "search"
 
@@ -435,12 +433,12 @@ def test_theorem_routes_keep_the_search_answers(c4, c5, q3):
     trees = [generate("random_tree", n=9, seed=seed) for seed in range(5)]
     for G in trees + [c4, c5, q3, generate("fig3")]:
         ur = compute_parameter(G, ParameterId.BETA_UR)
-        search = compute_beta_p(G, PropertyId.UNIQUELY_RESTRICTED)
+        search = _variant_search(G, PropertyId.UNIQUELY_RESTRICTED, False)
         assert (ur.value, ur.witness) == (search.value, search.witness)
         assert ur.route == ("fast-path" if is_even_cycle_free(G) else "search")
         plain = compute_parameter(G, ParameterId.BETA_PLAIN)
         assert plain.parameter is ParameterId.BETA_PLAIN and plain.route == "fast-path"
-        search = compute_beta_p(G, PropertyId.PLAIN)
+        search = _variant_search(G, PropertyId.PLAIN, False)
         assert (plain.value, plain.witness) == (search.value, search.witness)
 
 
@@ -472,7 +470,7 @@ def test_collapse_needs_the_class():
                    (k4, ParameterId.BETA_I), (k4, ParameterId.BETA_AC_MINUS),
                    (c4, ParameterId.BETA_UR_MINUS), (c4, ParameterId.BETA_AC)):
         P = PARAM_PROPERTY[pid]
-        search = compute_beta_minus_p(G, P) if pid in MINUS_PARAMS else compute_beta_p(G, P)
+        search = _variant_search(G, P, pid in MINUS_PARAMS)
         assert compute_parameter(G, pid) == search
 
 
@@ -610,9 +608,9 @@ def test_first_hit_search_calls_no_predicate(monkeypatch):
     for name in sorted(PINNED_GRAPHS):
         G = PINNED_GRAPHS[name]()
         for P in FIRST_HIT:
-            compute_beta_p(G, P)
+            _variant_search(G, P, False)
         for P in FIRST_HIT_MINIMA:
-            compute_beta_minus_p(G, P)
+            _variant_search(G, P, True)
     assert calls == []
 
 
@@ -636,7 +634,7 @@ def test_kernels_build_no_graph(monkeypatch):
 
     max_matching_size(G)
     lexmin_maximum_matching(G)
-    compute_beta_p(G, PropertyId.ACYCLIC)
+    _variant_search(G, PropertyId.ACYCLIC, False)
     min_separating_matching(q3)
     min_separating_matching(G)
     assert built == []
@@ -771,8 +769,8 @@ def test_connected_graph_identity_samples():
             continue
         count += 1
         beta1 = max_matching(G).value
-        assert compute_beta_p(G, PropertyId.CONNECTED).value == beta1
-        assert compute_beta_p(G, PropertyId.ISOLATE_FREE).value == beta1
+        assert _variant_search(G, PropertyId.CONNECTED, False).value == beta1
+        assert _variant_search(G, PropertyId.ISOLATE_FREE, False).value == beta1
 
 
 def test_empty_graph_parameters():

@@ -5,12 +5,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given
 
-from pmatch.graph import Graph, generate
+from pmatch.graph import Graph, generate, is_bipartite
 from pmatch.properties import PropertyId
 from pmatch import solvers, theorems
 from pmatch.oracle import EDGE_SUBSET_LIMIT
-from pmatch.solvers import EngineConfig, ParameterId, SetSystem, compute_beta_p, compute_parameter
+from pmatch.solvers import EngineConfig, ParameterId, SetSystem, _variant_search, compute_parameter
 from pmatch.theorems import (
+    FROBENIUS_SCAN_LIMIT,
     all_graphs,
     applicable_checks,
     check_collapse_identity,
@@ -78,15 +79,18 @@ def test_frobenius_examples():
 
 
 def test_frobenius_deficiency_route():
-    k13 = generate("complete_bipartite", a=1, b=3)
-    v = check_frobenius(k13, exhaustive_limit=0)
-    assert v.holds
+    # Side A has 13 vertices, past the subset scan: the violating subset is
+    # the SDR solver's certificate.
+    k13_1 = generate("complete_bipartite", a=13, b=1)
+    assert len(is_bipartite(k13_1)[0]) == 13 > FROBENIUS_SCAN_LIMIT
+    v = check_frobenius(k13_1)
+    assert v.holds and not v.details["perfect_matching_exists"]
+    violating = v.details["violating_subset"]
+    assert len(set().union(*(k13_1.neighbors(a) for a in violating))) < len(violating)
 
 
 @given(graphs(max_n=7))
 def test_frobenius_random_bipartite(G):
-    from pmatch.graph import is_bipartite
-
     if is_bipartite(G) is None:
         return
     assert check_frobenius(G).holds
@@ -171,7 +175,7 @@ def test_collapse_check_is_independent_of_the_routed_collapse(monkeypatch):
     k46 = generate("complete_bipartite", a=4, b=6)
     for G in (star, k46):
         assert G.m > EDGE_SUBSET_LIMIT
-        plain = compute_beta_p(G, PropertyId.PLAIN).value
+        plain = _variant_search(G, PropertyId.PLAIN, False).value
         assert compute_parameter(G, ParameterId.BETA_I).value == plain + 1  # the patch bites
         verdict = check_collapse_identity(G)
         assert verdict.holds
@@ -209,12 +213,25 @@ def test_scan_self_complementary(c5):
     records, summary = nordhaus_gaddum_scan([c5], PropertyId.PLAIN)
     assert len(records) == 1
     rec = records[0]
-    beta1_c5 = compute_beta_p(c5, PropertyId.PLAIN).value
+    beta1_c5 = _variant_search(c5, PropertyId.PLAIN, False).value
     assert rec.value_graph == rec.value_complement == beta1_c5
     assert rec.total == 2 * beta1_c5
     assert summary["count"] == 1 and summary["skipped"] == 0
     assert summary["max_sum"][0] == rec.total
     json.dumps(rec.to_json_dict())
+
+
+def test_scan_takes_the_dispatcher_routes(monkeypatch):
+    # A maximum in the scan takes compute_parameter's route, blossom for
+    # plain, so no search runs on a tree the searches could not finish.
+    def no_search(*args, **kwargs):
+        raise RuntimeError("a search ran")
+
+    monkeypatch.setattr(solvers, "_max_independent", no_search)
+    monkeypatch.setattr(solvers, "_first_hit", no_search)
+    tree = generate("random_tree", n=60, seed=1)
+    records, _ = nordhaus_gaddum_scan([tree], PropertyId.PLAIN)
+    assert (records[0].value_graph, records[0].value_complement) == (25, 30)
 
 
 def test_scan_small_corpus():
