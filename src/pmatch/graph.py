@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 
 __all__ = [
     "Graph",
@@ -47,6 +48,27 @@ def _canon(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _is_canonical(edges, n: int) -> bool:
+    """True when ``edges`` is already a tuple of (u, v) tuples with
+    0 <= u < v < n in strictly increasing order, the form ``Graph`` stores.
+    One pass; any other input takes the normalizing loop and its errors."""
+    if type(edges) is not tuple:
+        return False
+    pu = pv = -1
+    try:
+        for e in edges:
+            if type(e) is not tuple:
+                return False
+            u, v = e
+            if not (u < v < n and (pu < u or (pu == u and pv < v))):
+                return False
+            pu, pv = u, v
+    except (TypeError, ValueError):
+        return False
+    # u never decreases along the tuple, so the first u bounds them all.
+    return not edges or edges[0][0] >= 0
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
@@ -61,20 +83,22 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        seen = set()
-        for e in self.edges:
-            u, v = e
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {e} has an endpoint outside 0..{self.n - 1}")
-            seen.add(_canon(u, v))
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        n = self.n
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        if not _is_canonical(self.edges, n):
+            seen = set()
+            for e in self.edges:
+                u, v = e
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge {e} has an endpoint outside 0..{n - 1}")
+                seen.add((u, v) if u < v else (v, u))
+            object.__setattr__(self, "edges", tuple(sorted(seen)))
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
-            if len(labels) != self.n:
+            if len(labels) != n:
                 raise ValueError("labels must provide one entry per vertex")
             object.__setattr__(self, "labels", labels)
 
@@ -86,12 +110,14 @@ class Graph:
 
     @cached_property
     def adj_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor tuples; linear in n + m, usable at any scale."""
+        """Sorted neighbor tuples; linear in n + m, usable at any scale. The
+        edges are sorted with u < v, so each vertex meets its smaller
+        neighbors first and both runs arrive in ascending order."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def adj_masks(self) -> tuple[int, ...]:
@@ -189,9 +215,28 @@ def components(G: Graph) -> list[frozenset[int]]:
     return out
 
 
+def _component_count(G: Graph) -> int:
+    """The number of connected components, without building them."""
+    seen = [False] * G.n
+    adj = G.adj_lists
+    count = 0
+    for s in range(G.n):
+        if seen[s]:
+            continue
+        count += 1
+        seen[s] = True
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+    return count
+
+
 def is_connected(G: Graph) -> bool:
     """True when G has at most one component (n = 0 counts as connected)."""
-    return len(components(G)) <= 1
+    return _component_count(G) <= 1
 
 
 def is_bipartite(G: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -219,7 +264,7 @@ def is_bipartite(G: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
 
 def is_acyclic_graph(G: Graph) -> bool:
     """True iff G is a forest, i.e. |E| = n - #components."""
-    return G.m == G.n - len(components(G))
+    return G.m == G.n - _component_count(G)
 
 
 def is_triangle_free(G: Graph) -> bool:
@@ -258,65 +303,80 @@ def _classify_block(vertices: frozenset[int], edges: tuple[Edge, ...]) -> str:
 
 
 def block_decomposition(G: Graph) -> BlockDecomposition:
-    """Standard biconnected components via an iterative lowpoint DFS.
+    """Biconnected components by one iterative lowpoint DFS (Hopcroft &
+    Tarjan, 1973), then one pass over the vertices and one over the edges.
 
     Every edge lands in exactly one block; isolated vertices are in none.
+    Each block's edges are sorted, and blocks come in the order of those
+    edge tuples, so by smallest vertex first. A cut vertex is a vertex that
+    lies in two or more blocks.
     """
+    n = G.n
     adj = G.adj_lists
-    disc = [-1] * G.n
-    low = [0] * G.n
-    timer = 0
-    edge_stack: list[Edge] = []
-    raw_blocks: list[list[Edge]] = []
-    cuts: set[int] = set()
-
-    for root in range(G.n):
+    disc = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    order: list[int] = []
+    for root in range(n):
         if disc[root] != -1 or not adj[root]:
             continue
-        root_children = 0
-        # frames: (vertex, parent, iterator position)
-        stack = [(root, -1, 0)]
-        disc[root] = low[root] = timer
-        timer += 1
+        disc[root] = low[root] = len(order)
+        order.append(root)
+        # The parent edge may lower low[v] to disc[parent] but never below,
+        # which leaves the test low[v] >= disc[parent] below unchanged.
+        stack = [(root, iter(adj[root]))]
         while stack:
-            v, parent, i = stack.pop()
-            if i < len(adj[v]):
-                stack.append((v, parent, i + 1))
-                w = adj[v][i]
-                if w == parent:
-                    continue
-                if disc[w] == -1:
-                    edge_stack.append(_canon(v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, 0))
-                    if v == root:
-                        root_children += 1
-                elif disc[w] < disc[v]:
-                    edge_stack.append(_canon(v, w))
-                    low[v] = min(low[v], disc[w])
+            v, nbrs = stack[-1]
+            lv = low[v]
+            for w in nbrs:
+                dw = disc[w]
+                if dw == -1:
+                    disc[w] = low[w] = len(order)
+                    order.append(w)
+                    parent[w] = v
+                    stack.append((w, iter(adj[w])))
+                    break
+                if dw < lv:
+                    lv = dw
             else:
-                if parent != -1:
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] >= disc[parent]:
-                        blk = []
-                        while edge_stack:
-                            e = edge_stack.pop()
-                            blk.append(e)
-                            if e == _canon(parent, v):
-                                break
-                        raw_blocks.append(blk)
-                        if parent != root:
-                            cuts.add(parent)
-        if root_children > 1:
-            cuts.add(root)
+                stack.pop()
+                p = parent[v]
+                if p != -1 and lv < low[p]:
+                    low[p] = lv
+            low[v] = lv
 
+    # Each non-root vertex v joins the block of its tree edge, which starts
+    # at v when nothing below v reaches above its parent. A block is a pair
+    # (edges, vertices); in_blocks counts the blocks that hold each vertex.
+    block_of: list = [None] * n
+    heads: list[tuple[list[Edge], list[int]]] = []
+    in_blocks = [0] * n
+    cuts: list[int] = []
+    for v in order:
+        p = parent[v]
+        if p == -1:
+            continue
+        in_blocks[v] = 1
+        if low[v] >= disc[p]:
+            block_of[v] = blk = ([], [p, v])
+            heads.append(blk)
+            in_blocks[p] += 1
+            if in_blocks[p] == 2:
+                cuts.append(p)
+        else:
+            block_of[v] = blk = block_of[p]
+            blk[1].append(v)
+    # An edge belongs to the block of its later-discovered end; G.edges is
+    # sorted, so each block's edge list comes out sorted too.
+    for e in G.edges:
+        u, w = e
+        block_of[u if disc[u] > disc[w] else w][0].append(e)
+
+    heads.sort(key=lambda blk: blk[0][0])
     blocks = []
-    for blk in raw_blocks:
-        vs = frozenset(v for e in blk for v in e)
-        es = tuple(sorted(set(blk)))
-        blocks.append(Block(vs, es, _classify_block(vs, es)))
-    blocks.sort(key=lambda b: min(b.vertices))
+    for es, vs in heads:
+        vset, et = frozenset(vs), tuple(es)
+        blocks.append(Block(vset, et, _classify_block(vset, et)))
     return BlockDecomposition(tuple(blocks), frozenset(cuts))
 
 
@@ -333,9 +393,8 @@ def is_edge_cut(G: Graph, F) -> bool:
     removed = {G._check_edge(e) for e in F}
     if not removed:
         return False
-    before = len(components(G))
-    after = len(components(Graph(G.n, tuple(G.edge_set - removed))))
-    return after > before
+    kept = tuple(e for e in G.edges if e not in removed)
+    return _component_count(Graph(G.n, kept)) > _component_count(G)
 
 
 # -- parsing and serialization ---------------------------------------------
@@ -400,25 +459,32 @@ def _parse_edge_list(data) -> Graph:
             declared_n = a
             start = 1
 
+    # One tight pass over the lines; the edges come out canonical, so one
+    # sort hands Graph a tuple that it only has to check.
     edges: list[Edge] = []
     seen = set()
-    max_v = -1
     for lineno, line in data[start:]:
-        u, v = _parse_int_pair(line.split(), lineno)
+        tokens = line.split()
+        try:
+            a, b = tokens
+            u, v = int(a), int(b)
+        except ValueError:
+            u, v = _parse_int_pair(tokens, lineno)  # raises this line's error
         if u < 0 or v < 0:
             raise ParseError(f"line {lineno}: negative vertex index")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-        e = _canon(u, v)
+        e = (u, v) if u < v else (v, u)
         if e in seen:
             raise ParseError(f"line {lineno}: duplicate edge {u} {v}")
         seen.add(e)
         edges.append(e)
-        max_v = max(max_v, u, v)
 
+    max_v = max(map(itemgetter(1), edges), default=-1)
     n = max_v + 1 if declared_n is None else declared_n
     if max_v >= n:
         raise ParseError(f"endpoint {max_v} exceeds declared vertex count {n}")
+    edges.sort()
     return Graph(n, tuple(edges))
 
 
@@ -456,6 +522,7 @@ def _parse_dimacs(data) -> Graph:
         raise ParseError("missing 'p edge n m' line")
     if m is not None and m != len(edges):
         raise ParseError(f"header declares {m} edges, found {len(edges)}")
+    edges.sort()
     return Graph(n, tuple(edges))
 
 

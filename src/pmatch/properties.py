@@ -231,15 +231,15 @@ class BoundFunction:
 
     @classmethod
     def uniform(cls, G: Graph, k: int) -> "BoundFunction":
-        return cls(tuple(min(k, G.degree(v)) for v in range(G.n)))
+        return cls(tuple(min(k, len(a)) for a in G.adj_lists))
 
     def validate_for(self, G: Graph):
         if len(self.values) != G.n:
             raise ValueError("bound function must provide one value per vertex")
-        for v, bv in enumerate(self.values):
-            if not (0 <= bv <= G.degree(v)):
+        for v, (bv, a) in enumerate(zip(self.values, G.adj_lists)):
+            if not (0 <= bv <= len(a)):
                 raise ValueError(
-                    f"bound b({v}) = {bv} outside [0, d({v}) = {G.degree(v)}]"
+                    f"bound b({v}) = {bv} outside [0, d({v}) = {len(a)}]"
                 )
 
 

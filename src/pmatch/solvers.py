@@ -560,17 +560,18 @@ def domination_number(G: Graph, config: EngineConfig | None = None) -> Parameter
 def edge_cover_number(G: Graph) -> ParameterResult:
     """Minimum edge cover built from a maximum matching by covering each
     exposed vertex with one incident edge. Defined only without isolates."""
-    if any(G.degree(v) == 0 for v in range(G.n)):
+    adj = G.adj_lists
+    if not all(adj):
         raise ValueError("edge cover undefined: graph has an isolated vertex")
     matching = lexmin_maximum_matching(G)
-    sat = 0
+    covered = [False] * G.n
     for u, v in matching:
-        sat |= (1 << u) | (1 << v)
+        covered[u] = covered[v] = True
     cover = list(matching)
     for v in range(G.n):
-        if not (sat >> v & 1):
-            w = G.adj_lists[v][0]
-            cover.append(tuple(sorted((v, w))))
+        if not covered[v]:
+            w = adj[v][0]
+            cover.append((v, w) if v < w else (w, v))
     witness = tuple(sorted(set(cover)))
     return ParameterResult(ParameterId.ALPHA1, len(witness), witness, "fast-path")
 
@@ -588,39 +589,38 @@ def _cover_from_independent(G: Graph, beta0: ParameterResult) -> ParameterResult
 
 
 def tree_b_matching_max(T: Graph, b: BoundFunction) -> ParameterResult:
-    """Maximum b-matching of a forest by the leaf-to-root greedy: walk
-    vertices in reverse BFS order and take the edge to the parent whenever
-    both endpoints still have capacity. Linear time."""
+    """Maximum b-matching of a forest by the leaf-to-root greedy: walk each
+    tree's vertices in reverse BFS order and take the edge to the parent
+    whenever both endpoints still have capacity. Linear time; the BFS also
+    counts the trees, which settles acyclicity."""
     b.validate_for(T)
-    if not is_acyclic_graph(T):
-        raise ValueError("input contains a cycle; the greedy needs a forest")
     adj = T.adj_lists
     cap = list(b.values)
     parent = [-1] * T.n
     seen = [False] * T.n
-    order: list[int] = []
+    chosen: list[Edge] = []
+    trees = 0
     for root in range(T.n):
         if seen[root]:
             continue
+        trees += 1
         seen[root] = True
         queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order.append(v)
+        for v in queue:
             for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     parent[w] = v
                     queue.append(w)
-    chosen: list[Edge] = []
-    for v in reversed(order):
-        p = parent[v]
-        if p != -1 and cap[v] > 0 and cap[p] > 0:
-            cap[v] -= 1
-            cap[p] -= 1
-            chosen.append((v, p) if v < p else (p, v))
+        for v in reversed(queue):
+            p = parent[v]
+            if p != -1 and cap[v] > 0 and cap[p] > 0:
+                cap[v] -= 1
+                cap[p] -= 1
+                chosen.append((v, p) if v < p else (p, v))
+    # A forest has exactly n - (number of trees) edges.
+    if T.m != T.n - trees:
+        raise ValueError("input contains a cycle; the greedy needs a forest")
     witness = tuple(sorted(chosen))
     return ParameterResult(
         ParameterId.B_MATCHING_MAX, len(witness), witness, "fast-path"

@@ -127,6 +127,34 @@ def test_parse_token_soup_is_parse_error_or_round_trips(text):
     assert (H.n, H.edges) == (G.n, G.edges)
 
 
+def test_parse_reversed_and_unsorted_lines_round_trip():
+    G = parse_graph("4 3\n3 2\n1 0\n2 0\n")
+    assert G.edges == ((0, 1), (0, 2), (2, 3))
+    assert parse_graph(serialize_graph(G)).edges == G.edges
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # The first bad line in the file is the one reported, whether it is a
+        # duplicate or a line that fails on its own.
+        ("0 1\n1 0\n2 x", "line 2: duplicate edge 1 0"),
+        ("0 1\n2 x\n1 0", "line 2: expected two integers, got ['2', 'x']"),
+        ("0 1\n1 0\n-1 2", "line 2: duplicate edge 1 0"),
+        ("0 1\n3 3\n1 0", "line 2: self-loop at vertex 3"),
+        ("0 1\n2 -1\n0 1", "line 2: negative vertex index"),
+        ("2 2\n0 1\n1 0", "line 3: duplicate edge 1 0"),
+        ("2 2\n0 1\n0 5", "endpoint 5 exceeds declared vertex count 2"),
+        ("2 2\n0 5\n5 0", "line 3: duplicate edge 5 0"),
+        ("p edge 3 2\ne 2 1\ne 1 2", "line 3: duplicate edge"),
+    ],
+)
+def test_parse_error_messages_and_precedence(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
 # -- construction invariants ------------------------------------------------------
 
 
@@ -135,6 +163,70 @@ def test_graph_rejects_self_loop_and_bad_endpoint():
         Graph(3, ((1, 1),))
     with pytest.raises(ValueError):
         Graph(3, ((0, 3),))
+
+
+def _normalized_reference(n, edges):
+    """The edge normalization spelled out: every pair checked in input order,
+    then canonical, deduplicated and sorted. Returns the edges or the error
+    message."""
+    seen = set()
+    for e in edges:
+        u, v = e
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge {e} has an endpoint outside 0..{n - 1}"
+        seen.add((min(u, v), max(u, v)))
+    return tuple(sorted(seen))
+
+
+def _constructed(n, edges):
+    try:
+        return Graph(n, edges).edges
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (4, ((0, 1), (1, 2), (2, 3))),
+        (4, ((1, 2), (0, 1))),  # unsorted
+        (4, ((1, 0), (2, 1))),  # reversed pairs
+        (4, ((0, 1), (0, 1))),  # duplicate
+        (4, ((0, 1), (1, 0))),  # duplicate, one reversed
+        (4, ((0, 2), (0, 1), (0, 1))),
+        (4, [(0, 1), (1, 2)]),  # list input
+        (4, ([0, 1], [1, 2])),  # list pairs
+        (4, ((-1, 2),)),
+        (4, ((0, 1), (-1, 2))),
+        (4, ((0, 4),)),
+        (4, ((0, 1), (2, 7))),
+        (4, ((4, 5),)),
+        (4, ((2, 2),)),
+        (4, ((0, 1), (3, 3))),
+        (0, ()),
+        (0, ((0, 1),)),
+        (2, ()),
+    ],
+)
+def test_graph_keeps_canonical_edges_and_normalizes_the_rest(n, edges):
+    expected = _normalized_reference(n, edges)
+    assert _constructed(n, edges) == expected
+    if isinstance(expected, tuple):
+        assert all(type(e) is tuple for e in Graph(n, edges).edges)
+
+
+@given(st.integers(0, 6), st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)), max_size=8))
+def test_graph_construction_matches_the_reference(n, pairs):
+    for edges in (tuple(pairs), tuple(sorted(pairs)), tuple(sorted(set(pairs)))):
+        assert _constructed(n, edges) == _normalized_reference(n, edges)
+
+
+@given(graphs(max_n=8))
+def test_adjacency_lists_are_sorted(G):
+    for v, nbrs in enumerate(G.adj_lists):
+        assert list(nbrs) == sorted({u for e in G.edges if v in e for u in e if u != v})
 
 
 @given(graphs(max_n=7))
@@ -335,6 +427,79 @@ def test_blocks_partition_edges(G):
     assert sorted(seen) == sorted(G.edges)
     non_isolated = {v for e in G.edges for v in e}
     assert set().union(*(b.vertices for b in bd.blocks), set()) == non_isolated
+
+
+def _component_ids(G, removed=None):
+    """Union-find component labels of G, or of G minus one vertex."""
+    parent = list(range(G.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in G.edges:
+        if removed not in (u, v):
+            parent[find(u)] = find(v)
+    return [find(v) for v in range(G.n)]
+
+
+def _check_blocks_against_definition(G):
+    bd = block_decomposition(G)
+    block_of = {e: i for i, b in enumerate(bd.blocks) for e in b.edges}
+    assert sorted(block_of) == list(G.edges)
+    count = len(set(_component_ids(G)))
+    cuts = set()
+    apart = set()
+    for x in range(G.n):
+        comp = _component_ids(G, x)  # x stays behind as a singleton
+        if len(set(comp)) - 1 > count:
+            cuts.add(x)
+        for e, f in itertools.combinations(G.edges, 2):
+            ends = {comp[y] for y in e + f if y != x}
+            if len(ends) > 1:
+                apart.add((e, f))
+    # Two edges share a block iff no single vertex's removal separates them.
+    for e, f in itertools.combinations(G.edges, 2):
+        assert (block_of[e] == block_of[f]) == ((e, f) not in apart), (e, f)
+    assert bd.cut_vertices == cuts
+    for b in bd.blocks:
+        assert set(b.vertices) == {y for e in b.edges for y in e}
+        if len(b.vertices) == 2:
+            kind = "edge"
+        elif len(b.edges) == len(b.vertices) and len(b.vertices) % 2:
+            kind = "odd_cycle"
+        else:
+            kind = "other"
+        assert b.kind == kind
+    # Blocks come in the order of their edge tuples.
+    assert [b.edges for b in bd.blocks] == sorted(b.edges for b in bd.blocks)
+
+
+def test_blocks_match_their_definition_exhaustive():
+    for n in range(6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            _check_blocks_against_definition(from_edge_mask(n, mask))
+
+
+@given(graphs(max_n=8))
+def test_blocks_match_their_definition(G):
+    _check_blocks_against_definition(G)
+
+
+def test_block_tie_order():
+    # Every block of a star holds vertex 0; they come in edge order.
+    star = Graph(5, ((0, 3), (0, 1), (0, 4), (0, 2)))
+    bd = block_decomposition(star)
+    assert [b.edges for b in bd.blocks] == [((0, 1),), ((0, 2),), ((0, 3),), ((0, 4),)]
+    assert bd.cut_vertices == {0}
+    # The path 0-3-2-4: the search from 0 finishes the block (2, 4) before
+    # (2, 3), yet the two tie on vertex 2 and come in edge order.
+    path = Graph(5, ((0, 3), (2, 3), (2, 4)))
+    bd = block_decomposition(path)
+    assert [b.edges for b in bd.blocks] == [((0, 3),), ((2, 3),), ((2, 4),)]
+    assert bd.cut_vertices == {2, 3}
 
 
 # -- edge cuts -----------------------------------------------------------------------------

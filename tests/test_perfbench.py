@@ -6,6 +6,8 @@ here instead of breaking ``--trace 1`` or every desk item."""
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
 
@@ -42,3 +44,26 @@ def test_kernels_uniquely_restricted_on_long_paths():
         payload = ("is_uniquely_restricted", (G, tuple((i, i + 1) for i in range(0, n, 2))))
         item = workloads.Item(workloads.kernel_name("is_uniquely_restricted", "path", n), payload)
         assert kernels.check(item, kernels.run(item)) is None
+
+
+@pytest.fixture(scope="module")
+def kernel_items():
+    # The kernels workload's own inputs, built once: about a second.
+    _, workloads = _load_bench()
+    kernels = workloads.Kernels(seed=0)
+    return kernels, {item.name: item for item in kernels.build()}
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "block_decomposition.gnp.100000",
+        "components.gnp.100000",
+        "tree_b_matching_max.tree.100000",
+        "parse_serialize.tree.100000",
+    ],
+)
+def test_kernels_graph_layer_answers(kernel_items, name):
+    kernels, items = kernel_items
+    item = items[name]
+    assert kernels.check(item, kernels.run(item)) is None
