@@ -6,6 +6,12 @@ set that already violates the defining filter (a shared vertex for
 matchings, an exceeded bound for b-matchings, a dependent pair for total
 matchings). No code is shared with the solver engine beyond the graph type
 and the predicates themselves, so an engine bug cannot mirror itself here.
+
+Each scan runs once per graph and serves every tag it answers: one pass over
+all matchings serves the matching tags, one over all vertex subsets serves
+``beta0``, ``alpha0`` and ``gamma``, and one over the pairwise-independent
+mixed sets serves both total-matching tags. The scans and the edge-cover
+scan keep their last few graphs' reports.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from .properties import (
     Matching,
     MixedSet,
     PropertyId,
-    _bits,
     as_matching,
     has_property,
     is_maximal_total_matching,
@@ -95,23 +100,22 @@ class _Tally:
 
 
 def all_matchings(G: Graph):
-    """Yield every matching of G as a Matching object (the empty one first).
-    Recursion only ever abandons a branch once two chosen edges share a
-    vertex, which is the defining filter."""
+    """Yield every matching of G as a Matching object (the empty one first),
+    depth first in edge order. A branch is abandoned only once two chosen
+    edges share a vertex, which is the defining filter."""
     edges = G.edges
     masks = [(1 << u) | (1 << v) for u, v in edges]
-
-    def rec(start: int, chosen: tuple[Edge, ...], sat: int):
+    stack: list[tuple[int, tuple[Edge, ...], int]] = [(0, (), 0)]
+    while stack:
+        start, chosen, sat = stack.pop()
         m = object.__new__(Matching)
         object.__setattr__(m, "host", G)
         object.__setattr__(m, "edges", chosen)
         yield m
-        for i in range(start, len(edges)):
-            if masks[i] & sat:
-                continue
-            yield from rec(i + 1, chosen + (edges[i],), sat | masks[i])
-
-    yield from rec(0, (), 0)
+        # Pushed in reverse, so the lowest extension is visited next.
+        for i in range(len(edges) - 1, start - 1, -1):
+            if not masks[i] & sat:
+                stack.append((i + 1, chosen + (edges[i],), sat | masks[i]))
 
 
 _PROPS = tuple(PropertyId)
@@ -187,7 +191,21 @@ def _matching_scan(G: Graph) -> tuple[int, dict[ParameterId, _Tally]]:
 # -- vertex-subset parameters -------------------------------------------------
 
 
-def _vertex_scan(G: Graph, pid: ParameterId) -> OracleReport:
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+_VERTEX_PARAMS = (ParameterId.BETA0, ParameterId.ALPHA0, ParameterId.GAMMA)
+
+
+@lru_cache(maxsize=16)
+def _vertex_scan(G: Graph) -> tuple[OracleReport, ...]:
+    """One pass over all 2^n vertex subsets for the three vertex-subset
+    parameters. Each subset is read as its lowest vertex v plus the rest,
+    a smaller subset already visited: it is independent when the rest is
+    and v sees none of it, it dominates when the closed neighborhoods of
+    the rest and of v cover every vertex, and its complement is a vertex
+    cover exactly when it is independent."""
     if G.n > VERTEX_SUBSET_LIMIT:
         raise OracleLimitError(
             f"{G.n} vertices exceed the {VERTEX_SUBSET_LIMIT}-vertex cap"
@@ -195,29 +213,32 @@ def _vertex_scan(G: Graph, pid: ParameterId) -> OracleReport:
     adj = G.adj_masks
     closed = G.closed_adj_masks
     full = (1 << G.n) - 1
-    edge_masks = [(1 << u) | (1 << v) for u, v in G.edges]
-
-    tally = _Tally(maximize=pid is ParameterId.BETA0)
+    independent = bytearray(1 << G.n)
+    independent[0] = True
+    dominated = [0] * (1 << G.n)
+    beta0 = _Tally(maximize=True)
+    alpha0 = _Tally(maximize=False)
+    gamma = _Tally(maximize=False)
     for mask in range(1 << G.n):
-        if pid is ParameterId.BETA0:
-            ok = all(not (adj[v] & mask) for v in range(G.n) if mask >> v & 1)
-        elif pid is ParameterId.ALPHA0:
-            ok = all(em & mask for em in edge_masks)
-        elif pid is ParameterId.GAMMA:
-            dom = 0
-            m = mask
-            while m:
-                b = m & -m
-                dom |= closed[b.bit_length() - 1]
-                m ^= b
-            ok = dom == full
-        else:
-            raise ValueError(f"{pid} is not a vertex-subset parameter")
-        if ok:
-            tally.offer(mask.bit_count(), tuple(v for v in range(G.n) if mask >> v & 1))
-    return tally.report(pid, 1 << G.n)
+        if mask:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            rest = mask ^ low
+            independent[mask] = independent[rest] and not adj[v] & rest
+            dominated[mask] = dominated[rest] | closed[v]
+        size = mask.bit_count()
+        if independent[mask]:
+            beta0.offer(size, _members(mask))
+            alpha0.offer(G.n - size, _members(full ^ mask))
+        if dominated[mask] == full:
+            gamma.offer(size, _members(mask))
+    return tuple(
+        tally.report(pid, 1 << G.n)
+        for pid, tally in zip(_VERTEX_PARAMS, (beta0, alpha0, gamma))
+    )
 
 
+@lru_cache(maxsize=16)
 def _edge_cover_scan(G: Graph) -> OracleReport:
     """Minimum edge cover by scanning edge subsets in order of size: the first
     size at which some subset covers every vertex is the minimum, and all
@@ -275,40 +296,37 @@ def _total_scan(G: Graph) -> tuple[OracleReport, OracleReport]:
                 dependent[idx] |= 1 << (n + k)
                 dependent[n + k] |= 1 << idx
 
-    full = (1 << total) - 1
-    largest = _Tally(maximize=True)
-    smallest = _Tally(maximize=False)
-    enumerated = 0
-
-    def as_mixed(sel: int) -> MixedSet:
-        verts = [i for i in range(n) if sel >> i & 1]
-        edges = [G.edges[j] for j in range(m) if sel >> (n + j) & 1]
-        return MixedSet(G, verts, edges)
-
-    def rec(start: int, sel: int, avail: int):
-        nonlocal enumerated
-        enumerated += 1
-        if avail == 0:
-            candidate = as_mixed(sel)
-            if not is_maximal_total_matching(G, candidate):
-                raise AssertionError("mixed-set scan disagrees with the predicate")
-            witness = (tuple(sorted(candidate.vertices)), candidate.edges)
-            largest.offer(candidate.size, witness)
-            smallest.offer(candidate.size, witness)
-            return
-        rest = avail >> start << start
-        while rest:
-            b = rest & -rest
-            i = b.bit_length() - 1
-            rest ^= b
-            rec(i + 1, sel | b, avail & ~dependent[i] & ~b)
-
     if total == 0:
         return (
             OracleReport(ParameterId.BETA_TOTAL_MAX, 0, 1, 1, ((), ())),
             OracleReport(ParameterId.BETA_TOTAL_MIN, 0, 1, 1, ((), ())),
         )
-    rec(0, 0, full)
+    largest = _Tally(maximize=True)
+    smallest = _Tally(maximize=False)
+    enumerated = 0
+    stack = [(0, 0, (1 << total) - 1)]  # (next element, selection, compatible)
+    while stack:
+        start, sel, avail = stack.pop()
+        enumerated += 1
+        if avail == 0:
+            candidate = MixedSet(
+                G,
+                [i for i in range(n) if sel >> i & 1],
+                [G.edges[j] for j in range(m) if sel >> (n + j) & 1],
+            )
+            if not is_maximal_total_matching(G, candidate):
+                raise AssertionError("mixed-set scan disagrees with the predicate")
+            witness = (tuple(sorted(candidate.vertices)), candidate.edges)
+            largest.offer(candidate.size, witness)
+            smallest.offer(candidate.size, witness)
+            continue
+        # Pushed from the highest element down, so the lowest is visited next.
+        rest = avail >> start << start
+        while rest:
+            i = rest.bit_length() - 1
+            b = 1 << i
+            rest ^= b
+            stack.append((i + 1, sel | b, avail & ~dependent[i] & ~b))
     return (
         largest.report(ParameterId.BETA_TOTAL_MAX, enumerated),
         smallest.report(ParameterId.BETA_TOTAL_MIN, enumerated),
@@ -327,22 +345,19 @@ def _b_matching_scan(G: Graph, b: BoundFunction) -> OracleReport:
     edges = G.edges
     tally = _Tally(maximize=True)
     enumerated = 0
-
-    def rec(start: int, chosen: tuple[Edge, ...], deg: list[int]):
-        nonlocal enumerated
+    stack: list[tuple[int, tuple[Edge, ...], list[int]]] = [(0, (), [0] * G.n)]
+    while stack:
+        start, chosen, deg = stack.pop()
         enumerated += 1
         tally.offer(len(chosen), chosen)
-        for i in range(start, len(edges)):
+        for i in range(len(edges) - 1, start - 1, -1):
             u, v = edges[i]
             if deg[u] + 1 > b.values[u] or deg[v] + 1 > b.values[v]:
                 continue
-            deg[u] += 1
-            deg[v] += 1
-            rec(i + 1, chosen + (edges[i],), deg)
-            deg[u] -= 1
-            deg[v] -= 1
-
-    rec(0, (), [0] * G.n)
+            extended = deg.copy()
+            extended[u] += 1
+            extended[v] += 1
+            stack.append((i + 1, chosen + (edges[i],), extended))
     return tally.report(ParameterId.B_MATCHING_MAX, enumerated)
 
 
@@ -357,8 +372,8 @@ def oracle_parameter(
     Raises OracleLimitError when the universe exceeds the per-family caps,
     and ValueError for the edge cover number on a graph with isolates.
     """
-    if pid in (ParameterId.ALPHA0, ParameterId.BETA0, ParameterId.GAMMA):
-        return _vertex_scan(G, pid)
+    if pid in _VERTEX_PARAMS:
+        return _vertex_scan(G)[_VERTEX_PARAMS.index(pid)]
     if pid is ParameterId.ALPHA1:
         return _edge_cover_scan(G)
     if pid is ParameterId.BETA_TOTAL_MAX:
@@ -419,18 +434,19 @@ def oracle_perfect_matchings(H: Graph) -> tuple[int, list[tuple[Edge, ...]]]:
     if H.n % 2 == 1:
         return 0, []
     adj = H.adj_masks
-    full = (1 << H.n) - 1
     out: list[tuple[Edge, ...]] = []
-
-    def rec(free: int, chosen: list[Edge]):
+    stack: list[tuple[int, tuple[Edge, ...]]] = [((1 << H.n) - 1, ())]
+    while stack:
+        free, chosen = stack.pop()
         if not free:
-            out.append(tuple(sorted(chosen)))
-            return
+            out.append(chosen)  # sorted: each pair's lower end is the lowest free vertex
+            continue
         u = (free & -free).bit_length() - 1
-        for b in _bits(adj[u] & free & ~(1 << u)):
-            chosen.append((u, b) if u < b else (b, u))
-            rec(free & ~(1 << u) & ~(1 << b), chosen)
-            chosen.pop()
-
-    rec(full, [])
+        rest = free & ~(1 << u)
+        # Pushed from the highest neighbor down, so the lowest is paired next.
+        nbrs = adj[u] & rest
+        while nbrs:
+            w = nbrs.bit_length() - 1
+            nbrs ^= 1 << w
+            stack.append((rest & ~(1 << w), chosen + ((u, w),)))
     return len(out), out

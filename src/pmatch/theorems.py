@@ -17,7 +17,6 @@ from .graph import (
     Graph,
     complement,
     from_edge_mask,
-    induced_subgraph,
     is_bipartite,
     is_connected,
 )
@@ -27,7 +26,6 @@ from .oracle import (
     EDGE_SUBSET_LIMIT,
     all_matchings,
     oracle_parameter,
-    oracle_perfect_matchings,
 )
 from .properties import PropertyId, is_matching, is_uniquely_restricted
 from .solvers import (
@@ -291,15 +289,49 @@ def check_connected_theorem(G: Graph, config: EngineConfig | None = None) -> The
     )
 
 
+def _perfect_matching_count(adj: list[int], vertices: int, memo: dict[int, int]) -> int:
+    """Perfect matchings of the subgraph induced on the vertex mask, by
+    pairing its lowest vertex with each neighbor inside the mask. ``memo``
+    maps vertex masks of the same graph to their counts; it must map the
+    empty mask to 1."""
+    stack = [vertices]
+    while stack:
+        mask = stack[-1]
+        if mask in memo:
+            stack.pop()
+            continue
+        low = mask & -mask
+        rest = mask ^ low
+        nbrs = adj[low.bit_length() - 1] & rest
+        smaller = []
+        while nbrs:
+            b = nbrs & -nbrs
+            smaller.append(rest ^ b)
+            nbrs ^= b
+        missing = [s for s in smaller if s not in memo]
+        if missing:
+            stack.extend(missing)
+        else:
+            memo[mask] = sum(memo[s] for s in smaller)
+            stack.pop()
+    return memo[vertices]
+
+
 def check_ur_characterization(G: Graph) -> TheoremVerdict:
     """For every matching M: the alternating-cycle test must agree with
     counting the perfect matchings of <M> (uniquely restricted means exactly
-    one, namely M itself)."""
+    one, namely M itself). The count runs on vertex masks, with no cap on
+    the size of <M>; the matchings are enumerated up to the oracle's edge
+    cap."""
+    if G.m > EDGE_SUBSET_LIMIT:
+        raise OracleLimitError(
+            f"{G.m} edges exceed the {EDGE_SUBSET_LIMIT}-edge enumeration cap"
+        )
     checked = 0
+    memo = {0: 1}  # vertex mask -> perfect matchings of the induced subgraph
     for m in all_matchings(G):
         via_cycle = is_uniquely_restricted(G, m)
-        sub, mapping = induced_subgraph(G, m.saturated)
-        count, _ = oracle_perfect_matchings(sub)
+        count = _perfect_matching_count(G.adj_masks, m.sat_mask, memo)
         via_count = count == 1
         checked += 1
         if via_cycle != via_count:

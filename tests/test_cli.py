@@ -183,6 +183,30 @@ def test_theorems_named_check(capsys):
     assert code == 0 and out["theorem"] == "konig" and out["holds"]
 
 
+@pytest.mark.parametrize("family, n, checked", [("path", 20, 10946), ("cycle", 22, 39603)])
+def test_theorems_ur_check_past_sixteen_saturated_vertices(capsys, family, n, checked):
+    code = main(["theorems", "--family", family, "--n", str(n),
+                 "--check", "ur_characterization"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and out["holds"]
+    assert out["details"] == {"matchings_checked": checked}
+
+
+def test_theorems_ur_check_refuses_past_the_edge_cap():
+    code, out, err = run_cli("theorems", "--family", "path", "--n", "60",
+                             "--check", "ur_characterization")
+    assert code == 2 and out == ""
+    assert "59 edges exceed the 22-edge enumeration cap" in err
+
+
+def test_theorems_lists_every_applicable_check(capsys):
+    code = main(["theorems", "--family", "path", "--n", "18"])
+    names = [json.loads(line)["theorem"] for line in capsys.readouterr().out.splitlines()]
+    assert code == 0
+    assert names == ["gallai", "chains", "konig", "frobenius", "connected",
+                     "ur_characterization", "collapse"]
+
+
 def test_theorems_hall_and_blocks(capsys):
     code = main(["theorems", "--hall-samples", "25", "--block-samples", "10", "--seed", "4"])
     verdicts = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]

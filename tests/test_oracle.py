@@ -1,9 +1,12 @@
+import gc
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 
+from pmatch import oracle
 from pmatch.graph import Graph, generate
 from pmatch.oracle import (
     COVER_SCAN_LIMIT,
@@ -16,6 +19,7 @@ from pmatch.oracle import (
 )
 from pmatch.properties import BoundFunction, Matching, is_matching
 from pmatch.solvers import ParameterId
+from pmatch.theorems import all_graphs, applicable_checks, check_gallai, check_konig, run_check
 
 from conftest import graphs
 
@@ -143,3 +147,64 @@ def test_oracle_counts_are_positive(p8):
         rep = oracle_parameter(p8, pid)
         assert rep.all_witnesses_count >= 1
         assert rep.enumerated >= rep.all_witnesses_count
+
+
+def _subset_reference(G: Graph, pid: ParameterId):
+    """Value, count and smallest witness of a vertex-subset parameter, by
+    testing every subset against its definition."""
+    def accepts(S):
+        if pid is ParameterId.BETA0:
+            return not any(u in S and v in S for u, v in G.edges)
+        if pid is ParameterId.ALPHA0:
+            return all(u in S or v in S for u, v in G.edges)
+        return all(v in S or G.neighbors(v) & S for v in range(G.n))
+
+    found = [S for r in range(G.n + 1) for S in combinations(range(G.n), r)
+             if accepts(set(S))]
+    best = (max if pid is ParameterId.BETA0 else min)(len(S) for S in found)
+    optimal = [S for S in found if len(S) == best]
+    return best, len(optimal), min(optimal)
+
+
+def test_vertex_scan_matches_subset_reference():
+    for n in range(6):
+        for G in all_graphs(n):
+            for pid in (ParameterId.BETA0, ParameterId.ALPHA0, ParameterId.GAMMA):
+                rep = oracle_parameter(G, pid)
+                assert rep.enumerated == 1 << n
+                assert (rep.value, rep.all_witnesses_count, rep.witness) == _subset_reference(G, pid)
+
+
+def test_vertex_scan_runs_once_per_graph():
+    G = generate("hypercube", n=3)
+    oracle._vertex_scan.cache_clear()
+    for pid in (ParameterId.BETA0, ParameterId.ALPHA0, ParameterId.GAMMA):
+        oracle_parameter(G, pid)
+    assert check_gallai(G).holds and check_konig(G).holds
+    assert oracle._vertex_scan.cache_info().misses == 1
+
+
+def test_enumeration_order_is_depth_first_in_edge_order(c4, k4):
+    assert [m.edges for m in all_matchings(c4)] == [
+        (), ((0, 1),), ((0, 1), (2, 3)), ((0, 3),), ((0, 3), (1, 2)), ((1, 2),), ((2, 3),),
+    ]
+    assert oracle_perfect_matchings(k4)[1] == [
+        ((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)),
+    ]
+
+
+def test_oracle_and_checks_leave_no_cyclic_garbage():
+    G = generate("gnp", n=8, p=0.5, seed=3)
+    gc.collect()
+    gc.disable()
+    try:
+        for pid in ParameterId:
+            try:
+                oracle_parameter(G, pid)
+            except OracleLimitError:
+                pass
+        for name in applicable_checks(G):
+            run_check(name, G)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -5,10 +5,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given
 
-from pmatch.graph import Graph, generate, is_bipartite
+from pmatch.graph import Graph, generate, induced_subgraph, is_bipartite
 from pmatch.properties import PropertyId
 from pmatch import solvers, theorems
-from pmatch.oracle import EDGE_SUBSET_LIMIT
+from pmatch.oracle import EDGE_SUBSET_LIMIT, all_matchings, oracle_perfect_matchings
 from pmatch.solvers import EngineConfig, ParameterId, SetSystem, _variant_search, compute_parameter
 from pmatch.theorems import (
     FROBENIUS_SCAN_LIMIT,
@@ -124,6 +124,16 @@ def test_ur_characterization_examples(c4):
     assert check_ur_characterization(c4).holds
     fig2r = generate("fig2r")
     assert check_ur_characterization(fig2r).holds
+
+
+def test_ur_count_matches_the_oracle_count_on_small_graphs():
+    for n in range(6):
+        for G in all_graphs(n):
+            memo = {0: 1}
+            for m in all_matchings(G):
+                sub, _ = induced_subgraph(G, m.saturated)
+                expected = oracle_perfect_matchings(sub)[0]
+                assert theorems._perfect_matching_count(G.adj_masks, m.sat_mask, memo) == expected
 
 
 def test_block_class_examples(c4, c5):
