@@ -49,7 +49,7 @@ def _canon(u: int, v: int) -> Edge:
 
 
 def _is_canonical(edges, n: int) -> bool:
-    """True when ``edges`` is already a tuple of (u, v) tuples with
+    """True when ``edges`` is already a tuple of (u, v) int tuples with
     0 <= u < v < n in strictly increasing order, the form ``Graph`` stores.
     One pass; any other input takes the normalizing loop and its errors."""
     if type(edges) is not tuple:
@@ -60,7 +60,9 @@ def _is_canonical(edges, n: int) -> bool:
             if type(e) is not tuple:
                 return False
             u, v = e
-            if not (u < v < n and (pu < u or (pu == u and pv < v))):
+            if not (u < v < n and (pu < u or (pu == u and pv < v))) or (
+                u.__class__ is not int or v.__class__ is not int  # no call, unlike type()
+            ):
                 return False
             pu, pv = u, v
     except (TypeError, ValueError):
@@ -90,6 +92,8 @@ class Graph:
             seen = set()
             for e in self.edges:
                 u, v = e
+                if type(u) is not int or type(v) is not int:
+                    raise ValueError(f"edge {e} has a non-integer endpoint")
                 if u == v:
                     raise ValueError(f"self-loop at vertex {u}")
                 if not (0 <= u < n and 0 <= v < n):
@@ -153,13 +157,13 @@ class Graph:
         return self.labels[v] if self.labels is not None else str(v)
 
     def _check_vertex(self, v: int):
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
+        if type(v) is not int or not (0 <= v < self.n):
+            raise ValueError(f"vertex {v!r} is not an integer in 0..{self.n - 1}")
 
     def _check_edge(self, e) -> Edge:
         u, v = e
         ce = _canon(u, v)
-        if ce not in self.edge_set:
+        if ce not in self.edge_set or type(u) is not int or type(v) is not int:
             raise ValueError(f"{e} is not an edge of this graph")
         return ce
 
@@ -389,12 +393,28 @@ def is_even_cycle_free(G: Graph) -> bool:
 
 
 def is_edge_cut(G: Graph, F) -> bool:
-    """True iff removing the edge set F leaves strictly more components."""
-    removed = {G._check_edge(e) for e in F}
-    if not removed:
-        return False
-    kept = tuple(e for e in G.edges if e not in removed)
-    return _component_count(Graph(G.n, kept)) > _component_count(G)
+    """True iff removing the edge set F leaves strictly more components,
+    that is, iff some edge of F joins two components of G - F. One
+    labelling pass over ``adj_lists`` from F's ends finds those components."""
+    removed: dict[int, set[int]] = {}
+    for e in F:
+        u, v = G._check_edge(e)
+        removed.setdefault(u, set()).add(v)
+        removed.setdefault(v, set()).add(u)
+    adj = G.adj_lists
+    label = [-1] * G.n
+    for s in removed:
+        if label[s] < 0:
+            label[s] = s
+            stack = [s]
+            while stack:
+                v = stack.pop()
+                gone = removed.get(v, ())
+                for w in adj[v]:
+                    if label[w] < 0 and w not in gone:
+                        label[w] = s
+                        stack.append(w)
+    return any(label[u] != label[v] for u, ends in removed.items() for v in ends)
 
 
 # -- parsing and serialization ---------------------------------------------

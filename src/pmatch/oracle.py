@@ -10,8 +10,11 @@ and the predicates themselves, so an engine bug cannot mirror itself here.
 Each scan runs once per graph and serves every tag it answers: one pass over
 all matchings serves the matching tags, one over all vertex subsets serves
 ``beta0``, ``alpha0`` and ``gamma``, and one over the pairwise-independent
-mixed sets serves both total-matching tags. The scans and the edge-cover
-scan keep their last few graphs' reports.
+mixed sets serves both total-matching tags. In the matching pass, each
+variant's predicate runs once per matching and sets one bit of its vector.
+M is maximal for P when P's bit is clear in the OR of the vectors of its
+one-edge extensions, and the separating test builds no graph. The scans and
+the edge-cover scan keep their last few graphs' reports.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .properties import (
     MixedSet,
     PropertyId,
     as_matching,
-    has_property,
     is_maximal_total_matching,
+    predicate,
 )
 from .solvers import (
     PARAM_PROPERTY,
@@ -95,27 +98,42 @@ class _Tally:
             self.count += 1
             self.witness = min(self.witness, witness)
 
+    def offer_set(self, size: int, mask: int):
+        """offer() for the vertex set ``mask``, whose member tuple is built
+        only when the set ties or beats the optimum."""
+        if self.value is None or (size >= self.value if self.maximize else size <= self.value):
+            self.offer(size, _members(mask))
+
     def report(self, pid: ParameterId, enumerated: int) -> OracleReport:
         return OracleReport(pid, self.value, self.count, enumerated, self.witness)
 
 
-def all_matchings(G: Graph):
-    """Yield every matching of G as a Matching object (the empty one first),
-    depth first in edge order. A branch is abandoned only once two chosen
+def _matchings(G: Graph):
+    """Yield (matching, key, sat) for every matching of G, the empty one
+    first, depth first in edge order: bit i of ``key`` marks edge i of
+    ``G.edges``, and ``sat``, the saturated-vertex mask, is preset as the
+    Matching's ``sat_mask``. A branch is abandoned only once two chosen
     edges share a vertex, which is the defining filter."""
     edges = G.edges
     masks = [(1 << u) | (1 << v) for u, v in edges]
-    stack: list[tuple[int, tuple[Edge, ...], int]] = [(0, (), 0)]
+    stack: list[tuple[int, tuple[Edge, ...], int, int]] = [(0, (), 0, 0)]
     while stack:
-        start, chosen, sat = stack.pop()
+        start, chosen, sat, key = stack.pop()
         m = object.__new__(Matching)
         object.__setattr__(m, "host", G)
         object.__setattr__(m, "edges", chosen)
-        yield m
+        object.__setattr__(m, "sat_mask", sat)
+        yield m, key, sat
         # Pushed in reverse, so the lowest extension is visited next.
         for i in range(len(edges) - 1, start - 1, -1):
             if not masks[i] & sat:
-                stack.append((i + 1, chosen + (edges[i],), sat | masks[i]))
+                stack.append((i + 1, chosen + (edges[i],), sat | masks[i], key | 1 << i))
+
+
+def all_matchings(G: Graph):
+    """Yield every matching of G as a Matching object (the empty one first),
+    depth first in edge order."""
+    return (m for m, _, _ in _matchings(G))
 
 
 _PROPS = tuple(PropertyId)
@@ -125,67 +143,60 @@ _PROPS = tuple(PropertyId)
 # recent graphs; each cached scan holds a witness per parameter.
 @lru_cache(maxsize=16)
 def _matching_scan(G: Graph) -> tuple[int, dict[ParameterId, _Tally]]:
-    """One pass over all matchings of G: per-variant property vectors, the
-    resulting maxima, and the minima over maximal-with-respect-to-P
-    matchings. Property results are collected per matching so the
-    maximality test can reread them instead of recomputing. Returns the
-    number of matchings and one tally per matching-valued parameter."""
+    """One pass over all matchings of G: per-variant property vectors (the
+    empty matching has every bit), the resulting maxima, and the minima over
+    maximal-with-respect-to-P matchings. Returns the number of matchings and
+    one tally per matching-valued parameter."""
     if G.m > EDGE_SUBSET_LIMIT:
         raise OracleLimitError(
             f"{G.m} edges exceed the {EDGE_SUBSET_LIMIT}-edge enumeration cap"
         )
-    edge_pos = {e: i for i, e in enumerate(G.edges)}
     edge_vmask = [(1 << u) | (1 << v) for u, v in G.edges]
+    tests = [(1 << pi, predicate(prop)) for pi, prop in enumerate(_PROPS)]
 
-    entries: list[tuple[int, Matching, int]] = []  # (edge-index mask, matching, propbits)
-    vec: dict[int, int] = {}
-    enumerated = 0
-    for m in all_matchings(G):
-        enumerated += 1
-        key = 0
-        for e in m.edges:
-            key |= 1 << edge_pos[e]
-        bits = 0
-        for pi, prop in enumerate(_PROPS):
-            if has_property(G, m, prop):
-                bits |= 1 << pi
-        vec[key] = bits
-        entries.append((key, m, bits))
+    entries: list[tuple[int, Matching, int, int]] = []  # (key, matching, sat, propbits)
+    vec: dict[int, int] = {0: (1 << len(_PROPS)) - 1}
+    for m, key, sat in _matchings(G):
+        if key:
+            vec[key] = sum(bit for bit, holds in tests if holds(G, m))
+        entries.append((key, m, sat, vec[key]))
 
-    beta = {p: _Tally(maximize=True) for p in _PROPS}
-    beta_minus = {p: _Tally(maximize=False) for p in _PROPS}
+    beta = [_Tally(maximize=True) for _ in _PROPS]
+    beta_minus = [_Tally(maximize=False) for _ in _PROPS]
+    slots = [(bit, top, bottom) for (bit, _), top, bottom in zip(tests, beta, beta_minus)]
     beta1 = _Tally(maximize=True)
     beta1_minus = _Tally(maximize=False)
     sep_min = _Tally(maximize=False)
 
-    for key, m, bits in entries:
-        size = m.size
-        beta1.offer(size, m.edges)
-        compat = [
-            j for j in range(G.m) if not (edge_vmask[j] & m.sat_mask)
-        ]
-        for pi, prop in enumerate(_PROPS):
-            pbit = 1 << pi
-            if not bits & pbit:
-                continue
-            beta[prop].offer(size, m.edges)
-            if size >= 1 and all(not vec[key | (1 << j)] & pbit for j in compat):
-                beta_minus[prop].offer(size, m.edges)
-        if size >= 1 and not compat:  # maximal plain matching
-            beta1_minus.offer(size, m.edges)
-        if size >= 1 and is_edge_cut(G, m.edges):
-            sep_min.offer(size, m.edges)
+    for key, m, sat, bits in entries:
+        size, edges = m.size, m.edges
+        beta1.offer(size, edges)
+        ext = 0
+        maximal = True
+        for j, ends in enumerate(edge_vmask):
+            if not ends & sat:
+                ext |= vec[key | 1 << j]
+                maximal = False
+        for pbit, top, bottom in slots:
+            if bits & pbit:
+                top.offer(size, edges)
+                if size >= 1 and not ext & pbit:
+                    bottom.offer(size, edges)
+        if size >= 1 and maximal:  # maximal plain matching
+            beta1_minus.offer(size, edges)
+        if size >= 1 and is_edge_cut(G, edges):
+            sep_min.offer(size, edges)
 
     # beta_plain maximality coincides with plain maximality by construction;
     # keep the dedicated tallies anyway so the two tags stay independent.
     tallies = {
-        pid: (beta_minus if pid in MINUS_PARAMS else beta)[prop]
+        pid: (beta_minus if pid in MINUS_PARAMS else beta)[_PROPS.index(prop)]
         for pid, prop in PARAM_PROPERTY.items()
     }
     tallies[ParameterId.BETA1] = beta1
     tallies[ParameterId.BETA1_MINUS] = beta1_minus
     tallies[ParameterId.BETA_SEP_MIN] = sep_min
-    return enumerated, tallies
+    return len(entries), tallies
 
 
 # -- vertex-subset parameters -------------------------------------------------
@@ -228,10 +239,10 @@ def _vertex_scan(G: Graph) -> tuple[OracleReport, ...]:
             dominated[mask] = dominated[rest] | closed[v]
         size = mask.bit_count()
         if independent[mask]:
-            beta0.offer(size, _members(mask))
-            alpha0.offer(G.n - size, _members(full ^ mask))
+            beta0.offer_set(size, mask)
+            alpha0.offer_set(G.n - size, full ^ mask)
         if dominated[mask] == full:
-            gamma.offer(size, _members(mask))
+            gamma.offer_set(size, mask)
     return tuple(
         tally.report(pid, 1 << G.n)
         for pid, tally in zip(_VERTEX_PARAMS, (beta0, alpha0, gamma))
@@ -282,25 +293,15 @@ def _total_scan(G: Graph) -> tuple[OracleReport, OracleReport]:
     total = n + m
     # Element i < n is vertex i, element n + j is edge j; dependence encodes
     # the definition: adjacent vertices, edges sharing a vertex, incidence.
-    dependent = [0] * total
-    for v in range(n):
-        dependent[v] = G.adj_masks[v]
-    for j, (u, v) in enumerate(G.edges):
-        idx = n + j
-        dependent[idx] |= (1 << u) | (1 << v)
-        dependent[u] |= 1 << idx
-        dependent[v] |= 1 << idx
-        for k in range(j + 1, m):
-            x, y = G.edges[k]
-            if ((1 << u) | (1 << v)) & ((1 << x) | (1 << y)):
-                dependent[idx] |= 1 << (n + k)
-                dependent[n + k] |= 1 << idx
+    ends = [(1 << u) | (1 << v) for u, v in G.edges]
+    dependent = [
+        G.adj_masks[v] | sum(1 << (n + j) for j, e in enumerate(ends) if e >> v & 1)
+        for v in range(n)
+    ] + [
+        e | sum(1 << (n + k) for k, f in enumerate(ends) if k != j and e & f)
+        for j, e in enumerate(ends)
+    ]
 
-    if total == 0:
-        return (
-            OracleReport(ParameterId.BETA_TOTAL_MAX, 0, 1, 1, ((), ())),
-            OracleReport(ParameterId.BETA_TOTAL_MIN, 0, 1, 1, ((), ())),
-        )
     largest = _Tally(maximize=True)
     smallest = _Tally(maximize=False)
     enumerated = 0
@@ -402,25 +403,12 @@ def oracle_orientation_feasible(G: Graph, M, mode: str) -> bool:
     edges = m.edges
 
     def independent(mask: int) -> bool:
-        rest = mask
-        while rest:
-            b = rest & -rest
-            v = b.bit_length() - 1
-            if adj[v] & mask:
-                return False
-            rest ^= b
-        return True
+        return not any(adj[v] & mask for v in range(G.n) if mask >> v & 1)
 
     for bits in range(1 << m.size):
-        x = 0
-        y = 0
-        for i, (u, v) in enumerate(edges):
-            if bits >> i & 1:
-                x |= 1 << v
-                y |= 1 << u
-            else:
-                x |= 1 << u
-                y |= 1 << v
+        # Bit i set makes the higher end of edge i its tail; y holds the heads.
+        x = sum(1 << (v if bits >> i & 1 else u) for i, (u, v) in enumerate(edges))
+        y = m.sat_mask ^ x
         if independent(x) and (mode == "independent" or independent(y)):
             return True
     return False

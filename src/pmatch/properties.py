@@ -34,6 +34,7 @@ __all__ = [
     "is_maximal_matching",
     "is_perfect_matching",
     "has_property",
+    "predicate",
     "property_holds",
     "HEREDITARY_PROPERTIES",
     "is_induced_matching",
@@ -456,7 +457,8 @@ def find_independent_orientation(G: Graph, M) -> Orientation | None:
 
 
 def is_independent_matching(G: Graph, M) -> bool:
-    return find_independent_orientation(G, M) is not None
+    m = as_matching(G, M)
+    return _orient_masks(G.adj_masks, m.partner, m.sat_mask) is not None
 
 
 def _join_coloured(adj, comps: tuple, u: int, v: int) -> tuple | None:
@@ -478,17 +480,24 @@ def _join_coloured(adj, comps: tuple, u: int, v: int) -> tuple | None:
     return (*rest, (p, q))
 
 
+def _coloured(adj, edges) -> tuple | None:
+    """The 2-coloured components of <M> for M's ``edges``, or None."""
+    comps = ()
+    for u, v in edges:
+        comps = _join_coloured(adj, comps, u, v)
+        if comps is None:
+            return None
+    return comps
+
+
 def find_bipartite_orientation(G: Graph, M) -> Orientation | None:
     """An orientation with both tails and heads independent, or None: a
     proper 2-coloring of <M>, whose lowest vertex in each component is a
     tail."""
     m = as_matching(G, M)
-    adj = G.adj_masks
-    comps = ()
-    for u, v in m.edges:
-        comps = _join_coloured(adj, comps, u, v)
-        if comps is None:
-            return None
+    comps = _coloured(G.adj_masks, m.edges)
+    if comps is None:
+        return None
     tails = 0
     for a, b in comps:
         tails |= a if a & -a < b & -b else b
@@ -496,7 +505,7 @@ def find_bipartite_orientation(G: Graph, M) -> Orientation | None:
 
 
 def is_bipartite_matching(G: Graph, M) -> bool:
-    return find_bipartite_orientation(G, M) is not None
+    return _coloured(G.adj_masks, as_matching(G, M).edges) is not None
 
 
 # -- neighborhood adjacency variants ----------------------------------------
@@ -639,12 +648,15 @@ _DISPATCH = {
 }
 
 
+def predicate(P: PropertyId):
+    """The predicate for P, called as ``f(G, m)`` on a nonempty Matching m."""
+    return _DISPATCH[P]
+
+
 def has_property(G: Graph, M, P: PropertyId) -> bool:
     """Dispatch to the predicate for P. The empty matching passes every P."""
     m = as_matching(G, M)
-    if m.size == 0:
-        return True
-    return _DISPATCH[P](G, m)
+    return m.size == 0 or _DISPATCH[P](G, m)
 
 
 def property_holds(G: Graph, P: PropertyId, edges: tuple[Edge, ...]) -> bool:
@@ -654,9 +666,7 @@ def property_holds(G: Graph, P: PropertyId, edges: tuple[Edge, ...]) -> bool:
     m = object.__new__(Matching)
     object.__setattr__(m, "host", G)
     object.__setattr__(m, "edges", edges)
-    if not edges:
-        return True
-    return _DISPATCH[P](G, m)
+    return not edges or _DISPATCH[P](G, m)
 
 
 # -- total matchings -----------------------------------------------------------
@@ -682,30 +692,36 @@ def total_violation(G: Graph, T: MixedSet) -> tuple | None:
     return None
 
 
+def _total_masks(G: Graph, T: MixedSet) -> tuple[int, int] | None:
+    """T's vertex mask and the mask of its edges' ends, or None when two of
+    T's elements are dependent."""
+    vmask = sum(1 << v for v in T.vertices)
+    sat = 0
+    for u, v in T.edges:
+        if sat & ((1 << u) | (1 << v)):
+            return None
+        sat |= (1 << u) | (1 << v)
+    if sat & vmask or any(G.adj_masks[v] & vmask for v in T.vertices):
+        return None
+    return vmask, sat
+
+
 def is_total_matching(G: Graph, T: MixedSet) -> bool:
-    return total_violation(G, T) is None
+    return _total_masks(G, T) is not None
 
 
 def is_maximal_total_matching(G: Graph, T: MixedSet) -> bool:
     """Pairwise independent, and no single vertex or edge can be added."""
-    if not is_total_matching(G, T):
+    masks = _total_masks(G, T)
+    if masks is None:
         return False
-    sat = 0
-    for u, v in T.edges:
-        sat |= (1 << u) | (1 << v)
-    vmask = 0
-    for v in T.vertices:
-        vmask |= 1 << v
-    adj = G.adj_masks
-    blocked_v = vmask | sat
-    for v in range(G.n):
-        if not (blocked_v >> v & 1) and not (adj[v] & vmask):
-            return False  # vertex v is addable
-    for u, v in G.edges:
-        bits = (1 << u) | (1 << v)
-        if not (bits & (sat | vmask)):
-            return False  # edge (u, v) is addable
-    return True
+    vmask, sat = masks
+    taken, adj = vmask | sat, G.adj_masks
+    # A vertex is addable when it is untaken and sees no chosen vertex, an
+    # edge when neither end is taken.
+    return all(taken >> v & 1 or adj[v] & vmask for v in range(G.n)) and all(
+        taken & ((1 << u) | (1 << v)) for u, v in G.edges
+    )
 
 
 # -- b-matchings -----------------------------------------------------------------

@@ -165,6 +165,23 @@ def test_graph_rejects_self_loop_and_bad_endpoint():
         Graph(3, ((0, 3),))
 
 
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (2, ((0.0, 1.0),)),  # canonical in shape: the one-pass check's input
+        (3, ((0.5, 1.5),)),
+        (2, ((False, True),)),
+        (3, ((0, 1), (1, 2.0))),
+        (2, [(0.0, 1.0)]),  # a list: the normalizing loop's input
+        (3, ((1.0, 0),)),
+        (3, ((None, 1),)),
+    ],
+)
+def test_graph_rejects_non_integer_endpoints(n, edges):
+    with pytest.raises(ValueError, match="non-integer endpoint"):
+        Graph(n, edges)
+
+
 def _normalized_reference(n, edges):
     """The edge normalization spelled out: every pair checked in input order,
     then canonical, deduplicated and sorted. Returns the edges or the error
@@ -535,10 +552,53 @@ def test_edge_cut_examples(q3, k4):
     assert not is_edge_cut(k4, [])
 
 
-@given(graphs(min_n=1, max_n=7), st.data())
+def _cut_by_component_count(G, F) -> bool:
+    """The definition: G - F has more components than G."""
+    kept = tuple(e for e in G.edges if e not in set(F))
+    return len(components(Graph(G.n, kept))) > len(components(G))
+
+
+def test_edge_cut_matches_component_count_exhaustive():
+    # Every edge subset of every labeled graph with n <= 5.
+    for n in range(6):
+        pairs = n * (n - 1) // 2
+        for mask in range(1 << pairs):
+            G = from_edge_mask(n, mask)
+            for sub in range(1 << G.m):
+                F = [e for i, e in enumerate(G.edges) if sub >> i & 1]
+                assert is_edge_cut(G, F) == _cut_by_component_count(G, F), (G, F)
+
+
+def test_edge_cut_rejects_a_non_edge(k4):
+    p4 = generate("path", n=4)
+    for G, F in ((p4, [(0, 2)]), (p4, [(0, 1), (1, 3)]), (k4, [(0, 4)]), (p4, [(2, 2)]),
+                 (p4, [(0.0, 1.0)]), (p4, [(False, True)])):
+        with pytest.raises(ValueError, match="is not an edge"):
+            is_edge_cut(G, F)
+
+
+def test_edge_cut_builds_no_graph(monkeypatch, q3):
+    """Counter gate: the cut test labels components on the adjacency lists
+    of its input, on a 10^5-vertex path too, and constructs no Graph."""
+    n = 100_000
+    path = Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    built = []
+    original = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(1) or original(self))
+    assert is_edge_cut(path, [(n // 2, n // 2 + 1)])
+    assert is_edge_cut(path, [(0, 1), (n - 2, n - 1)])
+    assert not is_edge_cut(q3, [(0, 1)])
+    assert is_edge_cut(q3, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    assert built == []
+
+
+@given(graphs(min_n=1, max_n=8), st.data())
 def test_edge_cut_agrees_with_union_find(G, data):
     if not G.edges:
         return
     F = data.draw(st.sets(st.sampled_from(G.edges), max_size=G.m))
     expected = _components_after_removal_brute(G, F) > len(components(G))
+    assert expected == _cut_by_component_count(G, F)
     assert is_edge_cut(G, F) == expected
+    # Either orientation of an edge names it.
+    assert is_edge_cut(G, [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in F]) == expected

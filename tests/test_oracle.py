@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given
 
 from pmatch import oracle
-from pmatch.graph import Graph, generate
+from pmatch.graph import Graph, from_edge_mask, generate
 from pmatch.oracle import (
     COVER_SCAN_LIMIT,
     EDGE_SUBSET_LIMIT,
@@ -208,3 +210,52 @@ def test_oracle_and_checks_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# sha256 over every oracle tag's (value, all_witnesses_count, enumerated,
+# witness), or its error, on _digest_corpus(): a change to any answer, count
+# or witness of the reference side shows here.
+ORACLE_DIGEST = "b5cbdf1d5be70a6ae53bdd015ab4263c16332992aa2312430287b3581cfff20a"
+
+
+def _digest_corpus():
+    """Every labeled graph with n <= 5, then 200 seeded graphs with n = 7, 8
+    at densities 0.2, 0.35 and 0.5."""
+    for n in range(6):
+        yield from all_graphs(n)
+    rng = random.Random(2018)
+    for i in range(200):
+        n = 7 + i % 2
+        p = (0.2, 0.35, 0.5)[i % 3]
+        pairs = n * (n - 1) // 2
+        yield from_edge_mask(n, sum(1 << j for j in range(pairs) if rng.random() < p))
+
+
+def test_oracle_output_is_pinned():
+    h = hashlib.sha256()
+    for G in _digest_corpus():
+        for pid in ParameterId:
+            try:
+                r = oracle_parameter(G, pid)
+                row = (r.value, r.all_witnesses_count, r.enumerated, r.witness)
+            except ValueError as exc:
+                row = (type(exc).__name__, str(exc))
+            h.update(repr((G.n, G.edges, pid.value, row)).encode())
+    assert h.hexdigest() == ORACLE_DIGEST
+
+
+def test_oracle_and_checks_build_no_graph(monkeypatch):
+    """Counter gate: the scans decide every candidate on the input graph's
+    masks and lists; no predicate, cut test or check builds a Graph."""
+    G = generate("gnp", n=8, p=0.5, seed=3)
+    built = []
+    original = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda self: built.append(1) or original(self))
+    for scan in (oracle._matching_scan, oracle._total_scan, oracle._vertex_scan):
+        scan.cache_clear()
+    for pid in ParameterId:
+        oracle_parameter(G, pid)
+    for name in applicable_checks(G):
+        assert run_check(name, G).holds
+    assert oracle._matching_scan.cache_info().misses == 1
+    assert built == []

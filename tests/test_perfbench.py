@@ -67,3 +67,14 @@ def test_kernels_graph_layer_answers(kernel_items, name):
     kernels, items = kernel_items
     item = items[name]
     assert kernels.check(item, kernels.run(item)) is None
+
+
+def test_verify_workload_answers():
+    # The verify workload's first 18 items: two of each of its nine (n, p)
+    # strata, through its own run and check, from a cold oracle.
+    _, workloads = _load_bench()
+    verify = workloads.Verify(seed=1)
+    items = verify.build()[:18]
+    verify.before_pass()
+    for item in items:
+        assert verify.check(item, verify.run(item)) is None, item.name

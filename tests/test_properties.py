@@ -70,6 +70,12 @@ def test_matching_type_invariants(p8):
     assert len(m.saturated) == 2 * m.size
     with pytest.raises(ValueError):
         Matching(p8, ((0, 1), (1, 2)))
+    for edges in (((0.0, 1.0),), ((False, True),)):
+        with pytest.raises(ValueError, match="is not an edge"):
+            Matching(p8, edges)
+    for vertex in (0.0, True, 8):
+        with pytest.raises(ValueError, match="is not an integer in 0..7"):
+            MixedSet(p8, (vertex,))
 
 
 def test_maximal_matching_examples(p8):
@@ -235,12 +241,13 @@ def test_orientation_certificates_exhaustive():
                         w = cycle[(i + 1) % len(cycle)]
                         assert G.has_edge(u, w)
                         assert (m.partner.get(u) == w) == (i % 2 == 0)
-                for mode, find in (
-                    ("independent", find_independent_orientation),
-                    ("bipartite", find_bipartite_orientation),
+                for mode, find, holds in (
+                    ("independent", find_independent_orientation, is_independent_matching),
+                    ("bipartite", find_bipartite_orientation, is_bipartite_matching),
                 ):
                     o = find(G, m)
                     assert (o is not None) == oracle_orientation_feasible(G, m, mode)
+                    assert holds(G, m) == (o is not None)
                     if o is None:
                         continue
                     assert tuple(sorted(tuple(sorted(p)) for p in o.pairs)) == m.edges
@@ -353,6 +360,28 @@ def test_total_matching_perfect_matching_is_maximal(q3):
     t = MixedSet(q3, (), dim0)
     assert is_total_matching(q3, t)
     assert is_maximal_total_matching(q3, t)
+
+
+def test_total_predicates_match_the_violation_exhaustive():
+    # Every mixed set of every labeled graph with n <= 4: the mask-level
+    # predicate agrees with the first-violation search, and a maximal set is
+    # one that no single vertex or edge extends.
+    for n in range(5):
+        for G in all_graphs(n):
+            elements = [(v,) for v in range(G.n)] + list(G.edges)
+            for sub in range(1 << len(elements)):
+                chosen = [x for i, x in enumerate(elements) if sub >> i & 1]
+                T = MixedSet(G, [x[0] for x in chosen if len(x) == 1],
+                             [x for x in chosen if len(x) == 2])
+                ok = total_violation(G, T) is None
+                assert is_total_matching(G, T) == ok
+                grown = [
+                    MixedSet(G, T.vertices | {x[0]}, T.edges) if len(x) == 1
+                    else MixedSet(G, T.vertices, T.edges + (x,))
+                    for x in elements if x not in chosen
+                ]
+                maximal = ok and all(total_violation(G, U) is not None for U in grown)
+                assert is_maximal_total_matching(G, T) == maximal
 
 
 def test_total_violation_kinds():
