@@ -1,19 +1,17 @@
-"""Maximum-cardinality matching algorithms.
+"""Maximum-cardinality matching on one search state, ``_Search``.
 
-General graphs get Edmonds' blossom search, one breadth-first alternating
-tree per exposed root, on a search state shared by all roots of a graph. A
-search resets only the vertices of its own tree; a blossom contracts by
-walking the member lists of the bases it merges; and a root whose search
-fails heads a Hungarian tree, which is dropped for good (Edmonds, "Paths,
-trees, and flowers", 1965). The total cost is the sum of the tree sizes:
-close to linear on trees, and on sparse random graphs growing with the length
-of the augmenting paths. Nothing recurses. The lexicographically
-smallest maximum matching keeps one maximum matching on that state and tests
-each edge with at most two augmenting searches.
-
-Bipartite graphs run on the same search. One alternating walk from the
-exposed vertices of one side then reads off the minimum vertex cover, which
-certifies the matching/cover duality, and the Hall violator of a set system.
+The state holds the mate array, the dead marks and the labels of Edmonds'
+alternating trees ("Paths, trees, and flowers", 1965); nothing recurses.
+``augment`` grows one breadth-first tree from an exposed root and, when it
+augments, resets only that tree, so a search costs the size of its tree.
+``maximize``, which every new state runs, makes one search per exposed
+vertex after a greedy pass and keeps each failed root's Hungarian tree
+dead, labels and all, for the rest of the pass. Its even vertices are then D, the vertices that some maximum
+matching leaves exposed (Gallai-Edmonds; Lovasz & Plummer, "Matching
+Theory", 1986, ch. 3); on bipartite graphs D gives the König cover and the
+Hall violator. ``repair`` deletes a vertex set and keeps the matching
+maximum; the lexicographically smallest maximum matching calls it once per
+edge.
 """
 
 from __future__ import annotations
@@ -21,11 +19,8 @@ from __future__ import annotations
 from .graph import Graph, is_bipartite
 
 __all__ = [
-    "maximum_mates",
-    "maximum_matching",
     "max_matching_size",
     "lexmin_maximum_matching",
-    "alternating_reach",
     "bipartite_matching_and_cover",
 ]
 
@@ -38,8 +33,8 @@ class _Search:
     ``match`` is the mate array (-1 for exposed). A vertex marked ``dead`` is
     invisible to every search; the matched edges of live vertices must join
     live vertices. Between searches ``parent`` is -1, ``base`` the identity
-    and ``even`` false everywhere: a search restores only the vertices of its
-    own tree, so it costs the size of that tree, not n.
+    and ``even`` false on every live vertex. A new state holds a maximum
+    matching of the graph on ``adj``, with D marked even.
     """
 
     __slots__ = ("adj", "match", "dead", "parent", "base", "even")
@@ -47,16 +42,23 @@ class _Search:
     def __init__(self, n: int, adj):
         self.adj = adj
         self.match = [-1] * n
+        self.revive()
+        self.maximize()
+
+    def revive(self):
+        """Make every vertex live and unlabelled, keeping ``match``. Only for
+        right after ``maximize``, whose dead vertices are matched among
+        themselves or exposed."""
+        n = len(self.match)
         self.dead = [False] * n
         self.parent = [-1] * n
         self.base = list(range(n))
         self.even = [False] * n
 
     def maximize(self):
-        """Turn the empty matching of a new state into a maximum one: a greedy
-        pass, then one search per exposed vertex. A root whose search fails
-        heads a Hungarian tree, and no later augmenting path passes through
-        one, so the tree is marked dead for the rest of the pass."""
+        """Turn the empty matching of a new state into a maximum one. No later
+        augmenting path passes through the Hungarian tree of a failed root, so
+        the tree is marked dead, labels and all; ``even`` then marks D."""
         match, dead, adj = self.match, self.dead, self.adj
         for v in range(len(match)):
             if match[v] == -1:
@@ -70,25 +72,94 @@ class _Search:
                 for x in self.augment(v) or ():
                     dead[x] = True
 
-    def augment(self, root: int) -> list[int] | None:
+    def augment(self, root: int, journal: list | None = None) -> list[int] | None:
         """Search from the exposed vertex ``root``. On reaching another exposed
-        vertex, flip the path and return None; otherwise return the vertices
-        of the Hungarian tree."""
+        vertex, flip the path, appending each changed vertex and its old mate
+        to ``journal`` if one is given, reset the tree and return None.
+        Otherwise return the vertices of the Hungarian tree, still labelled:
+        the caller kills it or resets it."""
         tree: list[int] = []
         end = self._grow(root, tree)
-        found = end != -1
-        match, parent, base, even = self.match, self.parent, self.base, self.even
+        if end == -1:
+            return tree
+        match, parent = self.match, self.parent
         while end != -1:
             pv = parent[end]
             ppv = match[pv]
+            if journal is not None:
+                journal += (end, match[end]), (pv, ppv)
             match[end] = pv
             match[pv] = end
             end = ppv
+        self._reset(tree)
+        return None
+
+    def _reset(self, tree: list[int]):
+        parent, base, even = self.parent, self.base, self.even
         for x in tree:
             parent[x] = -1
             base[x] = x
             even[x] = False
-        return None if found else tree
+
+    def repair(self, S, allowance: int) -> bool:
+        """Delete the live vertices ``S`` and return whether the matching
+        number falls by at most ``allowance``. If it does, ``match`` on the
+        live vertices is a maximum matching of what is left; if not, ``match``
+        and ``dead`` are as before. A deleted vertex keeps its last mate.
+
+        Every augmenting path left ends at a freed mate of S, so one search
+        from each settles it. Pairs inside S, or else one edge inside S, are
+        lost in any case: that caps what can come back, and the step stops at
+        the first search that reaches the cap, or fails at once when the
+        target is above it. While more than one pair may come back, the mates
+        not yet searched are hidden, since a path between two of them could
+        leave two exposed vertices an augmenting path. A miss replays the
+        journal of path flips backwards and gives the freed mates back; flips
+        that no miss can follow go unrecorded."""
+        match, dead = self.match, self.dead
+        freed = inside = 0  # mates freed outside S, and matched vertices in S
+        for s in S:
+            dead[s] = True
+            m = match[s]
+            if m != -1:
+                if m in S:
+                    inside += 1
+                else:
+                    freed += 1
+                    match[m] = -1
+        need, cap = freed + inside // 2 - allowance, freed  # pairs to win back, at most
+        if not inside and freed and any(t in self.adj[s] for s in S for t in S):
+            cap -= 1
+        if need <= cap == 0:
+            return True
+        if need <= cap:
+            if cap > 1:
+                for s in S:
+                    m = match[s]
+                    if m != -1 and m not in S:
+                        dead[m] = True
+            gain, journal = 0, [] if need > 1 else None
+            for s in S:
+                m = match[s]
+                if m == -1 or m in S:
+                    continue
+                dead[m] = False
+                if gain < cap:
+                    tree = self.augment(m, journal if need - gain > 1 else None)
+                    if tree is None:
+                        gain += 1
+                    else:
+                        self._reset(tree)
+            if gain >= need:
+                return True
+            for x, old in reversed(journal or ()):
+                match[x] = old
+        for s in S:
+            dead[s] = False
+            m = match[s]
+            if m != -1:
+                match[m] = s
+        return False
 
     def _grow(self, root: int, tree: list[int]) -> int:
         """Breadth-first alternating tree from ``root``, recording every vertex
@@ -163,89 +234,28 @@ class _Search:
             v = parent[mate]
 
 
-def maximum_mates(n: int, adj) -> list[int]:
-    """Mate array (-1 for exposed) of a maximum matching of the graph with
-    neighbor lists ``adj`` on 0..n-1. Each root is searched once, and a
-    search costs the size of its tree, not n."""
-    search = _Search(n, adj)
-    search.maximize()
-    return search.match
-
-
-def _mated_edges(match: list[int]) -> frozenset[Edge]:
-    return frozenset((v, w) for v, w in enumerate(match) if w > v)
-
-
-def maximum_matching(G: Graph) -> frozenset[Edge]:
-    """A maximum matching of G (deterministic for a fixed graph)."""
-    return _mated_edges(maximum_mates(G.n, G.adj_lists))
-
-
 def max_matching_size(G: Graph) -> int:
-    return (G.n - maximum_mates(G.n, G.adj_lists).count(-1)) // 2
+    return (G.n - _Search(G.n, G.adj_lists).match.count(-1)) // 2
 
 
 def lexmin_maximum_matching(G: Graph) -> tuple[Edge, ...]:
     """The lexicographically smallest maximum matching (edges as sorted
     pairs, sets compared as sorted tuples).
 
-    Greedy forcing: take each edge in order whenever a maximum matching
-    through the forced prefix survives. A maximum matching M of the graph
-    minus the forced vertices is kept throughout. To test (u, v), u and v are
-    removed and their mates freed; every augmenting path of what is left
-    then starts at a freed mate, so the test needs at most two searches, and
-    when it fails the two matched edges go back.
+    Greedy forcing: take each edge (u, v) in order whenever a maximum
+    matching through the forced prefix survives, that is, when deleting u
+    and v from what is left lowers its matching number by one. One repair
+    step with allowance 1 decides that and keeps the matching maximum.
     """
     search = _Search(G.n, G.adj_lists)
-    search.maximize()
-    match = search.match
-    dead = search.dead = [False] * G.n
+    search.revive()
+    dead, repair = search.dead, search.repair
     chosen: list[Edge] = []
-    for u, v in G.edges:
-        if dead[u] or dead[v]:
-            continue
-        mu, mv = match[u], match[v]
-        dead[u] = dead[v] = True
-        for x in (u, v, mu, mv):
-            if x != -1:
-                match[x] = -1
-        # With (u, v) in M, or u or v exposed, what is left of M is one edge
-        # short of M and so maximum without u and v. Otherwise it is two
-        # short and must regain an edge along a path from a freed mate.
-        if (
-            mu not in (v, -1)
-            and mv != -1
-            and search.augment(mu) is not None
-            and search.augment(mv) is not None
-        ):
-            match[u], match[mu], match[v], match[mv] = mu, u, mv, v
-            dead[u] = dead[v] = False
-            continue
-        chosen.append((u, v))
+    for e in G.edges:
+        u, v = e
+        if not (dead[u] or dead[v]) and repair(e, 1):
+            chosen.append(e)
     return tuple(chosen)
-
-
-def alternating_reach(adj, match: list[int], roots) -> tuple[set[int], set[int]]:
-    """The vertices reached from the exposed ``roots`` along alternating
-    paths (an unmatched edge, then a matched one, and so on), split into
-    those at even and those at odd distance. On a bipartite graph with a
-    maximum matching, the even vertices on the roots' side are the ones that
-    some maximum matching leaves exposed, whichever maximum matching ``match``
-    is (Dulmage-Mendelsohn)."""
-    even = set(roots)
-    odd: set[int] = set()
-    queue = list(even)
-    for v in queue:
-        for w in adj[v]:
-            # The mate of an even vertex other than a root is already odd.
-            if w in odd:
-                continue
-            odd.add(w)
-            x = match[w]
-            if x != -1:
-                even.add(x)
-                queue.append(x)
-    return even, odd
 
 
 def bipartite_matching_and_cover(
@@ -253,17 +263,14 @@ def bipartite_matching_and_cover(
 ) -> tuple[frozenset[Edge], frozenset[int]]:
     """A maximum matching and a vertex cover of the same size.
 
-    With parts (A, B) and the vertices reached along alternating paths from
-    the exposed vertices of A, the cover is (A minus the even ones) union the
-    odd ones. It is the same for every maximum matching. Raises on
-    non-bipartite input.
+    With parts (A, B), the cover is (A - D) | N(D & A) for the set D that
+    ``maximize`` marks even, so it is the same for every maximum matching.
+    Raises on non-bipartite input.
     """
     parts = is_bipartite(G)
     if parts is None:
         raise ValueError("graph is not bipartite")
-    a_side = parts[0]
-    match = maximum_mates(G.n, G.adj_lists)
-    even, odd = alternating_reach(
-        G.adj_lists, match, [v for v in a_side if match[v] == -1]
-    )
-    return _mated_edges(match), frozenset(a_side - even) | odd
+    search = _Search(G.n, G.adj_lists)
+    match, even, adj, A = search.match, search.even, G.adj_lists, parts[0]
+    cover = {a for a in A if not even[a]}.union(*(adj[a] for a in A if even[a]))
+    return frozenset((v, w) for v, w in enumerate(match) if w > v), frozenset(cover)

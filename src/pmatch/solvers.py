@@ -53,12 +53,7 @@ from .graph import (
     is_even_cycle_free,
     is_triangle_free,
 )
-from .matching import (
-    alternating_reach,
-    lexmin_maximum_matching,
-    max_matching_size,
-    maximum_mates,
-)
+from .matching import _Search, lexmin_maximum_matching, max_matching_size
 from .properties import (
     HEREDITARY_PROPERTIES,
     BoundFunction,
@@ -810,10 +805,9 @@ class SdrResult:
 def sdr_solve(system: SetSystem) -> SdrResult:
     """Distinct representatives from a maximum matching of the incidence
     graph, where set i is vertex i and element x is vertex k + pos(x) for k
-    sets. When some set is left exposed, the sets reached from the exposed
-    ones along alternating paths form the violator; they are the sets that
-    some maximum matching misses, so the violator does not depend on the
-    matching found."""
+    sets. When some set is left exposed, the violator is the sets that some
+    maximum matching misses, the set D that the search marks even, so it
+    does not depend on the matching found."""
     ground, k = system.ground, len(system.sets)
     pos = {x: k + i for i, x in enumerate(ground)}
     adj = [sorted(pos[x] for x in s) for s in system.sets]
@@ -821,12 +815,11 @@ def sdr_solve(system: SetSystem) -> SdrResult:
     for i in range(k):
         for x in adj[i]:
             adj[x].append(i)
-    match = maximum_mates(len(adj), adj)
-    exposed = [i for i in range(k) if match[i] == -1]
-    if not exposed:
+    search = _Search(len(adj), adj)
+    match, even = search.match, search.even
+    if -1 not in match[:k]:
         return SdrResult(tuple(ground[match[i] - k] for i in range(k)), None)
-    violator, _ = alternating_reach(adj, match, exposed)
-    return SdrResult(None, frozenset(violator))
+    return SdrResult(None, frozenset(i for i in range(k) if even[i]))
 
 
 # -- dispatcher -----------------------------------------------------------------------------

@@ -194,8 +194,8 @@ def check_frobenius(G: Graph) -> TheoremVerdict:
             if violating:
                 break
     else:
-        # Deficiency route: a maximum matching exposing part of A yields the
-        # violating subset by alternating reachability, as in the SDR solver.
+        # Deficiency route: the SDR solver's violator is the part of A that
+        # some maximum matching leaves exposed.
         if beta1 < len(a_side):
             w = sdr_solve(SetSystem(b_side, [G.neighbors(a) for a in a_side])).violator
             violating = tuple(a_side[i] for i in sorted(w))

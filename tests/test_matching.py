@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -6,15 +7,15 @@ import hypothesis.strategies as st
 
 from pmatch.graph import Graph, generate, is_bipartite
 from pmatch.matching import (
+    _Search,
     bipartite_matching_and_cover,
     lexmin_maximum_matching,
     max_matching_size,
-    maximum_matching,
 )
 from pmatch.oracle import all_matchings
 from pmatch.properties import is_matching
 from pmatch.solvers import sdr_solve
-from pmatch.theorems import all_graphs, random_set_system
+from pmatch.theorems import all_graphs, random_graphs, random_set_system
 
 from conftest import brute_force_max_matching, graphs
 
@@ -22,14 +23,14 @@ from conftest import brute_force_max_matching, graphs
 def test_blossom_exhaustive_small():
     for n in range(0, 7):
         for G in all_graphs(n):
-            got = maximum_matching(G)
+            got = lexmin_maximum_matching(G)
             assert is_matching(G, got)
             assert len(got) == brute_force_max_matching(G)
 
 
 @given(graphs(max_n=8))
 def test_blossom_matches_brute_force(G):
-    got = maximum_matching(G)
+    got = lexmin_maximum_matching(G)
     assert is_matching(G, got)
     assert len(got) == brute_force_max_matching(G)
 
@@ -129,9 +130,9 @@ def test_blossom_on_flowers_under_relabeling(G):
     rng = random.Random(G.n)
     for _ in range(40):
         H = _relabel(G, rng)
-        got = maximum_matching(H)
+        got = lexmin_maximum_matching(H)
         assert is_matching(H, got) and len(got) == best
-        assert lexmin_maximum_matching(H) == brute_force_lexmin(H)
+        assert got == brute_force_lexmin(H)
     assert lexmin_maximum_matching(G) == lexmin
 
 
@@ -148,8 +149,6 @@ def test_blossom_and_lexmin_against_networkx():
         cases.append(("gnp", n, R, len(nx.max_weight_matching(R, maxcardinality=True))))
     for family, n, R, nu in cases:
         G = Graph(n, tuple(R.edges()))
-        got = maximum_matching(G)
-        assert is_matching(G, got) and len(got) == nu, (family, n)
         assert max_matching_size(G) == nu, (family, n)
         lexmin = lexmin_maximum_matching(G)
         assert is_matching(G, lexmin) and len(lexmin) == nu, (family, n)
@@ -171,19 +170,62 @@ def _missed_by_some_maximum(G, side):
     return missed
 
 
+def _matching_numbers(G):
+    """nu of every induced subgraph, by vertex mask and memoized per graph:
+    the lowest vertex of a mask stays exposed or takes a neighbor in it."""
+    nbr = [0] * G.n
+    for u, v in G.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    memo = {0: 0}
+
+    def nu(mask):
+        if mask not in memo:
+            low = mask & -mask
+            rest = mask ^ low
+            best = nu(rest)
+            m = nbr[low.bit_length() - 1] & rest
+            while m:
+                w = m & -m
+                best = max(best, 1 + nu(rest ^ w))
+                m ^= w
+            memo[mask] = best
+        return memo[mask]
+
+    return nu
+
+
+def _even_after_maximize(G):
+    search = _Search(G.n, G.adj_lists)
+    return {v for v in range(G.n) if search.even[v]}
+
+
 def test_cover_and_violator_do_not_depend_on_the_matching():
-    """The König cover and the Hall violator are the Dulmage-Mendelsohn sets,
-    the same for every maximum matching: with D the vertices of A that some
-    maximum matching misses, the cover is (A - D) | N(D) and the violator is D."""
+    """The vertices that ``maximize`` leaves even are D, the vertices that
+    some maximum matching misses (Gallai-Edmonds). On a bipartite graph the
+    König cover is (A - D) | N(D & A), and the Hall violator is D's sets:
+    the same for every maximum matching."""
     for n in range(7):
         for G in all_graphs(n):
+            D = _missed_by_some_maximum(G, range(n))
+            assert _even_after_maximize(G) == D, G
             parts = is_bipartite(G)
             if parts is None:
                 continue
             a_side = parts[0]
-            D = _missed_by_some_maximum(G, a_side)
             _, cover = bipartite_matching_and_cover(G)
-            assert cover == (a_side - D).union(*(G.neighbors(v) for v in D)), G
+            assert cover == (a_side - D).union(*(G.neighbors(v) for v in D & a_side)), G
+    odd_cycles = 0
+    for n in range(7, 17):
+        for G in random_graphs(n, 12, seed=n):
+            if is_bipartite(G) is not None:
+                continue
+            odd_cycles += 1
+            nu = _matching_numbers(G)
+            full = (1 << n) - 1
+            D = {v for v in range(n) if nu(full ^ (1 << v)) == nu(full)}
+            assert _even_after_maximize(G) == D, G
+    assert odd_cycles >= 80
     rng = random.Random(5)
     violators = 0
     for _ in range(300):
@@ -236,3 +278,41 @@ def test_blossom_agrees_with_bipartite_route_when_bipartite(G):
         return
     matching, _ = bipartite_matching_and_cover(G)
     assert len(matching) == max_matching_size(G)
+
+
+def _check_repair(G, nu, S, allowance):
+    n, full = G.n, (1 << G.n) - 1
+    left = nu(full & ~sum(1 << s for s in S))
+    search = _Search(n, G.adj_lists)
+    search.revive()
+    before = list(search.match)
+    ok = search.repair(S, allowance)
+    assert ok == (left >= nu(full) - allowance), (G, S, allowance)
+    match, dead = search.match, search.dead
+    if ok:
+        assert dead == [v in S for v in range(n)]
+        live = [(v, w) for v, w in enumerate(match) if not dead[v]]
+        assert all(w == -1 or not dead[w] and match[w] == v for v, w in live)
+        pairs = [(v, w) for v, w in live if w > v]
+        assert is_matching(G, pairs) and len(pairs) == left, (G, S, allowance)
+    else:
+        assert match == before and not any(search.dead), (G, S, allowance)
+    assert search.parent == [-1] * n and not any(search.even)
+    assert search.base == list(range(n))
+
+
+def test_repair_step_against_its_definition():
+    """``repair`` from the revived state of ``maximize``, on every graph with
+    n <= 5 and on seeded ones with n = 6-8, for every S with |S| <= 3 and
+    every allowance 0..|S|: True exactly when nu(G - S) >= nu(G) -
+    allowance, and then ``match`` is a maximum matching of G - S; after
+    False, ``match`` and ``dead`` are as before. Either way the labels are
+    clear again."""
+    cases = [G for n in range(6) for G in all_graphs(n)]
+    cases += [G for n in (6, 7, 8) for G in random_graphs(n, 30, seed=n)]
+    for G in cases:
+        nu = _matching_numbers(G)
+        for k in range(min(G.n, 3) + 1):
+            for S in combinations(range(G.n), k):
+                for allowance in range(k + 1):
+                    _check_repair(G, nu, S, allowance)

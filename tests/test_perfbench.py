@@ -61,6 +61,11 @@ def kernel_items():
         "components.gnp.100000",
         "tree_b_matching_max.tree.100000",
         "parse_serialize.tree.100000",
+        "max_matching_size.gnp.10000",
+        "lexmin_maximum_matching.gnp.400",
+        "sdr_solve.random.5000",
+        "sdr_solve.chain.5000",
+        "bipartite_matching_and_cover.tree.10000",
     ],
 )
 def test_kernels_graph_layer_answers(kernel_items, name):
