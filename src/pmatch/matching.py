@@ -37,29 +37,30 @@ class _Search:
     matching of the graph on ``adj``, with D marked even.
     """
 
-    __slots__ = ("adj", "match", "dead", "parent", "base", "even")
+    __slots__ = ("adj", "match", "dead", "parent", "base", "even", "killed")
 
     def __init__(self, n: int, adj):
         self.adj = adj
-        self.match = [-1] * n
-        self.revive()
+        self.match, self.dead, self.even = [-1] * n, [False] * n, [False] * n
+        self.parent, self.base, self.killed = [-1] * n, list(range(n)), []
         self.maximize()
 
     def revive(self):
-        """Make every vertex live and unlabelled, keeping ``match``. Only for
-        right after ``maximize``, whose dead vertices are matched among
-        themselves or exposed."""
-        n = len(self.match)
-        self.dead = [False] * n
-        self.parent = [-1] * n
-        self.base = list(range(n))
-        self.even = [False] * n
+        """Make the vertices that ``maximize`` killed live and unlabelled
+        again, keeping ``match``: they are matched among themselves or
+        exposed. Only for right after ``maximize``."""
+        dead, killed = self.dead, self.killed
+        for x in killed:
+            dead[x] = False
+        self._reset(killed)
+        killed.clear()
 
     def maximize(self):
         """Turn the empty matching of a new state into a maximum one. No later
         augmenting path passes through the Hungarian tree of a failed root, so
-        the tree is marked dead, labels and all; ``even`` then marks D."""
-        match, dead, adj = self.match, self.dead, self.adj
+        the tree is marked dead, labels and all, and listed in ``killed``;
+        ``even`` then marks D."""
+        match, dead, adj, killed = self.match, self.dead, self.adj, self.killed
         for v in range(len(match)):
             if match[v] == -1:
                 for w in adj[v]:
@@ -71,6 +72,7 @@ class _Search:
             if match[v] == -1:
                 for x in self.augment(v) or ():
                     dead[x] = True
+                    killed.append(x)
 
     def augment(self, root: int, journal: list | None = None) -> list[int] | None:
         """Search from the exposed vertex ``root``. On reaching another exposed

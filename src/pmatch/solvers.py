@@ -16,16 +16,17 @@
   ``beta_c_minus`` and ``beta_if_minus``. The maximum search cuts on a
   greedy clique partition of the available elements, the dominating search
   on a greedy packing of undominated elements that share no candidate.
-- One first-hit search over the edges: it walks the k-edge matchings in
-  lexicographic order and stops at the first one accepted. The nine
-  variants that are not pairwise take it for their maxima (k down from the
-  matching number), and seven of them for their minima (k up from 1). Each
-  frame carries its prefix's per-variant state, and a step settles a
-  candidate with the work its new edge can change. The ur and bipartite
-  steps call the predicates' own search and join (their references are the
-  oracle's perfect-matching count and orientation scan); the other
-  predicates of ``properties`` are the reference. It cuts a prefix that
-  half the vertices its remaining edges touch cannot bring up to k.
+- One first-hit search over the edges: it walks the matchings in
+  lexicographic order toward a target size k. The nine variants that are
+  not pairwise take it for their maxima, in one walk whose every hit raises
+  k past its size, and seven of them for their minima, one walk per k from
+  1 up that stops at the first maximal hit. Each frame carries its
+  prefix's per-variant state, and a step settles a candidate with the work
+  its new edge can change. The ur and bipartite steps call the predicates'
+  own search and join (their references are the oracle's perfect-matching
+  count and orientation scan); the other predicates of ``properties`` are
+  the reference. It cuts a prefix that half the vertices its remaining
+  edges touch cannot bring up to k.
 - A matching-cut search for ``beta_sep_min``: it splits each component into
   two sides, branching on one vertex at a time, and forcing leaves a cut
   that is a matching.
@@ -413,17 +414,19 @@ def _stepper(G: Graph, P: PropertyId):
     return (), step
 
 
-def _first_hit(G: Graph, P: PropertyId, sizes, minimum: bool, cfg: EngineConfig, what: str):
-    """For each k of ``sizes`` in turn, walk the k-edge matchings of
-    ``G.edges`` in lexicographic order and return the first with P; with
-    ``minimum``, the first with P that no edge disjoint from it extends with
-    P. Edges are sorted, so the first hit is the lexicographically smallest
-    accepted matching of its size. Each frame carries its prefix's state,
-    and ``_stepper``'s step settles P for each candidate. A prefix is never
-    extended when P is hereditary and the prefix lacks it, or when the
-    compatible edges after it touch too few vertices to hold the edges it
-    still lacks, two ends each. Returns the hit (None when no size hits) and
-    the node count, one node per prefix tried, summed over all sizes."""
+def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfig, what: str):
+    """Walk the matchings of ``G.edges`` in lexicographic order toward a
+    target size k, for those with P (with ``minimum``, that no edge disjoint
+    from them extends with P). Edges are sorted, so the first hit of a size
+    is the lexicographically smallest. A minimum walks once per k from 1 to
+    ``nu`` and returns its first hit (None if none). A maximum walks once from
+    k = 1, each hit becoming the best and raising k past its size until k
+    exceeds ``nu``, and returns the last hit (() if none). Each frame carries
+    its prefix's state, and ``_stepper``'s step settles P for each candidate.
+    A prefix is never extended when P is hereditary and the prefix lacks it,
+    or when the compatible edges after it touch too few vertices to hold the
+    edges it still lacks of k, two ends each. Also returns the node count,
+    one node per prefix tried."""
     edges = G.edges
     start, step = _stepper(G, P)
     hereditary = P in HEREDITARY_PROPERTIES
@@ -433,16 +436,16 @@ def _first_hit(G: Graph, P: PropertyId, sizes, minimum: bool, cfg: EngineConfig,
         at[v] |= 1 << j
     clash = [at[u] | at[v] for u, v in edges]  # edges sharing an end with edge j
     ends = [1 << u | 1 << v for u, v in edges]
-    nodes = 0
-    for k in sizes:
+    best, nodes = None if minimum else (), 0
+    for k in range(1, nu + 1) if minimum else (1,):
         # A frame per depth: the prefix, as a bitmask the edges after its
         # last edge that are still compatible with it and not yet tried, and
         # the prefix's state.
         stack = [[(), (1 << len(edges)) - 1, start]]
-        while stack:
+        while stack and k <= nu:
             frame = stack[-1]
             prefix, avail, state = frame
-            if len(prefix) + avail.bit_count() < k:  # too few edges left
+            if not avail or len(prefix) + avail.bit_count() < k:  # too few edges left
                 stack.pop()
                 continue
             low = avail & -avail
@@ -453,13 +456,16 @@ def _first_hit(G: Graph, P: PropertyId, sizes, minimum: bool, cfg: EngineConfig,
             i = low.bit_length() - 1
             holds, state = step(state, i)
             cand = prefix + (edges[i],)
-            if len(cand) == k:
-                if holds and minimum:  # maximal: no edge disjoint from it extends it with P
-                    sat = reduce(or_, (1 << x for e in cand for x in e))
-                    holds = not any(step(state, j)[0] for j, e in enumerate(ends) if not e & sat)
+            if len(cand) >= k:
+                if minimum:
+                    if holds:  # maximal: no edge disjoint from it extends it with P
+                        sat = reduce(or_, (1 << x for e in cand for x in e))
+                        if not any(step(state, j)[0] for j, e in enumerate(ends) if not e & sat):
+                            return cand, nodes
+                    continue
                 if holds:
-                    return cand, nodes
-            elif holds or not hereditary:
+                    best, k = cand, len(cand) + 1
+            if holds or not hereditary:
                 rest = avail & ~clash[i]
                 if k - len(cand) > 1:  # rest matches at most half the vertices it touches
                     touched = 0
@@ -468,7 +474,7 @@ def _first_hit(G: Graph, P: PropertyId, sizes, minimum: bool, cfg: EngineConfig,
                     if len(cand) + touched.bit_count() // 2 < k:
                         continue
                 stack.append([cand, rest, state])
-    return None, nodes
+    return best, nodes
 
 
 def _variant_search(
@@ -482,9 +488,10 @@ def _variant_search(
     Pairwise variants are an independent set in the edge conflict masks: the
     largest, or the smallest maximal one. The connected and isolate-free
     minima are the smallest maximal matching of one component that has P.
-    The rest take the first-hit search, k running down from the matching
-    number for a maximum (no hit gives 0 and an empty witness) and up from 1
-    for a minimum. Hereditary variants never extend a prefix that has lost P.
+    The rest take the first-hit search: one walk for a maximum, whose hits
+    raise the target up to the matching number (no hit gives 0 and an empty
+    witness), and a walk per size from 1 up for a minimum. Hereditary
+    variants never extend a prefix that has lost P.
     """
     cfg = config or DEFAULT_CONFIG
     pid = (PROPERTY_MIN_PARAM if minimum else PROPERTY_MAX_PARAM)[P]
@@ -513,11 +520,7 @@ def _variant_search(
         else:
             chosen, nodes = _max_independent(conflict, cfg, pid.value)
         return _edge_result(G, pid, chosen, nodes)
-    nu = max_matching_size(G)
-    sizes = range(1, nu + 1) if minimum else range(nu, 0, -1)
-    hit, nodes = _first_hit(G, P, sizes, minimum, cfg, pid.value)
-    if hit is None and not minimum:  # only the empty matching has P
-        hit = ()
+    hit, nodes = _first_hit(G, P, max_matching_size(G), minimum, cfg, pid.value)
     return ParameterResult(pid, None if hit is None else len(hit), hit, "search", nodes)
 
 

@@ -371,6 +371,16 @@ def test_compute_budget_on_a_long_path_is_a_budget_error(capsys):
     assert entry["error"] == "gamma: node budget exceeded after 20001 nodes"
 
 
+def test_compute_budget_on_a_first_hit_maximum_is_a_budget_error(capsys):
+    # The vertex-irredundant maximum of a 40-vertex tree walks about 600,000
+    # prefixes in its one walk; the budget stops it.
+    code = main(["compute", "--family", "random_tree", "--n", "40", "--seed", "1",
+                 "--params", "beta_v_IR", "--budget", "20000"])
+    entry = json.loads(capsys.readouterr().out)["params"]["beta_v_IR"]
+    assert code == 3
+    assert entry["error"] == "beta_v_IR: node budget exceeded after 20001 nodes"
+
+
 def test_compute_collapsed_maxima_run_no_search(capsys):
     # A tree is in every class of the collapse table: with a node budget of
     # 0, any search would exit 3.
