@@ -14,19 +14,23 @@
   ``beta_star_minus``, ``beta_on_minus``, ``beta_cn_minus`` and
   ``beta_total_min``. Filtered by the predicate, per component, it answers
   ``beta_c_minus`` and ``beta_if_minus``. The maximum search cuts on a
-  greedy clique partition of the available elements, the dominating search
-  on a greedy packing of undominated elements that share no candidate.
+  greedy clique partition of the available elements and branches only on
+  the elements that the partition leaves past its first b - k - 1 cliques
+  (b the best size, k the chosen count); the dominating search cuts on a
+  greedy packing of undominated elements that share no candidate.
 - One first-hit search over the edges: it walks the matchings in
   lexicographic order toward a target size k. The nine variants that are
   not pairwise take it for their maxima, in one walk whose every hit raises
   k past its size, and seven of them for their minima, one walk per k from
-  1 up that stops at the first maximal hit. Each frame carries its
-  prefix's per-variant state, and a step settles a candidate with the work
-  its new edge can change. The ur and bipartite steps call the predicates'
-  own search and join (their references are the oracle's perfect-matching
-  count and orientation scan); the other predicates of ``properties`` are
-  the reference. It cuts a prefix that half the vertices its remaining
-  edges touch cannot bring up to k.
+  1 up that stops at the first maximal hit. The connected and isolate-free
+  maxima follow from the components' matching numbers, so their witnesses
+  take one walk at k = ν(C) per component that counts. Each frame carries
+  its prefix's per-variant state, and a step settles a candidate with the
+  work its new edge can change. The ur and bipartite steps call the
+  predicates' own search and join (their references are the oracle's
+  perfect-matching count and orientation scan); the other predicates of
+  ``properties`` are the reference. It cuts a prefix that half the vertices
+  its remaining edges touch cannot bring up to k.
 - A matching-cut search for ``beta_sep_min``: it splits each component into
   two sides, branching on one vertex at a time, and forcing leaves a cut
   that is a matching.
@@ -212,18 +216,29 @@ class ParameterResult:
 
 
 def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, key=None):
-    """Largest independent set by branch and bound: take or drop one element,
-    and cut a branch whose available elements split greedily into fewer
-    cliques than it lacks of the best size (Tomita & Seki, DMTCS 2003).
-    Returns the key-smallest largest set and the node count."""
+    """Largest independent set by branch and bound (Tomita & Seki, DMTCS
+    2003). A node with k chosen, while the best set has b, peels b - k - 1
+    greedy cliques off its available elements; a set that ties the best takes
+    one element per clique at most, so it takes one of the elements left. The
+    node is cut when none is left, and otherwise its i-th child takes the
+    i-th left element in index order and drops those before it. Returns the
+    key-smallest largest set and the node count."""
     best_size = 0
     best_set: tuple[int, ...] = ()
     best_key = key(()) if key else ()
     nodes = 0
-    # Depth first on an explicit stack: the taking child is popped first.
-    stack = [((1 << len(conflict)) - 1, ())]
+    # Depth first on an explicit stack. An entry with a nonzero ``branch``
+    # holds a node's children that are still to come: the lowest one is
+    # built when it is popped, and the rest go back as one entry.
+    stack = [((1 << len(conflict)) - 1, (), 0)]
     while stack:
-        avail, cur = stack.pop()
+        avail, cur, branch = stack.pop()
+        if branch:
+            low = branch & -branch
+            if branch ^ low:
+                stack.append((avail ^ low, cur, branch ^ low))
+            v = low.bit_length() - 1
+            avail, cur = avail & ~conflict[v] & ~low, tuple(sorted(cur + (v,)))
         nodes += 1
         if cfg.node_budget is not None and nodes > cfg.node_budget:
             raise BudgetExceededError(what, nodes)
@@ -233,8 +248,8 @@ def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, key=None
             if k > best_size or cur_key < best_key:
                 best_size, best_set, best_key = k, cur, cur_key
         # Each clique of the conflict graph holds one chosen element at most:
-        # cut unless a greedy clique partition of avail can still tie the best.
-        rest, parts = avail, k
+        # what is left after b - k - 1 greedy cliques is the branch set.
+        rest, parts = avail, k + 1
         while rest and parts < best_size:
             clique = rest & -rest
             grow = rest & conflict[clique.bit_length() - 1]
@@ -244,17 +259,8 @@ def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, key=None
                 grow = (grow ^ low) & conflict[low.bit_length() - 1]
             rest ^= clique
             parts += 1
-        if not avail or parts < best_size:
-            continue
-        # Branch on the available element of highest residual degree, ties
-        # toward the lowest index.
-        v = v_degree = -1
-        for x in _bits(avail):
-            degree = (conflict[x] & avail).bit_count()
-            if degree > v_degree:
-                v, v_degree = x, degree
-        stack.append((avail & ~(1 << v), cur))
-        stack.append((avail & ~conflict[v] & ~(1 << v), tuple(sorted(cur + (v,)))))
+        if rest:
+            stack.append((avail, cur, rest))
     return best_set, nodes
 
 
@@ -414,19 +420,21 @@ def _stepper(G: Graph, P: PropertyId):
     return (), step
 
 
-def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfig, what: str):
+def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfig, what: str,
+               k: int = 1, nodes: int = 0):
     """Walk the matchings of ``G.edges`` in lexicographic order toward a
     target size k, for those with P (with ``minimum``, that no edge disjoint
     from them extends with P). Edges are sorted, so the first hit of a size
-    is the lexicographically smallest. A minimum walks once per k from 1 to
-    ``nu`` and returns its first hit (None if none). A maximum walks once from
-    k = 1, each hit becoming the best and raising k past its size until k
-    exceeds ``nu``, and returns the last hit (() if none). Each frame carries
-    its prefix's state, and ``_stepper``'s step settles P for each candidate.
-    A prefix is never extended when P is hereditary and the prefix lacks it,
-    or when the compatible edges after it touch too few vertices to hold the
-    edges it still lacks of k, two ends each. Also returns the node count,
-    one node per prefix tried."""
+    is the lexicographically smallest. A minimum walks once per k from ``k``
+    to ``nu`` and returns its first hit (None if none). A maximum walks once
+    from ``k``, each hit becoming the best and raising k past its size until
+    k exceeds ``nu``, and returns the last hit (() if none). Each frame
+    carries its prefix's state, and ``_stepper``'s step settles P for each
+    candidate. A prefix is never extended when P is hereditary and the prefix
+    lacks it, or when the compatible edges after it touch too few vertices to
+    hold the edges it still lacks of k, two ends each. Also returns the node
+    count, one node per prefix tried, counted on from ``nodes`` so that
+    several walks share one budget."""
     edges = G.edges
     start, step = _stepper(G, P)
     hereditary = P in HEREDITARY_PROPERTIES
@@ -436,8 +444,8 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
         at[v] |= 1 << j
     clash = [at[u] | at[v] for u, v in edges]  # edges sharing an end with edge j
     ends = [1 << u | 1 << v for u, v in edges]
-    best, nodes = None if minimum else (), 0
-    for k in range(1, nu + 1) if minimum else (1,):
+    best = None if minimum else ()
+    for k in range(k, nu + 1) if minimum else (k,):
         # A frame per depth: the prefix, as a bitmask the edges after its
         # last edge that are still compatible with it and not yet tried, and
         # the prefix's state.
@@ -522,6 +530,33 @@ def _variant_search(
         return _edge_result(G, pid, chosen, nodes)
     hit, nodes = _first_hit(G, P, max_matching_size(G), minimum, cfg, pid.value)
     return ParameterResult(pid, None if hit is None else len(hit), hit, "search", nodes)
+
+
+def _component_maximum(G: Graph, P: PropertyId, cfg: EngineConfig) -> ParameterResult:
+    """The connected or isolate-free maximum by the components' matching
+    numbers ν(C). β_c(G) is the largest ν(C). β_if(G) is the sum of the
+    ν(C) that are at least 2, or 1 when that sum is 0 and G has an edge.
+    On a connected graph both are ν(G) (Goddard, Hedetniemi, Hedetniemi &
+    Laskar, Discrete Math. 2005). Each component that counts makes one
+    first-hit walk at k = ν(C) over its own edges, which hits by the
+    identity. β_c's witness is the smallest of those hits. β_if's is their
+    union: sets of equal size per component compare by the smallest element
+    of their symmetric difference. With a sum of 0 it is G's first edge."""
+    pid = PROPERTY_MAX_PARAM[P]
+    mate = _Search(G.n, G.adj_lists).match
+    sized = [(sum(mate[v] != -1 for v in comp) // 2, comp) for comp in components(G)]
+    top = max((nu for nu, _ in sized), default=0)
+    hits, nodes = [], 0
+    for nu, comp in sized:
+        if nu and (nu == top if P is PropertyId.CONNECTED else nu >= 2):
+            sub = Graph(G.n, tuple(e for e in G.edges if e[0] in comp))
+            hit, nodes = _first_hit(sub, P, nu, False, cfg, pid.value, nu, nodes)
+            hits.append(hit)
+    if P is PropertyId.CONNECTED:
+        witness = min(hits, default=())
+    else:
+        witness = tuple(sorted(e for hit in hits for e in hit)) or G.edges[:1]
+    return ParameterResult(pid, len(witness), witness, "search", nodes)
 
 
 # -- classical parameters -----------------------------------------------------
@@ -859,6 +894,8 @@ def compute_parameter(
         if collapses is not None and collapses(G):
             plain = min_maximal_matching(G, config) if minimum else max_matching(G)
             return replace(plain, parameter=pid)
+        if not minimum and prop in (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE):
+            return _component_maximum(G, prop, config or DEFAULT_CONFIG)
         return _variant_search(G, prop, minimum, config)
     if pid in (ParameterId.BETA_TOTAL_MAX, ParameterId.BETA_TOTAL_MIN):
         return _total_matching(G, config or DEFAULT_CONFIG, pid is ParameterId.BETA_TOTAL_MAX)

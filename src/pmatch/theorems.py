@@ -16,6 +16,7 @@ from itertools import combinations
 from .graph import (
     Graph,
     complement,
+    components,
     from_edge_mask,
     is_bipartite,
     is_connected,
@@ -273,20 +274,30 @@ def check_proposition_chains(G: Graph, config: EngineConfig | None = None) -> Th
 
 
 def check_connected_theorem(G: Graph, config: EngineConfig | None = None) -> TheoremVerdict:
-    """On a connected graph the connected and isolate-free maxima both equal
-    the matching number."""
-    if not is_connected(G):
-        raise ValueError("connected-graph identity needs a connected graph")
-    beta1 = _solver_or_oracle_value(G, ParameterId.BETA1, config)
-    beta_c = _solver_or_oracle_value(G, ParameterId.BETA_C, config)
-    beta_if = _solver_or_oracle_value(G, ParameterId.BETA_IF, config)
-    holds = beta_c == beta_if == beta1
-    return TheoremVerdict(
-        "connected",
-        graph_id(G),
-        bool(holds),
-        {"beta_c": beta_c, "beta_if": beta_if, "beta1": beta1},
-    )
+    """The connected and isolate-free maxima by the matching numbers ν(C)
+    of the components: β_c(G) is the largest ν(C), and β_if(G) is the sum of
+    the ν(C) that are at least 2, or 1 when that sum is 0 and G has an edge.
+    On a connected graph both equal the matching number. Past the oracle's
+    cap the maxima come from ``solvers._variant_search``, called directly:
+    ``compute_parameter`` answers them by this identity."""
+    parts = [G] if is_connected(G) else [
+        Graph(G.n, tuple(e for e in G.edges if e[0] in comp))
+        for comp in components(G) if len(comp) > 1]
+    nus = [_solver_or_oracle_value(C, ParameterId.BETA1, config) for C in parts]
+    maxima = []
+    for pid, P in ((ParameterId.BETA_C, PropertyId.CONNECTED),
+                   (ParameterId.BETA_IF, PropertyId.ISOLATE_FREE)):
+        try:
+            maxima.append(oracle_parameter(G, pid).value)
+        except OracleLimitError:
+            maxima.append(_variant_search(G, P, False, config).value)
+    beta_c, beta_if = maxima
+    paired = sum(nu for nu in nus if nu >= 2)
+    holds = beta_c == max(nus, default=0) and beta_if == (paired or min(G.m, 1))
+    details = {"beta_c": beta_c, "beta_if": beta_if, "beta1": sum(nus)}
+    if len(nus) > 1:
+        details["component_beta1"] = nus
+    return TheoremVerdict("connected", graph_id(G), bool(holds), details)
 
 
 def _perfect_matching_count(adj: list[int], vertices: int, memo: dict[int, int]) -> int:

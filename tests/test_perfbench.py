@@ -37,6 +37,21 @@ def test_bench_tracer_hooks_and_desk_item():
         assert desk.check(item, desk.run(item)) is None, item.name
 
 
+def test_desk_maximum_search_nodes():
+    """Counter gate on the desk's share of the core's maximum search: its six
+    tags over the eight graphs that the desk runs with ``--params all``. A
+    take/drop branch on the highest-degree element took 40,170 nodes."""
+    from pmatch.solvers import ParameterId, compute_parameter
+
+    _, workloads = _load_bench()
+    tags = ("beta0", "alpha0", "beta_star", "beta_on", "beta_cn", "beta_total_max")
+    graphs = [workloads.desk_graph(family, n, p)
+              for _, family, n, p, params in workloads.DESK_CORPUS if params == "all"]
+    assert len(graphs) == 8
+    assert sum(compute_parameter(G, ParameterId.from_string(tag)).nodes_explored
+               for G in graphs for tag in tags) == 14239
+
+
 def test_kernels_uniquely_restricted_on_long_paths():
     # The kernels workload's two path items, built here rather than through
     # kernel_graphs(), which also builds its 10^5-vertex inputs.

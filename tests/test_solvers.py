@@ -50,7 +50,7 @@ from pmatch.solvers import (
     sdr_solve,
     tree_b_matching_max,
 )
-from pmatch.solvers import _stepper, _variant_search
+from pmatch.solvers import _max_independent, _stepper, _variant_search
 from pmatch.matching import lexmin_maximum_matching, max_matching_size
 from pmatch.theorems import all_graphs
 
@@ -500,7 +500,7 @@ def test_connected_minima_search_maximal_matchings():
 
 @pytest.mark.parametrize("family, kw, pid, nodes", [
     # The maximum search's clique partition.
-    ("hypercube", dict(n=4), ParameterId.BETA_TOTAL_MAX, 9029),
+    ("hypercube", dict(n=4), ParameterId.BETA_TOTAL_MAX, 5885),
     # The dominating search's packing: millions of nodes without it.
     ("random_tree", dict(n=40, seed=1), ParameterId.GAMMA, 42757),
     ("random_tree", dict(n=60, seed=2), ParameterId.BETA1_MINUS, 26634),
@@ -508,10 +508,81 @@ def test_connected_minima_search_maximal_matchings():
     # whose hits raise the target.
     ("hypercube", dict(n=4), ParameterId.BETA_E_IR_MAX, 1758),
     ("hypercube", dict(n=4), ParameterId.BETA_V_IR_MAX, 9162),
+    # The maximum search's branching on the elements that its clique
+    # partition leaves: a take/drop branch on one element took over 3M nodes
+    # on each.
+    ("random_tree", dict(n=40, seed=1), ParameterId.BETA_TOTAL_MAX, 50416),
+    ("path", dict(n=200), ParameterId.BETA0, 15051),
 ])
 def test_search_bounds_cut(family, kw, pid, nodes):
     """Counter gate: each search's bound, where it bites."""
     assert compute_parameter(generate(family, **kw), pid).nodes_explored == nodes
+
+
+@pytest.mark.parametrize("kw, pid, nodes", [
+    (dict(n=40, seed=1), ParameterId.BETA_C, 6755),
+    (dict(n=40, seed=1), ParameterId.BETA_IF, 1971),
+    (dict(n=60, seed=2), ParameterId.BETA_C, 82679),
+])
+def test_connected_maxima_walk_at_the_matching_number(kw, pid, nodes):
+    """Counter gate: on a tree the connected and isolate-free maxima make one
+    walk at k = ν, where a walk from k = 1 takes up to 100 times the nodes
+    (5.9M on the 60-vertex tree)."""
+    assert compute_parameter(generate("random_tree", **kw), pid).nodes_explored == nodes
+
+
+def test_component_maxima_share_one_budget():
+    # P4 + C5 + K2: both maxima walk P4 and C5 at k = 2 each and skip K2
+    # (ν = 1). The isolate-free one keeps both hits, the connected one P4's.
+    G = Graph(11, ((0, 1), (1, 2), (2, 3), (4, 5), (4, 8), (5, 6), (6, 7), (7, 8), (9, 10)))
+    res = compute_parameter(G, ParameterId.BETA_IF)
+    assert (res.value, res.witness) == (4, ((0, 1), (2, 3), (4, 5), (6, 7)))
+    assert compute_parameter(G, ParameterId.BETA_C).witness == ((0, 1), (2, 3))
+    budget = EngineConfig(node_budget=res.nodes_explored - 1)
+    with pytest.raises(BudgetExceededError, match=f"^beta_if: .* after {res.nodes_explored} nodes"):
+        compute_parameter(G, ParameterId.BETA_IF, budget)
+    # No component with ν >= 2: a single edge is isolate-free by fiat.
+    two_k2 = Graph(4, ((0, 1), (2, 3)))
+    assert compute_parameter(two_k2, ParameterId.BETA_IF).witness == ((0, 1),)
+
+
+def _brute_max_independent(conflict, key):
+    """The key-smallest largest independent set, over all subsets."""
+    best = None
+    for mask in range(1 << len(conflict)):
+        sel = tuple(i for i in range(len(conflict)) if mask >> i & 1)
+        if any(conflict[i] & mask for i in sel):
+            continue
+        rank = (-len(sel), key(sel) if key else sel)
+        if best is None or rank < best:
+            best = rank
+    return best
+
+
+def test_max_independent_matches_brute_force():
+    """The core's maximum search on seeded random conflict graphs of 1-14
+    elements at four densities, with the plain key and with a split key
+    shaped like the total matchings' (elements below t, then the rest)."""
+    rng = random.Random(22)
+    for n in range(1, 15):
+        for p in (0.1, 0.3, 0.5, 0.8):
+            conflict = [0] * n
+            for i, j in itertools.combinations(range(n), 2):
+                if rng.random() < p:
+                    conflict[i] |= 1 << j
+                    conflict[j] |= 1 << i
+            t = rng.randint(0, n)
+            split = lambda sel, t=t: (tuple(i for i in sel if i < t),
+                                      tuple(i for i in sel if i >= t))
+            for key in (None, split):
+                chosen, _ = _max_independent(conflict, EngineConfig(), "test", key)
+                got = (-len(chosen), key(chosen) if key else chosen)
+                assert got == _brute_max_independent(conflict, key), (conflict, t)
+    # The budget: a search of more nodes raises after budget + 1 of them.
+    nodes = _max_independent(conflict, EngineConfig(), "test")[1]
+    assert nodes > 3
+    with pytest.raises(BudgetExceededError, match="^test: .* after 4 nodes"):
+        _max_independent(conflict, EngineConfig(node_budget=3), "test")
 
 
 # Exact search node counts of the independent-set core, the first-hit search
@@ -522,10 +593,10 @@ PINNED_GRAPHS = {
 }
 PINNED_NODES = {
     "hypercube-3": {
-        "beta0": 25, "alpha0": 25, "gamma": 41, "beta_plain": 0, "beta_ur": 67,
-        "beta_star": 35, "beta_on": 0, "beta_cn": 0, "beta1_minus": 62,
+        "beta0": 19, "alpha0": 19, "gamma": 41, "beta_plain": 0, "beta_ur": 67,
+        "beta_star": 19, "beta_on": 0, "beta_cn": 0, "beta1_minus": 62,
         "beta_plain_minus": 62, "beta_star_minus": 23, "beta_on_minus": 62,
-        "beta_cn_minus": 62, "beta_total_max": 111, "beta_total_min": 564,
+        "beta_cn_minus": 62, "beta_total_max": 127, "beta_total_min": 564,
         "beta_ur_minus": 15, "beta_c": 4, "beta_c_minus": 62, "beta_if": 4,
         "beta_if_minus": 62, "beta_dc": 95, "beta_dc_minus": 20, "beta_ac": 67,
         "beta_ac_minus": 15, "beta_i": 0, "beta_i_minus": 62, "beta_b": 0,
@@ -533,11 +604,11 @@ PINNED_NODES = {
         "beta_e_ir": 20, "beta_sep_min": 7,
     },
     "gnp-12": {
-        "beta0": 47, "alpha0": 47, "gamma": 138, "beta_plain": 0, "beta_ur": 335,
-        "beta_star": 55, "beta_on": 593, "beta_cn": 413, "beta1_minus": 1017,
+        "beta0": 30, "alpha0": 30, "gamma": 138, "beta_plain": 0, "beta_ur": 335,
+        "beta_star": 43, "beta_on": 156, "beta_cn": 161, "beta1_minus": 1017,
         "beta_plain_minus": 1017, "beta_star_minus": 30, "beta_on_minus": 1065,
-        "beta_cn_minus": 111, "beta_total_max": 2357, "beta_total_min": 4956,
-        "beta_ur_minus": 35, "beta_c": 11, "beta_c_minus": 1017, "beta_if": 11,
+        "beta_cn_minus": 111, "beta_total_max": 417, "beta_total_min": 4956,
+        "beta_ur_minus": 35, "beta_c": 8, "beta_c_minus": 1017, "beta_if": 8,
         "beta_if_minus": 1017, "beta_dc": 1789, "beta_dc_minus": 3, "beta_ac": 411,
         "beta_ac_minus": 30, "beta_i": 261, "beta_i_minus": 649, "beta_b": 597,
         "beta_b_minus": 265, "beta_v_IR": 532, "beta_v_ir": 4, "beta_e_IR": 363,

@@ -116,8 +116,26 @@ def test_chain_examples(p8, k4):
 def test_connected_theorem_examples(p8, k4):
     assert check_connected_theorem(p8).holds
     assert check_connected_theorem(k4).holds
-    with pytest.raises(ValueError):
-        check_connected_theorem(Graph(4, ((0, 1), (2, 3))))
+    # Disconnected: the largest component ν, and the sum of the ν >= 2 (none
+    # here, so a single edge).
+    verdict = check_connected_theorem(Graph(4, ((0, 1), (2, 3))))
+    assert verdict.holds and (verdict.details["beta_c"], verdict.details["beta_if"]) == (1, 1)
+    p4_c5_k2 = Graph(11, ((0, 1), (1, 2), (2, 3), (4, 5), (4, 8), (5, 6), (6, 7), (7, 8), (9, 10)))
+    verdict = check_connected_theorem(p4_c5_k2)
+    assert verdict.holds and verdict.details["component_beta1"] == [2, 2, 1]
+    assert (verdict.details["beta_c"], verdict.details["beta_if"]) == (2, 4)
+
+
+def test_connected_theorem_past_the_oracle_cap_reads_the_walk(monkeypatch):
+    # Past the cap the check reads the first-hit walk, not the identity
+    # route that compute_parameter takes.
+    def no_route(*args, **kwargs):
+        raise RuntimeError("the identity route ran")
+
+    monkeypatch.setattr(solvers, "_component_maximum", no_route)
+    tree = generate("random_tree", n=30, seed=3)
+    assert tree.m > EDGE_SUBSET_LIMIT
+    assert check_connected_theorem(tree).holds
 
 
 def test_ur_characterization_examples(c4):
