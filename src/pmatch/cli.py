@@ -151,9 +151,13 @@ def _parse_bounds(spec: str, G: Graph) -> BoundFunction:
     return bound
 
 
+def _count(flag: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise UsageError(f"{flag} must be 0 or more, got {value}")
+
+
 def _engine_config(args) -> EngineConfig:
-    if args.budget is not None and args.budget < 0:
-        raise UsageError(f"--budget must be 0 or more, got {args.budget}")
+    _count("--budget", args.budget)
     return EngineConfig(node_budget=args.budget)
 
 
@@ -347,6 +351,9 @@ def _property_certificate(G: Graph, m: Matching, P: PropertyId):
 
 
 def _corpus(args) -> list[tuple[str, Graph]]:
+    _count("--random", args.random)
+    _count("--hall-samples", args.hall_samples)
+    _count("--block-samples", args.block_samples)
     out = []
     if args.all_n is not None:
         for G in all_graphs(args.all_n):

@@ -25,6 +25,7 @@ __all__ = [
     "parse_graph",
     "serialize_graph",
     "generate",
+    "FAMILY_LIMIT",
     "from_edge_mask",
     "edge_mask_of",
     "FIGURE_MATCHINGS",
@@ -584,29 +585,49 @@ def edge_mask_of(G: Graph) -> int:
     return mask
 
 
+#: The most vertices, and the most edges, that ``generate`` builds. A larger
+#: family is refused before anything is allocated (for gnp the edge count is
+#: its expected one).
+FAMILY_LIMIT = 10**6
+
+
+def _fits(family: str, vertices: int, edges: int):
+    if vertices > FAMILY_LIMIT or edges > FAMILY_LIMIT:
+        raise ValueError(f"family {family!r} is too large: {vertices} vertices and {edges} "
+                         f"edges, past the limit of {FAMILY_LIMIT} of each")
+
+
 def _path(n: int) -> Graph:
+    _fits("path", n, n - 1)
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def _cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
+    _fits("cycle", n, n)
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def _complete(n: int) -> Graph:
+    _fits("complete", n, n * (n - 1) // 2)
     return Graph(n, tuple(combinations(range(n), 2)))
 
 
 def _complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("both part sizes must be at least 1")
+    _fits("complete_bipartite", a + b, a * b)
     return Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
 
 
 def _hypercube(d: int) -> Graph:
     if d < 1:
         raise ValueError("hypercube dimension must be at least 1")
+    if d > 64:  # 2^d itself would take memory
+        raise ValueError(f"family 'hypercube' is too large: 2^{d} vertices, past the "
+                         f"limit of {FAMILY_LIMIT}")
+    _fits("hypercube", 1 << d, d << d >> 1)
     n = 1 << d
     edges = []
     for x in range(n):
@@ -620,12 +641,14 @@ def _hypercube(d: int) -> Graph:
 def _gnp(n: int, p: float, seed) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError("edge probability must lie in [0, 1]")
+    _fits("gnp", n, round(p * n * (n - 1) / 2))  # the expected edge count
     rng = random.Random(seed)
     edges = tuple(e for e in combinations(range(n), 2) if rng.random() < p)
     return Graph(n, edges)
 
 
 def _random_tree(n: int, seed) -> Graph:
+    _fits("random_tree", n, n - 1)
     rng = random.Random(seed)
     if n <= 1:
         return Graph(n)
@@ -691,7 +714,8 @@ def generate(
     Families: path, cycle, complete, complete_bipartite (sizes a, b),
     hypercube (dimension n), gnp (size n, probability p, seed), random_tree
     (size n, seed), and the named example graphs fig2l, fig2r, fig3, fig4.
-    Randomized families are deterministic for a fixed seed.
+    Randomized families are deterministic for a fixed seed. A family with
+    more than ``FAMILY_LIMIT`` vertices or edges raises ValueError.
     """
     fam = family.lower().replace("-", "_")
     if fam in _FIGURES:

@@ -16,8 +16,12 @@
   ``beta_c_minus`` and ``beta_if_minus``. The maximum search cuts on a
   greedy clique partition of the available elements and branches only on
   the elements that the partition leaves past its first b - k - 1 cliques
-  (b the best size, k the chosen count); the dominating search cuts on a
-  greedy packing of undominated elements that share no candidate.
+  (b the best size, k the chosen count). The dominating search branches on
+  who covers the first undominated element, each child barred from the
+  candidates its older siblings took, so it reaches each set once; it cuts
+  on a greedy packing of undominated elements that share no candidate, and,
+  under the plain key, a node whose packing only ties the best when no
+  completion can be lexicographically smaller.
 - One first-hit search over the edges: it walks the matchings in
   lexicographic order toward a target size k. The nine variants that are
   not pairwise take it for their maxima, in one walk whose every hit raises
@@ -40,7 +44,7 @@ settles on G takes ``_variant_search``, which picks its search above.
 
 Every route is deterministic: among equally sized optima the
 lexicographically smallest witness wins. Every cut is strict, so a branch
-that can still tie the best is kept.
+that can still tie the best is kept, unless no tie it can reach comes first.
 """
 
 from __future__ import annotations
@@ -270,11 +274,18 @@ def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what
     and the set bits of ``masks[i]``, by branching on who covers the first
     uncovered element. With ``independent`` only uncovered elements are
     candidates, which gives the smallest maximal independent set. A covering
-    set becomes the best one only if ``accept`` (when given) takes it. A node
-    is cut when more uncovered elements that pairwise share no candidate are
-    packed than it may still add. The search starts from each covered mask of
-    ``roots`` in turn, with one bound and one node count over all of them.
-    Returns the key-smallest such set and the node count."""
+    set becomes the best one only if ``accept`` (when given) takes it. The
+    child that takes a candidate may not take the candidates that its older
+    siblings took: a set holding several candidates lies below the lowest of
+    them alone, so each set is reached once. A node is cut when more
+    uncovered elements that pairwise share no candidate are packed than it
+    may still add. Under the plain key a node whose packing only ties the
+    best is cut too when no completion can come first: when every element it
+    may still take that is outside the best set lies past the smallest
+    element of the best set that it can no longer take. The search starts
+    from each covered mask of ``roots`` in turn, with one bound and one node
+    count over all of them. Returns the key-smallest such set and the node
+    count."""
     if not masks:
         return (), 0
     closed = [c | 1 << i for i, c in enumerate(masks)]
@@ -284,11 +295,13 @@ def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what
     best_size = len(closed) + 1
     best_set: tuple[int, ...] = ()
     best_key = None
+    best_mask = 0
     nodes = 0
     # Depth first on an explicit stack, the lowest candidate popped first.
-    stack = [(root, ()) for root in reversed(roots)]
+    # ``out`` holds the candidates that an older sibling took.
+    stack = [(root, (), 0) for root in reversed(roots)]
     while stack:
-        dominated, cur = stack.pop()
+        dominated, cur, out = stack.pop()
         nodes += 1
         if cfg.node_budget is not None and nodes > cfg.node_budget:
             raise BudgetExceededError(what, nodes)
@@ -298,6 +311,7 @@ def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what
             if len(cur) < best_size or found_key < best_key:
                 if accept is None or accept(found):
                     best_size, best_set, best_key = len(cur), found, found_key
+                    best_mask = sum(1 << i for i in found)
             continue
         free = full & ~dominated
         # Uncovered elements that pairwise share no candidate each need their
@@ -312,12 +326,20 @@ def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what
             need += 1
         if need > best_size:
             continue
+        if need == best_size and key is None:
+            # A completion only ties, and comes first only if its smallest
+            # element outside the best set lies below z, the smallest element
+            # of the best set that it cannot hold.
+            can = sum(1 << i for i in cur) | (free if independent else full) & ~out
+            lost = best_mask & ~can
+            if not can & ~best_mask & (lost & -lost) - 1:
+                continue
         first = (free & -free).bit_length() - 1
-        cands = closed[first] & free if independent else closed[first]
+        cands = (closed[first] & free if independent else closed[first]) & ~out
         while cands:
             v = cands.bit_length() - 1
             cands ^= 1 << v
-            stack.append((dominated | closed[v], cur + (v,)))
+            stack.append((dominated | closed[v], cur + (v,), out | cands))
     return best_set, nodes
 
 

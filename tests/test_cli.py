@@ -257,6 +257,31 @@ def test_usage_errors():
         assert code == 2 and out == "" and "--budget must be 0 or more" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["theorems", "--random", "-3", "--n", "4"], "--random"),
+    (["theorems", "--hall-samples", "-1"], "--hall-samples"),
+    (["theorems", "--block-samples", "-5"], "--block-samples"),
+    (["scan", "--random", "-1", "--n", "4", "--property", "plain"], "--random"),
+])
+def test_negative_counts_are_usage_errors(argv, flag, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"{flag} must be 0 or more, got -" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "hypercube", "--n", "30"],
+    ["--family", "complete", "--n", "200000"],
+    ["--family", "gnp", "--n", "100000", "--p", "0.5"],
+])
+def test_oversized_families_fail_fast(argv, capsys):
+    # Each would build over 10^9 edges; the family is refused before that.
+    code = main(["compute", *argv, "--params", "beta1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "is too large" in captured.err
+
+
 @pytest.mark.parametrize("argv, token", [
     (["compute", "--family", "path", "--n", "4", "--params", "b_matching_max",
       "--b-bounds", "1:2:3"], "'1:2:3'"),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from pmatch import graph
 from pmatch.graph import (
     FIGURE_MATCHINGS,
     Graph,
@@ -293,6 +294,22 @@ def test_generate_errors():
         generate("gnp", n=5, p=1.5)
     with pytest.raises(ValueError):
         generate("complete_bipartite", a=0, b=2)
+
+
+def test_generate_builds_families_up_to_the_limit(monkeypatch):
+    # Past 64 dimensions not even the hypercube's vertex count is built.
+    with pytest.raises(ValueError, match=r"2\^1000000000 vertices, past the limit"):
+        generate("hypercube", n=10**9)
+    monkeypatch.setattr(graph, "FAMILY_LIMIT", 12)
+    for family, kw in (("path", dict(n=12)), ("cycle", dict(n=12)), ("complete", dict(n=5)),
+                       ("complete_bipartite", dict(a=4, b=3)), ("hypercube", dict(n=3)),
+                       ("gnp", dict(n=12, p=0.1, seed=1)), ("random_tree", dict(n=12))):
+        generate(family, **kw)
+    for family, kw in (("path", dict(n=13)), ("cycle", dict(n=13)), ("complete", dict(n=6)),
+                       ("complete_bipartite", dict(a=5, b=3)), ("hypercube", dict(n=4)),
+                       ("gnp", dict(n=12, p=0.25)), ("random_tree", dict(n=13))):
+        with pytest.raises(ValueError, match="past the limit of 12 of each"):
+            generate(family, **kw)
 
 
 def test_figure_fixtures_transcription():

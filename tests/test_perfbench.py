@@ -52,6 +52,23 @@ def test_desk_maximum_search_nodes():
                for G in graphs for tag in tags) == 14239
 
 
+def test_desk_dominating_search_nodes():
+    """Counter gate on the desk's share of the core's dominating search: its
+    nine tags over the eight graphs that the desk runs with ``--params all``.
+    With children that did not exclude their older siblings' candidates and
+    no tie cut it took 211,979 nodes."""
+    from pmatch.solvers import ParameterId, compute_parameter
+
+    _, workloads = _load_bench()
+    tags = ("gamma", "beta1_minus", "beta_plain_minus", "beta_star_minus", "beta_on_minus",
+            "beta_cn_minus", "beta_c_minus", "beta_if_minus", "beta_total_min")
+    graphs = [workloads.desk_graph(family, n, p)
+              for _, family, n, p, params in workloads.DESK_CORPUS if params == "all"]
+    assert len(graphs) == 8
+    assert sum(compute_parameter(G, ParameterId.from_string(tag)).nodes_explored
+               for G in graphs for tag in tags) == 64523
+
+
 def test_kernels_uniquely_restricted_on_long_paths():
     # The kernels workload's two path items, built here rather than through
     # kernel_graphs(), which also builds its 10^5-vertex inputs.

@@ -50,7 +50,7 @@ from pmatch.solvers import (
     sdr_solve,
     tree_b_matching_max,
 )
-from pmatch.solvers import _max_independent, _stepper, _variant_search
+from pmatch.solvers import _max_independent, _min_dominating, _stepper, _variant_search
 from pmatch.matching import lexmin_maximum_matching, max_matching_size
 from pmatch.theorems import all_graphs
 
@@ -117,13 +117,13 @@ def test_budget_raises():
     c20 = generate("cycle", n=20)
     with pytest.raises(BudgetExceededError, match="^beta_sep_min: .* after 101 nodes"):
         min_separating_matching(c20, EngineConfig(node_budget=100))
-    # The connected minimum searches Q3 (62 nodes), then a three-vertex path
+    # The connected minimum searches Q3 (21 nodes), then a three-vertex path
     # (3 nodes) under the same count: the budget runs out in the second one.
     q3_and_path = Graph(11, q3.edges + ((8, 9), (9, 10)))
     res = compute_parameter(q3_and_path, ParameterId.BETA_C_MINUS)
-    assert (res.value, res.witness, res.nodes_explored) == (1, ((8, 9),), 65)
-    with pytest.raises(BudgetExceededError, match="^beta_c_minus: .* after 64 nodes"):
-        compute_parameter(q3_and_path, ParameterId.BETA_C_MINUS, EngineConfig(node_budget=63))
+    assert (res.value, res.witness, res.nodes_explored) == (1, ((8, 9),), 24)
+    with pytest.raises(BudgetExceededError, match="^beta_c_minus: .* after 23 nodes"):
+        compute_parameter(q3_and_path, ParameterId.BETA_C_MINUS, EngineConfig(node_budget=22))
 
 
 @pytest.mark.parametrize("pid", [ParameterId.GAMMA, ParameterId.BETA0, ParameterId.ALPHA0,
@@ -495,15 +495,15 @@ def test_connected_minima_search_maximal_matchings():
     T = generate("random_tree", n=40, seed=1)
     got = {pid: compute_parameter(T, pid).nodes_explored
            for pid in (ParameterId.BETA_C_MINUS, ParameterId.BETA_IF_MINUS)}
-    assert got == {ParameterId.BETA_C_MINUS: 53071, ParameterId.BETA_IF_MINUS: 21706}
+    assert got == {ParameterId.BETA_C_MINUS: 19203, ParameterId.BETA_IF_MINUS: 6703}
 
 
 @pytest.mark.parametrize("family, kw, pid, nodes", [
     # The maximum search's clique partition.
     ("hypercube", dict(n=4), ParameterId.BETA_TOTAL_MAX, 5885),
     # The dominating search's packing: millions of nodes without it.
-    ("random_tree", dict(n=40, seed=1), ParameterId.GAMMA, 42757),
-    ("random_tree", dict(n=60, seed=2), ParameterId.BETA1_MINUS, 26634),
+    ("random_tree", dict(n=40, seed=1), ParameterId.GAMMA, 6384),
+    ("random_tree", dict(n=60, seed=2), ParameterId.BETA1_MINUS, 331),
     # The first-hit search's matching-room test, and the maximum's one walk
     # whose hits raise the target.
     ("hypercube", dict(n=4), ParameterId.BETA_E_IR_MAX, 1758),
@@ -513,6 +513,9 @@ def test_connected_minima_search_maximal_matchings():
     # on each.
     ("random_tree", dict(n=40, seed=1), ParameterId.BETA_TOTAL_MAX, 50416),
     ("path", dict(n=200), ParameterId.BETA0, 15051),
+    # The dominating search's children that exclude their older siblings'
+    # candidates, and its tie cut: past 30 s without them.
+    ("path", dict(n=200), ParameterId.GAMMA, 13466),
 ])
 def test_search_bounds_cut(family, kw, pid, nodes):
     """Counter gate: each search's bound, where it bites."""
@@ -585,6 +588,94 @@ def test_max_independent_matches_brute_force():
         _max_independent(conflict, EngineConfig(node_budget=3), "test")
 
 
+def _dominating_sets(masks, independent, root):
+    """Every set that the dominating search may end at from ``root``: it
+    covers what the root leaves, and with ``independent`` it is an
+    independent set among the elements that the root leaves."""
+    n = len(masks)
+    closed = [c | 1 << i for i, c in enumerate(masks)]
+    full = (1 << n) - 1
+    cover, clash = [root] + [0] * full, [False] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        cover[mask] = cover[mask ^ low] | closed[i]
+        clash[mask] = clash[mask ^ low] or bool(masks[i] & mask)
+    return [mask for mask in range(1 << n) if cover[mask] == full
+            and not (independent and (clash[mask] or mask & root))]
+
+
+def _first_cover_replay(masks, independent, root, sel):
+    """The set that the search reaches by following ``sel``: the lowest
+    element of ``sel`` that covers the first uncovered element, in turn."""
+    closed = [c | 1 << i for i, c in enumerate(masks)]
+    full, dominated, cur = (1 << len(masks)) - 1, root, ()
+    while dominated != full:
+        free = full & ~dominated
+        first = (free & -free).bit_length() - 1
+        allowed = closed[first] & (free if independent else full)
+        took = [i for i in sel if allowed >> i & 1]
+        if not took:
+            return None
+        cur += (took[0],)
+        dominated |= closed[took[0]]
+    return tuple(sorted(cur))
+
+
+def test_min_dominating_matches_brute_force():
+    """The core's dominating search on seeded random masks of 1-14 elements
+    at four densities, in both modes, with the plain key and a split key
+    shaped like the total matchings', an ``accept`` filter on the
+    independent sets and two roots. With a filter that takes nothing no
+    bound cuts, and the filter sees each set the search ends at: each
+    exactly once."""
+    rng = random.Random(23)
+    bits = [tuple(i for i in range(14) if mask >> i & 1) for mask in range(1 << 14)]
+    for n in range(1, 15):
+        for p in (0.1, 0.3, 0.5, 0.8):
+            masks = [0] * n
+            for i, j in itertools.combinations(range(n), 2):
+                if rng.random() < p:
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+            t = rng.randint(0, n)
+            split = lambda sel, t=t: (tuple(i for i in sel if i < t),
+                                      tuple(i for i in sel if i >= t))
+            odd = lambda sel: sum(sel) % 3 != 1
+            two_roots = (rng.getrandbits(n), rng.getrandbits(n))
+            for independent in (True, False):
+                ends = {root: [bits[mask] for mask in _dominating_sets(masks, independent, root)]
+                        for root in (0,) + two_roots}
+                # A filter sees only the sets the search ends at, and those
+                # are all the covering sets only when they are independent.
+                takes = odd if independent else None
+                for key, accept, roots in ((None, None, (0,)), (split, None, (0,)),
+                                           (None, takes, (0,)), (split, takes, (0,)),
+                                           (None, None, two_roots), (split, takes, two_roots)):
+                    chosen, _ = _min_dominating(masks, independent, EngineConfig(), "test",
+                                                key, accept, roots)
+                    sets = [sel for root in roots for sel in ends[root]
+                            if accept is None or accept(sel)]
+                    # With no set taken the search returns the empty set.
+                    size = min(map(len, sets), default=0)
+                    small = [sel for sel in sets if len(sel) == size] or [()]
+                    want = size, min(key(sel) if key else sel for sel in small)
+                    got = (len(chosen), key(chosen) if key else chosen)
+                    assert got == want, (masks, independent, t, roots)
+                seen = []
+                _min_dominating(masks, independent, EngineConfig(), "test",
+                                accept=lambda sel: seen.append(sel) and False,
+                                roots=two_roots)
+                once = [sel for root in two_roots for sel in ends[root]
+                        if _first_cover_replay(masks, independent, root, sel) == sel]
+                assert sorted(seen) == sorted(once), (masks, independent, two_roots)
+    # The budget: a search of more nodes raises after budget + 1 of them.
+    nodes = _min_dominating(masks, True, EngineConfig(), "test")[1]
+    assert nodes > 3
+    with pytest.raises(BudgetExceededError, match="^test: .* after 4 nodes"):
+        _min_dominating(masks, True, EngineConfig(node_budget=3), "test")
+
+
 # Exact search node counts of the independent-set core, the first-hit search
 # and the theorem routes; a change here is a change in the search, not noise.
 PINNED_GRAPHS = {
@@ -593,23 +684,23 @@ PINNED_GRAPHS = {
 }
 PINNED_NODES = {
     "hypercube-3": {
-        "beta0": 19, "alpha0": 19, "gamma": 41, "beta_plain": 0, "beta_ur": 67,
-        "beta_star": 19, "beta_on": 0, "beta_cn": 0, "beta1_minus": 62,
-        "beta_plain_minus": 62, "beta_star_minus": 23, "beta_on_minus": 62,
-        "beta_cn_minus": 62, "beta_total_max": 127, "beta_total_min": 564,
-        "beta_ur_minus": 15, "beta_c": 4, "beta_c_minus": 62, "beta_if": 4,
-        "beta_if_minus": 62, "beta_dc": 95, "beta_dc_minus": 20, "beta_ac": 67,
-        "beta_ac_minus": 15, "beta_i": 0, "beta_i_minus": 62, "beta_b": 0,
-        "beta_b_minus": 62, "beta_v_IR": 82, "beta_v_ir": 14, "beta_e_IR": 45,
+        "beta0": 19, "alpha0": 19, "gamma": 17, "beta_plain": 0, "beta_ur": 67,
+        "beta_star": 19, "beta_on": 0, "beta_cn": 0, "beta1_minus": 21,
+        "beta_plain_minus": 21, "beta_star_minus": 13, "beta_on_minus": 21,
+        "beta_cn_minus": 21, "beta_total_max": 127, "beta_total_min": 341,
+        "beta_ur_minus": 15, "beta_c": 4, "beta_c_minus": 21, "beta_if": 4,
+        "beta_if_minus": 21, "beta_dc": 95, "beta_dc_minus": 20, "beta_ac": 67,
+        "beta_ac_minus": 15, "beta_i": 0, "beta_i_minus": 21, "beta_b": 0,
+        "beta_b_minus": 21, "beta_v_IR": 82, "beta_v_ir": 14, "beta_e_IR": 45,
         "beta_e_ir": 20, "beta_sep_min": 7,
     },
     "gnp-12": {
-        "beta0": 30, "alpha0": 30, "gamma": 138, "beta_plain": 0, "beta_ur": 335,
-        "beta_star": 43, "beta_on": 156, "beta_cn": 161, "beta1_minus": 1017,
-        "beta_plain_minus": 1017, "beta_star_minus": 30, "beta_on_minus": 1065,
-        "beta_cn_minus": 111, "beta_total_max": 417, "beta_total_min": 4956,
-        "beta_ur_minus": 35, "beta_c": 8, "beta_c_minus": 1017, "beta_if": 8,
-        "beta_if_minus": 1017, "beta_dc": 1789, "beta_dc_minus": 3, "beta_ac": 411,
+        "beta0": 30, "alpha0": 30, "gamma": 42, "beta_plain": 0, "beta_ur": 335,
+        "beta_star": 43, "beta_on": 156, "beta_cn": 161, "beta1_minus": 162,
+        "beta_plain_minus": 162, "beta_star_minus": 26, "beta_on_minus": 195,
+        "beta_cn_minus": 30, "beta_total_max": 417, "beta_total_min": 2287,
+        "beta_ur_minus": 35, "beta_c": 8, "beta_c_minus": 162, "beta_if": 8,
+        "beta_if_minus": 162, "beta_dc": 1789, "beta_dc_minus": 3, "beta_ac": 411,
         "beta_ac_minus": 30, "beta_i": 261, "beta_i_minus": 649, "beta_b": 597,
         "beta_b_minus": 265, "beta_v_IR": 532, "beta_v_ir": 4, "beta_e_IR": 363,
         "beta_e_ir": 278, "beta_sep_min": 3,
