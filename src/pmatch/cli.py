@@ -354,6 +354,8 @@ def _corpus(args) -> list[tuple[str, Graph]]:
     _count("--random", args.random)
     _count("--hall-samples", args.hall_samples)
     _count("--block-samples", args.block_samples)
+    if args.p is not None and not 0.0 <= args.p <= 1.0:
+        raise UsageError("edge probability must lie in [0, 1]")
     out = []
     if args.all_n is not None:
         for G in all_graphs(args.all_n):
@@ -361,6 +363,8 @@ def _corpus(args) -> list[tuple[str, Graph]]:
     if args.random:
         if args.n is None:
             raise UsageError("--random needs --n")
+        if args.n < 0:
+            raise UsageError("--random needs n >= 0")
         for G in random_graphs(args.n, args.random, args.seed, p=args.p):
             out.append((graph_id(G), G))
     if args.input or args.family:

@@ -34,7 +34,11 @@
   predicates' own search and join (their references are the oracle's
   perfect-matching count and orientation scan); the other predicates of
   ``properties`` are the reference. It cuts a prefix that half the vertices
-  its remaining edges touch cannot bring up to k.
+  its remaining edges touch cannot bring up to k; a disconnected prefix
+  whose ⟨M⟩ is one component C when no remaining edge misses N[C]; and a
+  vertex-irredundant one when a hit's 2k ends and k private vertices do not
+  fit beside the vertices that can be neither. A minimum's frames carry the
+  edges disjoint from their prefix, which its maximality test steps.
 - A matching-cut search for ``beta_sep_min``: it splits each component into
   two sides, branching on one vertex at a time, and forcing leaves a cut
   that is a matching.
@@ -452,29 +456,44 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
     from ``k``, each hit becoming the best and raising k past its size until
     k exceeds ``nu``, and returns the last hit (() if none). Each frame
     carries its prefix's state, and ``_stepper``'s step settles P for each
-    candidate. A prefix is never extended when P is hereditary and the prefix
-    lacks it, or when the compatible edges after it touch too few vertices to
-    hold the edges it still lacks of k, two ends each. Also returns the node
-    count, one node per prefix tried, counted on from ``nodes`` so that
-    several walks share one budget."""
-    edges = G.edges
+    candidate; a minimum's frame also carries the edges that share no vertex
+    with its prefix, the ones its maximality test steps. A prefix is never
+    extended when:
+    - P is hereditary and the prefix lacks it;
+    - the compatible edges after it touch too few vertices to hold the edges
+      it still lacks of k, two ends each;
+    - P is disconnected and ⟨M⟩ is one component C, unless an edge after it
+      has no end in N[C]: V(M) stays in one component of any extension, so
+      a second one needs such an edge;
+    - P is vertex-irredundant, it lacks two edges or more, and 3k plus the
+      unsaturated vertices that two saturated ones already see and no later
+      edge touches exceeds n: a hit of size k has 2k ends and k private
+      vertices (outside V(M), next to one saturated vertex), and such a
+      vertex is neither.
+    Also returns the node count, one node per prefix tried, counted on from
+    ``nodes`` so that several walks share one budget."""
+    edges, adj = G.edges, G.adj_masks
     start, step = _stepper(G, P)
     hereditary = P in HEREDITARY_PROPERTIES
+    disconnected = P is PropertyId.DISCONNECTED
+    private = P is PropertyId.VERTEX_IRREDUNDANT
     at = [0] * G.n
     for j, (u, v) in enumerate(edges):
         at[u] |= 1 << j
         at[v] |= 1 << j
     clash = [at[u] | at[v] for u, v in edges]  # edges sharing an end with edge j
     ends = [1 << u | 1 << v for u, v in edges]
+    every = (1 << len(edges)) - 1
     best = None if minimum else ()
     for k in range(k, nu + 1) if minimum else (k,):
         # A frame per depth: the prefix, as a bitmask the edges after its
-        # last edge that are still compatible with it and not yet tried, and
-        # the prefix's state.
-        stack = [[(), (1 << len(edges)) - 1, start]]
+        # last edge that are still compatible with it and not yet tried, the
+        # prefix's state, and for a minimum the edges disjoint from the
+        # prefix (0 for a maximum).
+        stack = [[(), every, start, every if minimum else 0]]
         while stack and k <= nu:
             frame = stack[-1]
-            prefix, avail, state = frame
+            prefix, avail, state, opened = frame
             if not avail or len(prefix) + avail.bit_count() < k:  # too few edges left
                 stack.pop()
                 continue
@@ -488,22 +507,29 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
             cand = prefix + (edges[i],)
             if len(cand) >= k:
                 if minimum:
-                    if holds:  # maximal: no edge disjoint from it extends it with P
-                        sat = reduce(or_, (1 << x for e in cand for x in e))
-                        if not any(step(state, j)[0] for j, e in enumerate(ends) if not e & sat):
-                            return cand, nodes
+                    # Maximal: no edge disjoint from it extends it with P.
+                    if holds and not any(step(state, j)[0] for j in _bits(opened & ~clash[i])):
+                        return cand, nodes
                     continue
                 if holds:
                     best, k = cand, len(cand) + 1
             if holds or not hereditary:
                 rest = avail & ~clash[i]
+                if disconnected and len(state) == 1:  # a second component needs a far edge
+                    near = reduce(or_, (adj[v] for v in _bits(state[0])), state[0])
+                    if all(ends[j] & near for j in _bits(rest)):
+                        continue
                 if k - len(cand) > 1:  # rest matches at most half the vertices it touches
                     touched = 0
                     for j in _bits(rest):
                         touched |= ends[j]
                     if len(cand) + touched.bit_count() // 2 < k:
                         continue
-                stack.append([cand, rest, state])
+                    # 2k ends, k private vertices, and the vertices that are
+                    # neither: seen twice, unsaturated and out of reach.
+                    if private and 3 * k + (state[1] & ~(state[2] | touched)).bit_count() > G.n:
+                        continue
+                stack.append([cand, rest, state, opened & ~clash[i]])
     return best, nodes
 
 

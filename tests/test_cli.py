@@ -270,6 +270,23 @@ def test_negative_counts_are_usage_errors(argv, flag, capsys):
     assert f"{flag} must be 0 or more, got -" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["theorems", "--random", "1", "--n", "4", "--p", "nan"], "edge probability must lie in [0, 1]"),
+    (["theorems", "--random", "1", "--n", "4", "--p", "-1"], "edge probability must lie in [0, 1]"),
+    (["scan", "--random", "1", "--n", "4", "--p", "3", "--property", "plain"],
+     "edge probability must lie in [0, 1]"),
+    (["theorems", "--all-n", "2", "--p", "5"], "edge probability must lie in [0, 1]"),
+    (["theorems", "--random", "2", "--n", "-3"], "--random needs n >= 0"),
+    (["scan", "--random", "2", "--n", "-3", "--property", "plain"], "--random needs n >= 0"),
+])
+def test_random_corpus_checks_p_and_n(argv, message, capsys):
+    # A density outside [0, 1] built edgeless or complete graphs, or went
+    # unread, and exited 0; a negative n failed inside the graph layer.
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and message in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["--family", "hypercube", "--n", "30"],
     ["--family", "complete", "--n", "200000"],

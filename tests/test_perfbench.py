@@ -37,36 +37,45 @@ def test_bench_tracer_hooks_and_desk_item():
         assert desk.check(item, desk.run(item)) is None, item.name
 
 
-def test_desk_maximum_search_nodes():
-    """Counter gate on the desk's share of the core's maximum search: its six
-    tags over the eight graphs that the desk runs with ``--params all``. A
-    take/drop branch on the highest-degree element took 40,170 nodes."""
+def _desk_nodes(tags):
+    """The search nodes of ``tags`` summed over the eight graphs that the
+    desk runs with ``--params all``."""
     from pmatch.solvers import ParameterId, compute_parameter
 
     _, workloads = _load_bench()
-    tags = ("beta0", "alpha0", "beta_star", "beta_on", "beta_cn", "beta_total_max")
     graphs = [workloads.desk_graph(family, n, p)
               for _, family, n, p, params in workloads.DESK_CORPUS if params == "all"]
     assert len(graphs) == 8
-    assert sum(compute_parameter(G, ParameterId.from_string(tag)).nodes_explored
-               for G in graphs for tag in tags) == 14239
+    return sum(compute_parameter(G, ParameterId.from_string(tag)).nodes_explored
+               for G in graphs for tag in tags)
+
+
+def test_desk_maximum_search_nodes():
+    """Counter gate on the desk's share of the core's maximum search: its six
+    tags. A take/drop branch on the highest-degree element took 40,170
+    nodes."""
+    tags = ("beta0", "alpha0", "beta_star", "beta_on", "beta_cn", "beta_total_max")
+    assert _desk_nodes(tags) == 14239
 
 
 def test_desk_dominating_search_nodes():
     """Counter gate on the desk's share of the core's dominating search: its
-    nine tags over the eight graphs that the desk runs with ``--params all``.
-    With children that did not exclude their older siblings' candidates and
-    no tie cut it took 211,979 nodes."""
-    from pmatch.solvers import ParameterId, compute_parameter
-
-    _, workloads = _load_bench()
+    nine tags. With children that did not exclude their older siblings'
+    candidates and no tie cut it took 211,979 nodes."""
     tags = ("gamma", "beta1_minus", "beta_plain_minus", "beta_star_minus", "beta_on_minus",
             "beta_cn_minus", "beta_c_minus", "beta_if_minus", "beta_total_min")
-    graphs = [workloads.desk_graph(family, n, p)
-              for _, family, n, p, params in workloads.DESK_CORPUS if params == "all"]
-    assert len(graphs) == 8
-    assert sum(compute_parameter(G, ParameterId.from_string(tag)).nodes_explored
-               for G in graphs for tag in tags) == 64523
+    assert _desk_nodes(tags) == 64523
+
+
+def test_desk_first_hit_nodes():
+    """Counter gate on the desk's share of the first-hit search: the seven
+    maxima that walk from k = 1 and the seven minima. Without the
+    disconnected far-edge cut and the vertex-irredundant private count it
+    took 117,934 nodes."""
+    tags = ("beta_ur", "beta_dc", "beta_ac", "beta_i", "beta_b", "beta_v_IR", "beta_e_IR",
+            "beta_ur_minus", "beta_dc_minus", "beta_ac_minus", "beta_i_minus", "beta_b_minus",
+            "beta_v_ir", "beta_e_ir")
+    assert _desk_nodes(tags) == 76917
 
 
 def test_kernels_uniquely_restricted_on_long_paths():
