@@ -19,9 +19,9 @@
   (b the best size, k the chosen count). The dominating search branches on
   who covers the first undominated element, each child barred from the
   candidates its older siblings took, so it reaches each set once; it cuts
-  on a greedy packing of undominated elements that share no candidate, and,
-  under the plain key, a node whose packing only ties the best when no
-  completion can be lexicographically smaller.
+  on a greedy packing of undominated elements that share no candidate, and
+  a node whose packing only ties the best when no completion can come first,
+  in plain order or in the (vertices, edges) order of total matchings.
 - One first-hit search over the edges: it walks the matchings in
   lexicographic order toward a target size k. The nine variants that are
   not pairwise take it for their maxima, in one walk whose every hit raises
@@ -219,42 +219,48 @@ class ParameterResult:
 # -- the independent-set core --------------------------------------------------
 #
 # Elements are 0..len(masks)-1; bit j of conflict[i] means i and j cannot be
-# chosen together. Sets are sorted index tuples, and ``key`` (default: the
-# tuple itself) orders equally sized optima.
+# chosen together. Sets are bitmasks; equally sized optima compare as sorted
+# tuple pairs (elements below ``split``, the rest), plain tuples at split 0.
 
 
-def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, key=None):
+def _precedes(a: int, b: int, low: int) -> bool:
+    """Whether set ``a`` comes before the equally sized set ``b``, each taken
+    as the sorted tuple pair (its elements in ``low``, the rest)."""
+    d = (a ^ b) & low
+    if not d:  # equal first parts: the holder of the smallest difference
+        d = a ^ b
+        return bool(d & -d & a)
+    x = d & -d  # its holder is first unless the other first part ends below x
+    return b & low >= x << 1 if x & a else a & low < x << 1
+
+
+def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, split: int = 0):
     """Largest independent set by branch and bound (Tomita & Seki, DMTCS
     2003). A node with k chosen, while the best set has b, peels b - k - 1
     greedy cliques off its available elements; a set that ties the best takes
     one element per clique at most, so it takes one of the elements left. The
     node is cut when none is left, and otherwise its i-th child takes the
     i-th left element in index order and drops those before it. Returns the
-    key-smallest largest set and the node count."""
-    best_size = 0
-    best_set: tuple[int, ...] = ()
-    best_key = key(()) if key else ()
-    nodes = 0
+    first largest set and the node count."""
+    low = (1 << split) - 1
+    best_size = best = nodes = 0
     # Depth first on an explicit stack. An entry with a nonzero ``branch``
     # holds a node's children that are still to come: the lowest one is
     # built when it is popped, and the rest go back as one entry.
-    stack = [((1 << len(conflict)) - 1, (), 0)]
+    stack = [((1 << len(conflict)) - 1, 0, 0)]
     while stack:
         avail, cur, branch = stack.pop()
         if branch:
-            low = branch & -branch
-            if branch ^ low:
-                stack.append((avail ^ low, cur, branch ^ low))
-            v = low.bit_length() - 1
-            avail, cur = avail & ~conflict[v] & ~low, tuple(sorted(cur + (v,)))
+            bit = branch & -branch
+            if branch ^ bit:
+                stack.append((avail ^ bit, cur, branch ^ bit))
+            avail, cur = avail & ~conflict[bit.bit_length() - 1] & ~bit, cur | bit
         nodes += 1
         if cfg.node_budget is not None and nodes > cfg.node_budget:
             raise BudgetExceededError(what, nodes)
-        k = len(cur)
-        if k >= best_size:
-            cur_key = key(cur) if key else cur
-            if k > best_size or cur_key < best_key:
-                best_size, best_set, best_key = k, cur, cur_key
+        k = cur.bit_count()
+        if k > best_size or k == best_size and _precedes(cur, best, low):
+            best_size, best = k, cur
         # Each clique of the conflict graph holds one chosen element at most:
         # what is left after b - k - 1 greedy cliques is the branch set.
         rest, parts = avail, k + 1
@@ -262,66 +268,64 @@ def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, key=None
             clique = rest & -rest
             grow = rest & conflict[clique.bit_length() - 1]
             while grow:
-                low = grow & -grow
-                clique |= low
-                grow = (grow ^ low) & conflict[low.bit_length() - 1]
+                bit = grow & -grow
+                clique |= bit
+                grow = (grow ^ bit) & conflict[bit.bit_length() - 1]
             rest ^= clique
             parts += 1
         if rest:
             stack.append((avail, cur, rest))
-    return best_set, nodes
+    return tuple(_bits(best)), nodes
 
 
 def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what: str,
-                    key=None, accept=None, roots=(0,)):
+                    split: int = 0, accept=None, roots=(0,)):
     """Smallest set covering every element, where element i covers itself
     and the set bits of ``masks[i]``, by branching on who covers the first
     uncovered element. With ``independent`` only uncovered elements are
     candidates, which gives the smallest maximal independent set. A covering
-    set becomes the best one only if ``accept`` (when given) takes it. The
-    child that takes a candidate may not take the candidates that its older
-    siblings took: a set holding several candidates lies below the lowest of
-    them alone, so each set is reached once. A node is cut when more
-    uncovered elements that pairwise share no candidate are packed than it
-    may still add. Under the plain key a node whose packing only ties the
-    best is cut too when no completion can come first: when every element it
-    may still take that is outside the best set lies past the smallest
-    element of the best set that it can no longer take. The search starts
-    from each covered mask of ``roots`` in turn, with one bound and one node
-    count over all of them. Returns the key-smallest such set and the node
-    count."""
+    set becomes the best one only if ``accept`` (when given) takes it, as a
+    sorted index tuple. The child that takes a candidate may not take the
+    candidates that its older siblings took: a set holding several candidates
+    lies below the lowest of them alone, so each set is reached once. A node
+    is cut when more uncovered elements that pairwise share no candidate are
+    packed than it may still add. A node whose packing only ties the best set
+    B is cut too when no completion can come before B, which needs (a) B's
+    first part (its elements below ``split``) and an element outside B below
+    every element of B it cannot hold; (b) a first-part element outside B
+    below every such one of B's first part and below B's largest; or (c) a
+    first part that is a proper prefix of B's. At ``split`` 0 only (a) is
+    left. The search starts from each covered mask of ``roots`` in turn, with
+    one bound and one node count over all of them. Returns the first
+    smallest such set and the node count."""
     if not masks:
         return (), 0
     closed = [c | 1 << i for i, c in enumerate(masks)]
     # ball[i]: the elements that share a candidate with i, filled on first use.
     ball = [0] * len(closed)
     full = (1 << len(closed)) - 1
+    low = (1 << split) - 1
     best_size = len(closed) + 1
-    best_set: tuple[int, ...] = ()
-    best_key = None
-    best_mask = 0
-    nodes = 0
+    best = nodes = 0
     # Depth first on an explicit stack, the lowest candidate popped first.
     # ``out`` holds the candidates that an older sibling took.
-    stack = [(root, (), 0) for root in reversed(roots)]
+    stack = [(root, 0, 0) for root in reversed(roots)]
     while stack:
         dominated, cur, out = stack.pop()
         nodes += 1
         if cfg.node_budget is not None and nodes > cfg.node_budget:
             raise BudgetExceededError(what, nodes)
+        k = cur.bit_count()
         if dominated == full:
-            found = tuple(sorted(cur))
-            found_key = key(found) if key else found
-            if len(cur) < best_size or found_key < best_key:
-                if accept is None or accept(found):
-                    best_size, best_set, best_key = len(cur), found, found_key
-                    best_mask = sum(1 << i for i in found)
+            if k < best_size or _precedes(cur, best, low):
+                if accept is None or accept(tuple(_bits(cur))):
+                    best_size, best = k, cur
             continue
         free = full & ~dominated
         # Uncovered elements that pairwise share no candidate each need their
         # own: pack them greedily, and cut once the best can no longer be tied.
         # Before a best exists nothing is cut: cur and free are disjoint.
-        rest, need = free if best_key is not None else 0, len(cur)
+        rest, need = free if best_size <= len(closed) else 0, k
         while rest and need <= best_size:
             i = (rest & -rest).bit_length() - 1
             if not ball[i]:
@@ -330,26 +334,25 @@ def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what
             need += 1
         if need > best_size:
             continue
-        if need == best_size and key is None:
-            # A completion only ties, and comes first only if its smallest
-            # element outside the best set lies below z, the smallest element
-            # of the best set that it cannot hold.
-            can = sum(1 << i for i in cur) | (free if independent else full) & ~out
-            lost = best_mask & ~can
-            if not can & ~best_mask & (lost & -lost) - 1:
+        if need == best_size:
+            # A completion only ties: keep the node if it can come first by
+            # (a), (b) or (c). ``lost`` is what of B it cannot hold.
+            can = cur | (free if independent else full) & ~out
+            lost, vb, cur_v = best & ~can, best & low, cur & low
+            lost_v, t = lost & low, cur_v.bit_length()
+            y = can & low & ~vb & (lost_v & -lost_v) - 1
+            if not (0 < (y & -y) << 1 <= vb  # (b)
+                    or not cur_v & ~vb
+                    and (not lost_v and can & ~best & ~low & (lost & -lost) - 1  # (a)
+                         or vb >> t and not lost_v & (1 << t) - 1)):  # (c)
                 continue
         first = (free & -free).bit_length() - 1
         cands = (closed[first] & free if independent else closed[first]) & ~out
         while cands:
             v = cands.bit_length() - 1
             cands ^= 1 << v
-            stack.append((dominated | closed[v], cur + (v,), out | cands))
-    return best_set, nodes
-
-
-def _edge_result(G: Graph, pid: "ParameterId", chosen: tuple[int, ...], nodes: int):
-    witness = tuple(G.edges[i] for i in chosen)
-    return ParameterResult(pid, len(witness), witness, "search", nodes)
+            stack.append((dominated | closed[v], cur | 1 << v, out | cands))
+    return tuple(_bits(best)), nodes
 
 
 # -- the first-hit search for the variants that are not pairwise ------------
@@ -575,7 +578,8 @@ def _variant_search(
             )
         else:
             chosen, nodes = _max_independent(conflict, cfg, pid.value)
-        return _edge_result(G, pid, chosen, nodes)
+        witness = tuple(G.edges[i] for i in chosen)
+        return ParameterResult(pid, len(witness), witness, "search", nodes)
     hit, nodes = _first_hit(G, P, max_matching_size(G), minimum, cfg, pid.value)
     return ParameterResult(pid, None if hit is None else len(hit), hit, "search", nodes)
 
@@ -714,7 +718,8 @@ def tree_b_matching_max(T: Graph, b: BoundFunction) -> ParameterResult:
 def _total_matching(G: Graph, cfg: EngineConfig, largest: bool) -> ParameterResult:
     """Largest or smallest maximal total matching (a mixed set of vertices
     and edges, pairwise independent, with nothing addable): an independent
-    set of the total graph, by one of the core's two searches."""
+    set of the total graph, by one of the core's two searches. Witnesses
+    compare as (vertices, edges), so the searches' order splits at n."""
     n = G.n
     # Element i < n is vertex i; element n + j is edge j. A vertex clashes
     # with its neighbors and its edges, an edge with its ends and the edges
@@ -726,17 +731,12 @@ def _total_matching(G: Graph, cfg: EngineConfig, largest: bool) -> ParameterResu
     conflict = [G.adj_masks[v] | incident[v] for v in range(n)]
     for j, (u, v) in enumerate(G.edges):
         conflict.append(((1 << u) | (1 << v) | incident[u] | incident[v]) & ~(1 << (n + j)))
-
-    def key(sel: tuple[int, ...]):  # witnesses compare as (vertices, edges)
-        return tuple(i for i in sel if i < n), tuple(i for i in sel if i >= n)
-
     pid = ParameterId.BETA_TOTAL_MAX if largest else ParameterId.BETA_TOTAL_MIN
     if largest:
-        chosen, nodes = _max_independent(conflict, cfg, pid.value, key)
+        chosen, nodes = _max_independent(conflict, cfg, pid.value, n)
     else:
-        chosen, nodes = _min_dominating(conflict, True, cfg, pid.value, key)
-    vs, es = key(chosen)
-    witness = (vs, tuple(G.edges[i - n] for i in es))
+        chosen, nodes = _min_dominating(conflict, True, cfg, pid.value, n)
+    witness = (tuple(i for i in chosen if i < n), tuple(G.edges[i - n] for i in chosen if i >= n))
     return ParameterResult(pid, len(chosen), witness, "search", nodes)
 
 

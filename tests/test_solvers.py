@@ -50,7 +50,9 @@ from pmatch.solvers import (
     sdr_solve,
     tree_b_matching_max,
 )
-from pmatch.solvers import _max_independent, _min_dominating, _stepper, _variant_search
+from pmatch.solvers import (
+    _max_independent, _min_dominating, _precedes, _stepper, _variant_search,
+)
 from pmatch.matching import lexmin_maximum_matching, max_matching_size
 from pmatch.theorems import all_graphs
 
@@ -516,6 +518,10 @@ def test_connected_minima_search_maximal_matchings():
     # The dominating search's children that exclude their older siblings'
     # candidates, and its tie cut: past 30 s without them.
     ("path", dict(n=200), ParameterId.GAMMA, 13466),
+    # The same tie cut in the (vertices, edges) order of total matchings:
+    # 1,927,537 and 473,228 nodes when it cut under the plain order only.
+    ("path", dict(n=40), ParameterId.BETA_TOTAL_MIN, 52981),
+    ("random_tree", dict(n=40, seed=1), ParameterId.BETA_TOTAL_MIN, 45046),
 ])
 def test_search_bounds_cut(family, kw, pid, nodes):
     """Counter gate: each search's bound, where it bites."""
@@ -549,6 +555,12 @@ def test_component_maxima_share_one_budget():
     assert compute_parameter(two_k2, ParameterId.BETA_IF).witness == ((0, 1),)
 
 
+def _split_key(t):
+    """The tuple key of the core's order split at t: the elements below t,
+    then the rest. At t = 0 it orders sets as the plain tuples do."""
+    return lambda sel: (tuple(i for i in sel if i < t), tuple(i for i in sel if i >= t))
+
+
 def _brute_max_independent(conflict, key):
     """The key-smallest largest independent set, over all subsets."""
     best = None
@@ -556,16 +568,30 @@ def _brute_max_independent(conflict, key):
         sel = tuple(i for i in range(len(conflict)) if mask >> i & 1)
         if any(conflict[i] & mask for i in sel):
             continue
-        rank = (-len(sel), key(sel) if key else sel)
+        rank = (-len(sel), key(sel))
         if best is None or rank < best:
             best = rank
     return best
 
 
+def test_precedes_is_the_split_tuple_order():
+    """The core's mask comparison against the tuple key, on every pair of
+    equally sized subsets of up to 8 elements, at every split."""
+    for n in range(9):
+        for t in range(n + 1):
+            key, low = _split_key(t), (1 << t) - 1
+            for size in range(n + 1):
+                sets = {sum(1 << i for i in sel): key(sel)
+                        for sel in itertools.combinations(range(n), size)}
+                for a, b in itertools.product(sets, repeat=2):
+                    assert _precedes(a, b, low) == (sets[a] < sets[b]), (n, t, a, b)
+
+
 def test_max_independent_matches_brute_force():
     """The core's maximum search on seeded random conflict graphs of 1-14
-    elements at four densities, with the plain key and with a split key
-    shaped like the total matchings' (elements below t, then the rest)."""
+    elements at four densities, in plain order and split at a random t, the
+    total matchings' order (elements below t, then the rest), against a brute
+    force that ranks sets by that tuple key."""
     rng = random.Random(22)
     for n in range(1, 15):
         for p in (0.1, 0.3, 0.5, 0.8):
@@ -575,17 +601,18 @@ def test_max_independent_matches_brute_force():
                     conflict[i] |= 1 << j
                     conflict[j] |= 1 << i
             t = rng.randint(0, n)
-            split = lambda sel, t=t: (tuple(i for i in sel if i < t),
-                                      tuple(i for i in sel if i >= t))
-            for key in (None, split):
-                chosen, _ = _max_independent(conflict, EngineConfig(), "test", key)
-                got = (-len(chosen), key(chosen) if key else chosen)
-                assert got == _brute_max_independent(conflict, key), (conflict, t)
-    # The budget: a search of more nodes raises after budget + 1 of them.
-    nodes = _max_independent(conflict, EngineConfig(), "test")[1]
-    assert nodes > 3
-    with pytest.raises(BudgetExceededError, match="^test: .* after 4 nodes"):
-        _max_independent(conflict, EngineConfig(node_budget=3), "test")
+            for split in (0, t):
+                key = _split_key(split)
+                chosen, _ = _max_independent(conflict, EngineConfig(), "test", split)
+                assert (-len(chosen), key(chosen)) == _brute_max_independent(conflict, key), \
+                    (conflict, split)
+    # The budget, in both orders: a search of more nodes raises after
+    # budget + 1 of them.
+    for split in (0, t):
+        nodes = _max_independent(conflict, EngineConfig(), "test", split)[1]
+        assert nodes > 3
+        with pytest.raises(BudgetExceededError, match="^test: .* after 4 nodes"):
+            _max_independent(conflict, EngineConfig(node_budget=3), "test", split)
 
 
 def _dominating_sets(masks, independent, root):
@@ -624,13 +651,14 @@ def _first_cover_replay(masks, independent, root, sel):
 
 def test_min_dominating_matches_brute_force():
     """The core's dominating search on seeded random masks of 1-14 elements
-    at four densities, in both modes, with the plain key and a split key
-    shaped like the total matchings', an ``accept`` filter on the
-    independent sets and two roots. With a filter that takes nothing no
-    bound cuts, and the filter sees each set the search ends at: each
-    exactly once."""
+    at four densities, in both modes, in plain order and split at a random t
+    (the total matchings' order), with an ``accept`` filter on the
+    independent sets and two roots, against a brute force that ranks sets by
+    the tuple key. With a filter that takes nothing no bound cuts, and the
+    filter sees each set the search ends at: each exactly once."""
     rng = random.Random(23)
     bits = [tuple(i for i in range(14) if mask >> i & 1) for mask in range(1 << 14)]
+    split_nodes = 0
     for n in range(1, 15):
         for p in (0.1, 0.3, 0.5, 0.8):
             masks = [0] * n
@@ -639,8 +667,6 @@ def test_min_dominating_matches_brute_force():
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
             t = rng.randint(0, n)
-            split = lambda sel, t=t: (tuple(i for i in sel if i < t),
-                                      tuple(i for i in sel if i >= t))
             odd = lambda sel: sum(sel) % 3 != 1
             two_roots = (rng.getrandbits(n), rng.getrandbits(n))
             for independent in (True, False):
@@ -649,19 +675,20 @@ def test_min_dominating_matches_brute_force():
                 # A filter sees only the sets the search ends at, and those
                 # are all the covering sets only when they are independent.
                 takes = odd if independent else None
-                for key, accept, roots in ((None, None, (0,)), (split, None, (0,)),
-                                           (None, takes, (0,)), (split, takes, (0,)),
-                                           (None, None, two_roots), (split, takes, two_roots)):
-                    chosen, _ = _min_dominating(masks, independent, EngineConfig(), "test",
-                                                key, accept, roots)
+                for split, accept, roots in ((0, None, (0,)), (t, None, (0,)),
+                                             (0, takes, (0,)), (t, takes, (0,)),
+                                             (0, None, two_roots), (t, takes, two_roots)):
+                    key = _split_key(split)
+                    chosen, nodes = _min_dominating(masks, independent, EngineConfig(), "test",
+                                                    split, accept, roots)
+                    split_nodes += nodes if split else 0
                     sets = [sel for root in roots for sel in ends[root]
                             if accept is None or accept(sel)]
                     # With no set taken the search returns the empty set.
                     size = min(map(len, sets), default=0)
                     small = [sel for sel in sets if len(sel) == size] or [()]
-                    want = size, min(key(sel) if key else sel for sel in small)
-                    got = (len(chosen), key(chosen) if key else chosen)
-                    assert got == want, (masks, independent, t, roots)
+                    want = size, min(map(key, small))
+                    assert (len(chosen), key(chosen)) == want, (masks, independent, t, roots)
                 seen = []
                 _min_dominating(masks, independent, EngineConfig(), "test",
                                 accept=lambda sel: seen.append(sel) and False,
@@ -669,11 +696,16 @@ def test_min_dominating_matches_brute_force():
                 once = [sel for root in two_roots for sel in ends[root]
                         if _first_cover_replay(masks, independent, root, sel) == sel]
                 assert sorted(seen) == sorted(once), (masks, independent, two_roots)
-    # The budget: a search of more nodes raises after budget + 1 of them.
-    nodes = _min_dominating(masks, True, EngineConfig(), "test")[1]
-    assert nodes > 3
-    with pytest.raises(BudgetExceededError, match="^test: .* after 4 nodes"):
-        _min_dominating(masks, True, EngineConfig(node_budget=3), "test")
+    # Counter gate on the tie cut in split order (7,327 nodes with no tie cut
+    # there): a cut that keeps nodes it could cut keeps every answer.
+    assert split_nodes == 5164
+    # The budget, in both orders: a search of more nodes raises after
+    # budget + 1 of them.
+    for split in (0, t):
+        nodes = _min_dominating(masks, True, EngineConfig(), "test", split)[1]
+        assert nodes > 3
+        with pytest.raises(BudgetExceededError, match="^test: .* after 4 nodes"):
+            _min_dominating(masks, True, EngineConfig(node_budget=3), "test", split)
 
 
 # Exact search node counts of the independent-set core, the first-hit search
@@ -687,7 +719,7 @@ PINNED_NODES = {
         "beta0": 19, "alpha0": 19, "gamma": 17, "beta_plain": 0, "beta_ur": 67,
         "beta_star": 19, "beta_on": 0, "beta_cn": 0, "beta1_minus": 21,
         "beta_plain_minus": 21, "beta_star_minus": 13, "beta_on_minus": 21,
-        "beta_cn_minus": 21, "beta_total_max": 127, "beta_total_min": 341,
+        "beta_cn_minus": 21, "beta_total_max": 127, "beta_total_min": 96,
         "beta_ur_minus": 15, "beta_c": 4, "beta_c_minus": 21, "beta_if": 4,
         "beta_if_minus": 21, "beta_dc": 43, "beta_dc_minus": 20, "beta_ac": 67,
         "beta_ac_minus": 15, "beta_i": 0, "beta_i_minus": 21, "beta_b": 0,
@@ -698,7 +730,7 @@ PINNED_NODES = {
         "beta0": 30, "alpha0": 30, "gamma": 42, "beta_plain": 0, "beta_ur": 335,
         "beta_star": 43, "beta_on": 156, "beta_cn": 161, "beta1_minus": 162,
         "beta_plain_minus": 162, "beta_star_minus": 26, "beta_on_minus": 195,
-        "beta_cn_minus": 30, "beta_total_max": 417, "beta_total_min": 2287,
+        "beta_cn_minus": 30, "beta_total_max": 417, "beta_total_min": 755,
         "beta_ur_minus": 35, "beta_c": 8, "beta_c_minus": 162, "beta_if": 8,
         "beta_if_minus": 162, "beta_dc": 553, "beta_dc_minus": 3, "beta_ac": 411,
         "beta_ac_minus": 30, "beta_i": 261, "beta_i_minus": 649, "beta_b": 597,
