@@ -2,10 +2,11 @@
 and the structural queries every solver builds on.
 
 Vertices are dense integers ``0..n-1``. Optional string labels ride along for
-display purposes only; all computation happens on indices. Two adjacency views
-are exposed: neighbor tuples (``adj_lists``, cheap at any scale) and per-vertex
-integer bitmasks (``adj_masks``, built lazily, intended for small graphs where
-the predicate and search code lives).
+display purposes only; all computation happens on indices. Three views are
+exposed: neighbor tuples (``adj_lists``, cheap at any scale), per-vertex
+integer bitmasks over the vertices (``adj_masks``) and over the edges at each
+vertex (``incidence_masks``). The two mask views are built lazily and meant
+for the desk-scale graphs where the predicate and search code lives.
 """
 
 from __future__ import annotations
@@ -135,6 +136,17 @@ class Graph:
         return tuple(masks)
 
     @cached_property
+    def incidence_masks(self) -> tuple[int, ...]:
+        """Per-vertex edge bitmasks: bit j of entry v is set when v is an end
+        of ``edges[j]``. Memory grows with n * m / 8 at most; every
+        edge-conflict mask of the solvers is built from these."""
+        masks = [0] * self.n
+        for j, (u, v) in enumerate(self.edges):
+            masks[u] |= 1 << j
+            masks[v] |= 1 << j
+        return tuple(masks)
+
+    @cached_property
     def closed_adj_masks(self) -> tuple[int, ...]:
         return tuple(m | (1 << v) for v, m in enumerate(self.adj_masks))
 
@@ -179,14 +191,15 @@ def closed_neighborhood(G: Graph, v: int) -> frozenset[int]:
 
 def induced_subgraph(G: Graph, S) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on vertex set S, plus the map from new indices back
-    to the original ones (position i holds the original index)."""
+    to the original ones (position i holds the original index). The relabel
+    keeps order, so edges keep their relative order too. It walks the
+    neighbors of S only, in time linear in the size of S and its edges."""
     order = sorted(set(S))
     for v in order:
         G._check_vertex(v)
     index = {v: i for i, v in enumerate(order)}
-    edges = [
-        (index[u], index[v]) for u, v in G.edges if u in index and v in index
-    ]
+    adj = G.adj_lists
+    edges = [(i, index[w]) for i, v in enumerate(order) for w in adj[v] if w > v and w in index]
     labels = tuple(G.label(v) for v in order) if G.labels is not None else None
     return Graph(len(order), tuple(edges), labels), tuple(order)
 
@@ -220,28 +233,9 @@ def components(G: Graph) -> list[frozenset[int]]:
     return out
 
 
-def _component_count(G: Graph) -> int:
-    """The number of connected components, without building them."""
-    seen = [False] * G.n
-    adj = G.adj_lists
-    count = 0
-    for s in range(G.n):
-        if seen[s]:
-            continue
-        count += 1
-        seen[s] = True
-        stack = [s]
-        while stack:
-            for w in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return count
-
-
 def is_connected(G: Graph) -> bool:
     """True when G has at most one component (n = 0 counts as connected)."""
-    return _component_count(G) <= 1
+    return len(components(G)) <= 1
 
 
 def is_bipartite(G: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -269,7 +263,7 @@ def is_bipartite(G: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
 
 def is_acyclic_graph(G: Graph) -> bool:
     """True iff G is a forest, i.e. |E| = n - #components."""
-    return G.m == G.n - _component_count(G)
+    return G.m == G.n - len(components(G))
 
 
 def is_triangle_free(G: Graph) -> bool:

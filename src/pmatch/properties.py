@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable
 
 from .graph import Graph, is_edge_cut
@@ -566,26 +567,36 @@ def pairwise_conflict_masks(G: Graph, P: PropertyId) -> list[int] | None:
     of ``G.edges`` cannot lie in one P-matching, so a set of edges is a
     P-matching exactly when it is independent in these masks. For induced
     matchings this is the square of the line graph. None for every other
-    variant."""
-    closed = G.closed_adj_masks
-    # onbr and cnbr: some vertex sees all four endpoints in its open (closed)
-    # neighborhood.
-    nbr = {PropertyId.ONBR: G.adj_masks, PropertyId.CNBR: closed}.get(P)
-    if nbr is None and P not in (PropertyId.PLAIN, PropertyId.INDUCED):
+    variant.
+
+    Built from ``G.incidence_masks`` (``at``) with no loop over pairs of
+    edges: O(n + m) mask operations for plain, O(n + m) more for induced,
+    and for onbr and cnbr O(n + m) more plus one per edge inside each
+    vertex's neighborhood, each operation on masks of m bits."""
+    if P not in (PropertyId.PLAIN, PropertyId.INDUCED, PropertyId.ONBR, PropertyId.CNBR):
         return None
-    edges = G.edges
-    masks = [0] * len(edges)
-    for i, (a, b) in enumerate(edges):
-        # A shared endpoint clashes everywhere; for induced, so does a host
-        # edge from e to f, i.e. f touching a neighbor of e.
-        near = closed[a] | closed[b] if P is PropertyId.INDUCED else (1 << a) | (1 << b)
-        common = nbr[a] & nbr[b] if nbr else 0
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if near & ((1 << c) | (1 << d)) or (common and common & nbr[c] & nbr[d]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
+    at, edges = G.incidence_masks, G.edges
+    if P is PropertyId.INDUCED:
+        # f clashes with e when it touches N[a] or N[b], e = ab.
+        near = [reduce(or_, map(at.__getitem__, nbrs), at[v])
+                for v, nbrs in enumerate(G.adj_lists)]
+        masks = [near[a] | near[b] for a, b in edges]
+    else:
+        # A shared end clashes everywhere.
+        masks = [at[a] | at[b] for a, b in edges]
+    if P in (PropertyId.ONBR, PropertyId.CNBR):
+        # Edges with both ends in N(w) (N[w] for cnbr) clash pairwise: an
+        # edge is inside once its second end has been OR-ed in.
+        closed = P is PropertyId.CNBR
+        for w, nbrs in enumerate(G.adj_lists):
+            seen, inside = at[w] if closed else 0, 0
+            for x in nbrs:
+                inside |= at[x] & seen
+                seen |= at[x]
+            if inside & (inside - 1):  # two edges or more
+                for j in _bits(inside):
+                    masks[j] |= inside
+    return [mask ^ 1 << j for j, mask in enumerate(masks)]  # each holds its own bit
 
 
 # -- irredundance variants ---------------------------------------------------

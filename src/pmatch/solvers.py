@@ -61,6 +61,7 @@ from operator import or_
 from .graph import (
     Graph,
     components,
+    induced_subgraph,
     is_acyclic_graph,
     is_bipartite,
     is_even_cycle_free,
@@ -480,11 +481,8 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
     hereditary = P in HEREDITARY_PROPERTIES
     disconnected = P is PropertyId.DISCONNECTED
     private = P is PropertyId.VERTEX_IRREDUNDANT
-    at = [0] * G.n
-    for j, (u, v) in enumerate(edges):
-        at[u] |= 1 << j
-        at[v] |= 1 << j
-    clash = [at[u] | at[v] for u, v in edges]  # edges sharing an end with edge j
+    at = G.incidence_masks
+    clash = [at[u] | at[v] for u, v in edges]  # edge j and the edges sharing an end with it
     ends = [1 << u | 1 << v for u, v in edges]
     every = (1 << len(edges)) - 1
     best = None if minimum else ()
@@ -565,9 +563,9 @@ def _variant_search(
         # to V(M), and adding it keeps P. A smallest M meets one component, so
         # filter each component's maximal matchings (a root covers all others).
         conflict = pairwise_conflict_masks(G, PropertyId.PLAIN)
-        every = (1 << len(G.edges)) - 1
+        every, at = (1 << len(G.edges)) - 1, G.incidence_masks
         roots = [
-            every & ~sum(1 << j for j, (u, _) in enumerate(G.edges) if u in comp)
+            every & ~reduce(or_, map(at.__getitem__, comp))
             for comp in components(G) if len(comp) > 1
         ]
         accept = lambda found: property_holds(G, P, tuple(G.edges[i] for i in found))
@@ -590,10 +588,11 @@ def _component_maximum(G: Graph, P: PropertyId, cfg: EngineConfig) -> ParameterR
     ν(C) that are at least 2, or 1 when that sum is 0 and G has an edge.
     On a connected graph both are ν(G) (Goddard, Hedetniemi, Hedetniemi &
     Laskar, Discrete Math. 2005). Each component that counts makes one
-    first-hit walk at k = ν(C) over its own edges, which hits by the
-    identity. β_c's witness is the smallest of those hits. β_if's is their
-    union: sets of equal size per component compare by the smallest element
-    of their symmetric difference. With a sum of 0 it is G's first edge."""
+    first-hit walk at k = ν(C) on C alone, relabeled in order, which hits
+    by the identity. β_c's witness is the smallest of those hits. β_if's is
+    their union: sets of equal size per component compare by the smallest
+    element of their symmetric difference. With a sum of 0 it is G's first
+    edge."""
     pid = PROPERTY_MAX_PARAM[P]
     mate = _Search(G.n, G.adj_lists).match
     sized = [(sum(mate[v] != -1 for v in comp) // 2, comp) for comp in components(G)]
@@ -601,9 +600,9 @@ def _component_maximum(G: Graph, P: PropertyId, cfg: EngineConfig) -> ParameterR
     hits, nodes = [], 0
     for nu, comp in sized:
         if nu and (nu == top if P is PropertyId.CONNECTED else nu >= 2):
-            sub = Graph(G.n, tuple(e for e in G.edges if e[0] in comp))
+            sub, order = induced_subgraph(G, comp)
             hit, nodes = _first_hit(sub, P, nu, False, cfg, pid.value, nu, nodes)
-            hits.append(hit)
+            hits.append(tuple((order[u], order[v]) for u, v in hit))
     if P is PropertyId.CONNECTED:
         witness = min(hits, default=())
     else:
@@ -724,13 +723,9 @@ def _total_matching(G: Graph, cfg: EngineConfig, largest: bool) -> ParameterResu
     # Element i < n is vertex i; element n + j is edge j. A vertex clashes
     # with its neighbors and its edges, an edge with its ends and the edges
     # at them.
-    incident = [0] * n
-    for j, (u, v) in enumerate(G.edges):
-        incident[u] |= 1 << (n + j)
-        incident[v] |= 1 << (n + j)
-    conflict = [G.adj_masks[v] | incident[v] for v in range(n)]
-    for j, (u, v) in enumerate(G.edges):
-        conflict.append(((1 << u) | (1 << v) | incident[u] | incident[v]) & ~(1 << (n + j)))
+    conflict = [a | at << n for a, at in zip(G.adj_masks, G.incidence_masks)]
+    plain = pairwise_conflict_masks(G, PropertyId.PLAIN)
+    conflict += [1 << u | 1 << v | c << n for (u, v), c in zip(G.edges, plain)]
     pid = ParameterId.BETA_TOTAL_MAX if largest else ParameterId.BETA_TOTAL_MIN
     if largest:
         chosen, nodes = _max_independent(conflict, cfg, pid.value, n)
@@ -920,36 +915,40 @@ def compute_parameter(
     """Route one parameter to its solver. ``b`` feeds the b-matching maximum
     and defaults to the uniform bound min(1, d(v)). ``beta_plain`` is the
     matching number. A variant whose class test in ``COLLAPSE_CLASSES`` holds
-    on G is answered by the plain routes, before any search."""
-    if pid is ParameterId.BETA1:
-        return max_matching(G)
-    if pid is ParameterId.BETA1_MINUS:
-        return min_maximal_matching(G, config)
-    if pid is ParameterId.ALPHA0:
-        return _cover_from_independent(G, independence_number(G, config))
-    if pid is ParameterId.BETA0:
-        return independence_number(G, config)
-    if pid is ParameterId.GAMMA:
-        return domination_number(G, config)
-    if pid is ParameterId.ALPHA1:
-        return edge_cover_number(G)
-    if pid is ParameterId.BETA_PLAIN:
-        return replace(max_matching(G), parameter=pid)
-    if pid in PARAM_PROPERTY:
-        prop = PARAM_PROPERTY[pid]
-        minimum = pid in MINUS_PARAMS
-        collapses = _COLLAPSE_TEST.get(prop)
-        if collapses is not None and collapses(G):
-            plain = min_maximal_matching(G, config) if minimum else max_matching(G)
-            return replace(plain, parameter=pid)
-        if not minimum and prop in (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE):
-            return _component_maximum(G, prop, config or DEFAULT_CONFIG)
-        return _variant_search(G, prop, minimum, config)
-    if pid in (ParameterId.BETA_TOTAL_MAX, ParameterId.BETA_TOTAL_MIN):
-        return _total_matching(G, config or DEFAULT_CONFIG, pid is ParameterId.BETA_TOTAL_MAX)
-    if pid is ParameterId.BETA_SEP_MIN:
-        return min_separating_matching(G, config)
-    if pid is ParameterId.B_MATCHING_MAX:
-        bound = b if b is not None else BoundFunction.uniform(G, 1)
-        return tree_b_matching_max(G, bound)
+    on G is answered by the plain routes, before any search. A budget error
+    names ``pid``, also when its route is another tag's."""
+    try:
+        if pid is ParameterId.BETA1:
+            return max_matching(G)
+        if pid is ParameterId.BETA1_MINUS:
+            return min_maximal_matching(G, config)
+        if pid is ParameterId.ALPHA0:
+            return _cover_from_independent(G, independence_number(G, config))
+        if pid is ParameterId.BETA0:
+            return independence_number(G, config)
+        if pid is ParameterId.GAMMA:
+            return domination_number(G, config)
+        if pid is ParameterId.ALPHA1:
+            return edge_cover_number(G)
+        if pid is ParameterId.BETA_PLAIN:
+            return replace(max_matching(G), parameter=pid)
+        if pid in PARAM_PROPERTY:
+            prop = PARAM_PROPERTY[pid]
+            minimum = pid in MINUS_PARAMS
+            collapses = _COLLAPSE_TEST.get(prop)
+            if collapses is not None and collapses(G):
+                plain = min_maximal_matching(G, config) if minimum else max_matching(G)
+                return replace(plain, parameter=pid)
+            if not minimum and prop in (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE):
+                return _component_maximum(G, prop, config or DEFAULT_CONFIG)
+            return _variant_search(G, prop, minimum, config)
+        if pid in (ParameterId.BETA_TOTAL_MAX, ParameterId.BETA_TOTAL_MIN):
+            return _total_matching(G, config or DEFAULT_CONFIG, pid is ParameterId.BETA_TOTAL_MAX)
+        if pid is ParameterId.BETA_SEP_MIN:
+            return min_separating_matching(G, config)
+        if pid is ParameterId.B_MATCHING_MAX:
+            bound = b if b is not None else BoundFunction.uniform(G, 1)
+            return tree_b_matching_max(G, bound)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(pid.value, exc.nodes) from None
     raise ValueError(f"no solver route for {pid}")

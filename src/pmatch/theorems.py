@@ -18,6 +18,7 @@ from .graph import (
     complement,
     components,
     from_edge_mask,
+    induced_subgraph,
     is_bipartite,
     is_connected,
 )
@@ -281,8 +282,7 @@ def check_connected_theorem(G: Graph, config: EngineConfig | None = None) -> The
     cap the maxima come from ``solvers._variant_search``, called directly:
     ``compute_parameter`` answers them by this identity."""
     parts = [G] if is_connected(G) else [
-        Graph(G.n, tuple(e for e in G.edges if e[0] in comp))
-        for comp in components(G) if len(comp) > 1]
+        induced_subgraph(G, comp)[0] for comp in components(G) if len(comp) > 1]
     nus = [_solver_or_oracle_value(C, ParameterId.BETA1, config) for C in parts]
     maxima = []
     for pid, P in ((ParameterId.BETA_C, PropertyId.CONNECTED),

@@ -423,6 +423,24 @@ def test_compute_budget_on_a_first_hit_maximum_is_a_budget_error(capsys):
     assert entry["error"] == "beta_v_IR: node budget exceeded after 20001 nodes"
 
 
+@pytest.mark.parametrize("graph, params, budget", [
+    (["--family", "hypercube", "--n", "4"], "alpha0,beta1_minus,beta_i_minus,beta_cn_minus", "10"),
+    (["--family", "path", "--n", "8000"], "beta_star,beta1_minus", "1000"),
+])
+def test_compute_budget_errors_name_the_asked_tag(capsys, graph, params, budget):
+    # alpha0 runs the beta0 search, and beta1_minus and the collapsed minima
+    # on Q4 run the plain minimum; each error names the tag asked for. On the
+    # 8,000-vertex path the conflict masks are built per vertex and per
+    # edge, not per pair of edges, so the budget is reached at once.
+    code = main(["compute", *graph, "--params", params, "--budget", budget])
+    entries = json.loads(capsys.readouterr().out)["params"]
+    assert code == 3
+    assert sorted(entries) == sorted(params.split(","))
+    for tag, entry in entries.items():
+        assert entry["budget_exceeded"] is True
+        assert entry["error"].startswith(f"{tag}: node budget exceeded after ")
+
+
 def test_compute_collapsed_maxima_run_no_search(capsys):
     # A tree is in every class of the collapse table: with a node budget of
     # 0, any search would exit 3.

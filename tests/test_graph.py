@@ -353,6 +353,15 @@ def test_neighborhoods():
         iso.neighbors(9)
 
 
+def test_incidence_masks_mark_the_edges_at_each_vertex():
+    for n in range(6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            G = from_edge_mask(n, mask)
+            assert G.incidence_masks == tuple(
+                sum(1 << j for j, e in enumerate(G.edges) if v in e) for v in range(G.n)
+            )
+
+
 def test_induced_subgraph_cases(c4, p8):
     sub, back = induced_subgraph(c4, {0, 1})
     assert (sub.n, sub.m) == (2, 1) and back == (0, 1)
@@ -372,6 +381,9 @@ def test_induced_subgraph_full_and_monotone(G, data):
     T = S | (set(data.draw(st.sets(st.integers(0, max(G.n - 1, 0)), max_size=G.n))) if G.n else set())
     sub_s, back_s = induced_subgraph(G, S)
     sub_t, back_t = induced_subgraph(G, T)
+    # The relabel keeps order: mapped back, the edges are G's edges inside S,
+    # in G's order.
+    assert [(back_s[u], back_s[v]) for u, v in sub_s.edges] == [e for e in G.edges if set(e) <= S]
     edges_s = {tuple(sorted((back_s[u], back_s[v]))) for u, v in sub_s.edges}
     edges_t = {tuple(sorted((back_t[u], back_t[v]))) for u, v in sub_t.edges}
     assert edges_s <= edges_t

@@ -42,7 +42,7 @@ from pmatch.properties import (
     pairwise_conflict_masks,
     total_violation,
 )
-from pmatch.theorems import all_graphs
+from pmatch.theorems import all_graphs, random_graphs
 
 from conftest import graph_with_matching
 
@@ -482,6 +482,17 @@ def test_pairwise_conflict_masks_encode_the_predicates():
                 for P in PAIRWISE:
                     independent = not any(masks[P][i] >> j & 1 for i in idx for j in idx)
                     assert independent == has_property(G, m, P), (G.edges, m.edges, P)
+    # Past n = 5, pair by pair on seeded graphs dense enough for onbr and
+    # cnbr clashes: bit j of row i is set exactly when edges i and j share
+    # an end or the two-edge matching lacks P, and the diagonal is clear.
+    for n in range(6, 13):
+        for G in random_graphs(n, 8, n, p_choices=(0.3, 0.5, 0.7)):
+            masks = {P: pairwise_conflict_masks(G, P) for P in PAIRWISE}
+            for i, e in enumerate(G.edges):
+                for j, f in enumerate(G.edges):
+                    for P in PAIRWISE:
+                        clash = i != j and bool(set(e) & set(f) or not has_property(G, (e, f), P))
+                        assert masks[P][i] >> j & 1 == clash, (G.edges, e, f, P)
 
 
 def test_pairwise_conflict_masks_only_for_pairwise_variants(q3):
