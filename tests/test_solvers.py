@@ -729,6 +729,7 @@ def test_min_dominating_matches_brute_force():
 # and the theorem routes; a change here is a change in the search, not noise.
 PINNED_GRAPHS = {
     "hypercube-3": lambda: generate("hypercube", n=3),
+    "hypercube-4": lambda: generate("hypercube", n=4),
     "gnp-12": lambda: generate("gnp", n=12, p=0.4, seed=1),
 }
 PINNED_NODES = {
@@ -742,6 +743,17 @@ PINNED_NODES = {
         "beta_ac_minus": 15, "beta_i": 0, "beta_i_minus": 21, "beta_b": 0,
         "beta_b_minus": 21, "beta_v_IR": 27, "beta_v_ir": 14, "beta_e_IR": 45,
         "beta_e_ir": 20, "beta_sep_min": 7,
+    },
+    "hypercube-4": {
+        "beta0": 59, "alpha0": 59, "gamma": 62, "beta_plain": 0, "beta_ur": 8023,
+        "beta_star": 67, "beta_on": 0, "beta_cn": 0, "beta1_minus": 642,
+        "beta_plain_minus": 642, "beta_star_minus": 33, "beta_on_minus": 642,
+        "beta_cn_minus": 642, "beta_total_max": 5885, "beta_total_min": 7565,
+        "beta_ur_minus": 2983, "beta_c": 8, "beta_c_minus": 642, "beta_if": 8,
+        "beta_if_minus": 642, "beta_dc": 4196, "beta_dc_minus": 3251, "beta_ac": 5402,
+        "beta_ac_minus": 478, "beta_i": 0, "beta_i_minus": 642, "beta_b": 0,
+        "beta_b_minus": 642, "beta_v_IR": 5780, "beta_v_ir": 58, "beta_e_IR": 1758,
+        "beta_e_ir": 4456, "beta_sep_min": 9,
     },
     "gnp-12": {
         "beta0": 30, "alpha0": 30, "gamma": 42, "beta_plain": 0, "beta_ur": 335,
