@@ -427,25 +427,32 @@ def _orient_masks(adj, partner, sat: int) -> int | None:
     """
     tails = heads = 0
     for x in _bits(sat):
-        if (tails | heads) >> x & 1:
-            continue
-        for lit in (x, partner[x]):
-            t, h, todo = tails, heads, 1 << lit
-            while todo and not (t | todo) & h:
-                low = todo & -todo
-                v = low.bit_length() - 1
-                t |= low
-                new_h = (adj[v] & sat | 1 << partner[v]) & ~h
-                h |= new_h
-                for w in _bits(new_h):
-                    todo |= 1 << partner[w]
-                todo &= ~t
-            if not (t | todo) & h:
-                tails, heads = t, h
-                break
-        else:
-            return None
+        if not (tails | heads) >> x & 1:
+            forced = (_assert_tail(adj, partner, sat, tails, heads, x)
+                      or _assert_tail(adj, partner, sat, tails, heads, partner[x]))
+            if forced is None:
+                return None
+            tails, heads = forced
     return tails
+
+
+def _assert_tail(adj, partner, sat: int, tails: int, heads: int, x: int):
+    """Unit propagation of "x is a tail" from the partial assignment
+    (``tails``, ``heads``) of ``_orient_masks``'s 2-SAT: the tails and heads
+    it forces, or None when a vertex would be both."""
+    t, h, todo = tails, heads, 1 << x
+    while todo and not (t | todo) & h:
+        low = todo & -todo
+        v = low.bit_length() - 1
+        t |= low
+        new_h = (adj[v] & sat | 1 << partner[v]) & ~h
+        h |= new_h
+        while new_h:  # a new head makes its partner a tail
+            low = new_h & -new_h
+            todo |= 1 << partner[low.bit_length() - 1]
+            new_h ^= low
+        todo &= ~t
+    return None if (t | todo) & h else (t, h)
 
 
 def find_independent_orientation(G: Graph, M) -> Orientation | None:

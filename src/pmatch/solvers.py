@@ -2,7 +2,7 @@
 
 - Theorem fast paths: blossom for ``beta1`` and ``beta_plain``; the tree
   greedy for ``b_matching_max``; an edge cover grown from a maximum matching
-  for ``alpha1``.
+  for ``alpha1``; the smallest bridge for ``beta_sep_min``.
 - Class-collapse routes (``COLLAPSE_CLASSES``): on bipartite, triangle-free,
   even-cycle-free and acyclic graphs some variants hold for every matching,
   and their maxima and minima are those of plain matchings.
@@ -30,18 +30,20 @@
   maxima follow from the components' matching numbers, so their witnesses
   take one walk at k = ν(C) per component that counts. Each frame carries
   its prefix's per-variant state, and a step settles a candidate with the
-  work its new edge can change. The ur and bipartite steps call the
-  predicates' own search and join (their references are the oracle's
-  perfect-matching count and orientation scan); the other predicates of
-  ``properties`` are the reference. It cuts a prefix that half the vertices
-  its remaining edges touch cannot bring up to k; a disconnected prefix
-  whose ⟨M⟩ is one component C when no remaining edge misses N[C]; and a
-  vertex-irredundant one when a hit's 2k ends and k private vertices do not
-  fit beside the vertices that can be neither. A minimum's frames carry the
-  edges disjoint from their prefix, which its maximality test steps.
-- A matching-cut search for ``beta_sep_min``: it splits each component into
-  two sides, branching on one vertex at a time, and forcing leaves a cut
-  that is a matching.
+  work its new edge can change; the independent step propagates from the
+  new edge's ends alone. The ur and bipartite steps call the predicates'
+  own search and join (their references are the oracle's perfect-matching
+  count and orientation scan); the other predicates of ``properties`` are
+  the reference. It cuts a prefix that half the vertices its remaining
+  edges touch cannot bring up to k; a disconnected prefix whose ⟨M⟩ is one
+  component C when no remaining edge misses N[C], a test on one carried
+  mask; and a vertex-irredundant one when a hit's 2k ends and k private
+  vertices do not fit beside the vertices that can be neither. A minimum's
+  frames carry the edges disjoint from their prefix, which its maximality
+  test steps, the last edge that extended a candidate first.
+- A matching-cut search for ``beta_sep_min`` on a graph with no bridge: it
+  splits each component into two sides, branching on one vertex at a time,
+  and forcing leaves a cut that is a matching.
 
 ``compute_parameter`` routes every tag. A variant that no theorem or class
 settles on G takes ``_variant_search``, which picks its search above.
@@ -54,12 +56,14 @@ that can still tie the best is kept, unless no tie it can reach comes first.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import or_
 
 from .graph import (
     Graph,
+    block_decomposition,
     components,
     induced_subgraph,
     is_acyclic_graph,
@@ -73,9 +77,9 @@ from .properties import (
     BoundFunction,
     PropertyId,
     _alternating_cycle,
+    _assert_tail,
     _bits,
     _join_coloured,
-    _orient_masks,
     pairwise_conflict_masks,
     property_holds,
 )
@@ -382,21 +386,29 @@ def _stepper(G: Graph, P: PropertyId):
         return 0, step
 
     if P is PropertyId.INDEPENDENT:
-        # The state is V(M) and the tails of an orientation of M. Edge uv
-        # takes u (else v) as its tail when no tail sees it; otherwise the
-        # 2-SAT decides anew, on masks.
+        # The state is V(M) and the tails of an orientation of M with
+        # independent tails. Edge uv takes u (else v) as its tail when no
+        # tail sees it. Otherwise propagate "u is a tail" (else "v") from an
+        # empty assignment of ``properties._orient_masks``'s 2-SAT. Every new
+        # clause holds uv's variable, and propagation settles every clause it
+        # touches, so the clauses it leaves are old ones that the old tails
+        # satisfy: those keep their ends (Even, Itai & Shamir, SIAM J.
+        # Comput. 1976). When both literals fail, M + uv has no orientation.
         def step(state, j):
             sat, tails = state
             u, v = edges[j]
             partner[u], partner[v] = v, u
             sat |= 1 << u | 1 << v
             if not adj[u] & tails:
-                tails |= 1 << u
-            elif not adj[v] & tails:
-                tails |= 1 << v
-            else:
-                tails = _orient_masks(adj, partner, sat)
-            return tails is not None, (sat, tails)
+                return True, (sat, tails | 1 << u)
+            if not adj[v] & tails:
+                return True, (sat, tails | 1 << v)
+            forced = (_assert_tail(adj, partner, sat, 0, 0, u)
+                      or _assert_tail(adj, partner, sat, 0, 0, v))
+            if forced is None:
+                return False, (sat, None)
+            t, h = forced
+            return True, (sat, t | tails & ~(t | h))
         return (0, 0), step
 
     if P is PropertyId.BIPARTITE:
@@ -461,14 +473,16 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
     k exceeds ``nu``, and returns the last hit (() if none). Each frame
     carries its prefix's state, and ``_stepper``'s step settles P for each
     candidate; a minimum's frame also carries the edges that share no vertex
-    with its prefix, the ones its maximality test steps. A prefix is never
-    extended when:
+    with its prefix, the ones its maximality test steps. That test tries the
+    edge that last extended a candidate first, since sibling candidates
+    often share it; the answer is the same. A prefix is never extended when:
     - P is hereditary and the prefix lacks it;
     - the compatible edges after it touch too few vertices to hold the edges
       it still lacks of k, two ends each;
     - P is disconnected and ⟨M⟩ is one component C, unless an edge after it
       has no end in N[C]: V(M) stays in one component of any extension, so
-      a second one needs such an edge;
+      a second one needs such an edge. The frame carries the edges with an
+      end in N[V(M)], the OR of ``ring`` over the prefix;
     - P is vertex-irredundant, it lacks two edges or more, and 3k plus the
       unsaturated vertices that two saturated ones already see and no later
       edge touches exceeds n: a hit of size k has 2k ends and k private
@@ -476,7 +490,7 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
       vertex is neither.
     Also returns the node count, one node per prefix tried, counted on from
     ``nodes`` so that several walks share one budget."""
-    edges, adj = G.edges, G.adj_masks
+    edges = G.edges
     start, step = _stepper(G, P)
     hereditary = P in HEREDITARY_PROPERTIES
     disconnected = P is PropertyId.DISCONNECTED
@@ -484,24 +498,32 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
     at = G.incidence_masks
     clash = [at[u] | at[v] for u, v in edges]  # edge j and the edges sharing an end with it
     ends = [1 << u | 1 << v for u, v in edges]
+    ring = [0] * len(edges)  # for edge j = uv, the edges with an end in N[u] or N[v]
+    if disconnected:
+        near = [reduce(or_, map(at.__getitem__, _bits(a)), at[w])
+                for w, a in enumerate(G.adj_masks)]
+        ring = [near[u] | near[v] for u, v in edges]
+    limit = sys.maxsize if cfg.node_budget is None else cfg.node_budget
     every = (1 << len(edges)) - 1
     best = None if minimum else ()
+    killer = 0  # the edge that last showed a minimum's candidate not maximal, as a bit
     for k in range(k, nu + 1) if minimum else (k,):
         # A frame per depth: the prefix, as a bitmask the edges after its
         # last edge that are still compatible with it and not yet tried, the
-        # prefix's state, and for a minimum the edges disjoint from the
-        # prefix (0 for a maximum).
-        stack = [[(), every, start, every if minimum else 0]]
+        # prefix's state, for a minimum the edges disjoint from the prefix
+        # (0 for a maximum), and for P disconnected the edges with an end in
+        # N[V(M)] (0 for the rest).
+        stack = [[(), every, start, every if minimum else 0, 0]]
         while stack and k <= nu:
             frame = stack[-1]
-            prefix, avail, state, opened = frame
+            prefix, avail, state, opened, reach = frame
             if not avail or len(prefix) + avail.bit_count() < k:  # too few edges left
                 stack.pop()
                 continue
             low = avail & -avail
             frame[1] = avail ^ low
             nodes += 1
-            if cfg.node_budget is not None and nodes > cfg.node_budget:
+            if nodes > limit:
                 raise BudgetExceededError(what, nodes)
             i = low.bit_length() - 1
             holds, state = step(state, i)
@@ -509,28 +531,38 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
             if len(cand) >= k:
                 if minimum:
                     # Maximal: no edge disjoint from it extends it with P.
-                    if holds and not any(step(state, j)[0] for j in _bits(opened & ~clash[i])):
-                        return cand, nodes
+                    # The edge that last extended a candidate goes first.
+                    if holds:
+                        ext = opened & ~clash[i]
+                        bit = ext & killer or ext & -ext
+                        while bit:
+                            if step(state, bit.bit_length() - 1)[0]:
+                                killer = bit
+                                break
+                            ext ^= bit
+                            bit = ext & -ext
+                        else:
+                            return cand, nodes
                     continue
                 if holds:
                     best, k = cand, len(cand) + 1
             if holds or not hereditary:
-                rest = avail & ~clash[i]
-                if disconnected and len(state) == 1:  # a second component needs a far edge
-                    near = reduce(or_, (adj[v] for v in _bits(state[0])), state[0])
-                    if all(ends[j] & near for j in _bits(rest)):
-                        continue
+                rest, reach = avail & ~clash[i], reach | ring[i]
+                if disconnected and len(state) == 1 and not rest & ~reach:
+                    continue  # a second component needs a far edge
                 if k - len(cand) > 1:  # rest matches at most half the vertices it touches
-                    touched = 0
-                    for j in _bits(rest):
-                        touched |= ends[j]
+                    touched, r = 0, rest
+                    while r:
+                        bit = r & -r
+                        touched |= ends[bit.bit_length() - 1]
+                        r ^= bit
                     if len(cand) + touched.bit_count() // 2 < k:
                         continue
                     # 2k ends, k private vertices, and the vertices that are
                     # neither: seen twice, unsaturated and out of reach.
                     if private and 3 * k + (state[1] & ~(state[2] | touched)).bit_count() > G.n:
                         continue
-                stack.append([cand, rest, state, opened & ~clash[i]])
+                stack.append([cand, rest, state, opened & ~clash[i], reach])
     return best, nodes
 
 
@@ -915,8 +947,10 @@ def compute_parameter(
     """Route one parameter to its solver. ``b`` feeds the b-matching maximum
     and defaults to the uniform bound min(1, d(v)). ``beta_plain`` is the
     matching number. A variant whose class test in ``COLLAPSE_CLASSES`` holds
-    on G is answered by the plain routes, before any search. A budget error
-    names ``pid``, also when its route is another tag's."""
+    on G is answered by the plain routes, before any search. ``beta_sep_min``
+    is 1 on a graph with a bridge, the smallest bridge its witness, and takes
+    the matching-cut search otherwise. A budget error names ``pid``, also
+    when its route is another tag's."""
     try:
         if pid is ParameterId.BETA1:
             return max_matching(G)
@@ -945,6 +979,11 @@ def compute_parameter(
         if pid in (ParameterId.BETA_TOTAL_MAX, ParameterId.BETA_TOTAL_MIN):
             return _total_matching(G, config or DEFAULT_CONFIG, pid is ParameterId.BETA_TOTAL_MAX)
         if pid is ParameterId.BETA_SEP_MIN:
+            # A bridge is a one-edge matching whose removal adds a component,
+            # and no empty set does: so the smallest bridge answers.
+            bridges = [blk.edges for blk in block_decomposition(G).blocks if blk.kind == "edge"]
+            if bridges:
+                return ParameterResult(pid, 1, min(bridges), "fast-path")
             return min_separating_matching(G, config)
         if pid is ParameterId.B_MATCHING_MAX:
             bound = b if b is not None else BoundFunction.uniform(G, 1)

@@ -403,6 +403,17 @@ def test_compute_long_path_has_no_traceback():
     assert params["beta_c"]["value"] == params["beta_if"]["value"] == 1500
 
 
+def test_compute_separating_minimum_of_a_long_path_takes_no_search(capsys):
+    # Every edge of a path is a bridge, so the smallest one answers before
+    # the matching-cut search starts: under a budget of 1,000 nodes it once
+    # exited 3.
+    code = main(["compute", "--family", "path", "--n", "40000", "--params", "beta_sep_min",
+                 "--budget", "1000"])
+    entry = json.loads(capsys.readouterr().out)["params"]["beta_sep_min"]
+    assert code == 0
+    assert entry == {"nodes": 0, "route": "fast-path", "value": 1, "witness": {"edges": [[0, 1]]}}
+
+
 def test_compute_budget_on_a_long_path_is_a_budget_error(capsys):
     # The dominating search keeps its own stack: its first dive on a
     # 2,500-vertex path runs past the interpreter's recursion limit.

@@ -27,6 +27,7 @@ from pmatch.properties import (
     PropertyId,
     has_property,
     is_b_matching,
+    is_independent_matching,
     is_matching,
     is_maximal_matching,
     is_maximal_p_matching,
@@ -415,6 +416,25 @@ def test_separating_node_counts_on_sparse_graphs(family, kw, value, nodes):
     # both rules a path takes quadratically many nodes.
     res = min_separating_matching(generate(family, **kw))
     assert (res.value, res.nodes_explored) == (value, nodes)
+
+
+def test_bridges_settle_the_separating_minimum():
+    """Seeded graphs with n = 6-12: two random parts joined by one edge, a
+    bridge. ``compute_parameter`` answers 1 with the smallest bridge and no
+    search, as the oracle and the matching-cut search answer."""
+    rng = random.Random(27)
+    for _ in range(80):
+        n = rng.randint(6, 12)
+        cut = rng.randint(2, n - 2)
+        pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if (u < cut) == (v < cut)]
+        edges = set(rng.sample(pairs, min(len(pairs), rng.randint(n - 2, 19))))
+        edges.add((rng.randrange(cut), rng.randrange(cut, n)))
+        G = Graph(n, tuple(sorted(edges)))
+        res = compute_parameter(G, ParameterId.BETA_SEP_MIN)
+        assert (res.route, res.nodes_explored, res.value) == ("fast-path", 0, 1), G.edges
+        assert _same_answer(res, oracle_parameter(G, ParameterId.BETA_SEP_MIN)), G.edges
+        searched = min_separating_matching(G)
+        assert (searched.value, searched.witness) == (res.value, res.witness), G.edges
 
 
 # -- block-structure fast path ------------------------------------------------------------------------
@@ -821,6 +841,60 @@ def test_first_hit_steps_match_the_predicates_sampled_larger(gm):
         if P in HEREDITARY_PROPERTIES and not has_property(G, m, P):
             continue
         assert _step_disagreements(G, m, P) == [], P
+
+
+def _independent_state_faults(G, order):
+    """Step M's edges in ``order`` with the independent step, and after each
+    step and each one-edge extension by an edge disjoint from V(M) return
+    the faults: ``holds`` differing from ``is_independent_matching``, or,
+    where it holds, carried tails that are not one end of each matched edge,
+    inside V(M) and independent in G."""
+    start, step = _stepper(G, PropertyId.INDEPENDENT)
+    pos = {e: j for j, e in enumerate(G.edges)}
+    adj, faults = G.adj_masks, []
+
+    def check(edges, holds, state):
+        if holds != is_independent_matching(G, edges):
+            faults.append(("holds", edges))
+        elif holds:
+            sat, tails = state
+            one_end = all((tails >> u & 1) + (tails >> v & 1) == 1 for u, v in edges)
+            if (sat != Matching(G, edges).sat_mask or tails & ~sat or not one_end
+                    or any(adj[x] & tails for x in range(G.n) if tails >> x & 1)):
+                faults.append(("tails", edges))
+
+    state, done = start, ()
+    for e in order:
+        holds, state = step(state, pos[e])
+        done += (e,)
+        check(done, holds, state)
+    for e in G.edges:
+        if not Matching(G, done).sat_mask & (1 << e[0] | 1 << e[1]):
+            check(done + (e,), *step(state, pos[e]))
+    return faults
+
+
+def test_independent_step_carries_an_orientation_exhaustive():
+    """Every labeled graph with n <= 5 and every independent matching M,
+    stepped edge by edge in sorted order and extended by each edge disjoint
+    from it: the step agrees with the predicate, and its tails are those of
+    an orientation of M with independent tails."""
+    for n in range(2, 6):
+        for G in all_graphs(n):
+            for m in all_matchings(G):
+                if is_independent_matching(G, m):
+                    assert _independent_state_faults(G, m.edges) == [], (G.edges, m.edges)
+
+
+@given(graphs(min_n=6, max_n=8), st.randoms(use_true_random=False))
+def test_independent_step_carries_an_orientation_sampled_larger(G, rnd):
+    """As above on sampled graphs with n = 6-8, each independent matching
+    stepped in a random order. Three matched edges or more can leave one
+    that the propagation does not reach, which keeps its old tail."""
+    for m in all_matchings(G):
+        if is_independent_matching(G, m):
+            order = rnd.sample(m.edges, len(m.edges))
+            assert _independent_state_faults(G, order) == [], (G.edges, order)
 
 
 def test_first_hit_maxima_match_the_oracle_at_its_cap():
