@@ -134,7 +134,7 @@ def _parse_bounds(spec: str, G: Graph) -> BoundFunction:
     if ":" not in spec:
         bound = BoundFunction.uniform(G, _int(spec, "bound"))
     else:
-        values = [0] * G.n
+        values, named = [0] * G.n, set()
         for tok in spec.split(","):
             try:
                 vertex, k = map(int, tok.split(":"))
@@ -142,6 +142,9 @@ def _parse_bounds(spec: str, G: Graph) -> BoundFunction:
                 raise UsageError(f"bad bound token {tok.strip()!r}: expected 'v:k'") from None
             if not 0 <= vertex < G.n:
                 raise UsageError(f"bound for vertex {vertex} outside 0..{G.n - 1}")
+            if vertex in named:
+                raise UsageError(f"bound for vertex {vertex} given twice")
+            named.add(vertex)
             values[vertex] = k
         bound = BoundFunction(tuple(values))
     try:

@@ -31,16 +31,20 @@
   take one walk at k = ν(C) per component that counts. Each frame carries
   its prefix's per-variant state, and a step settles a candidate with the
   work its new edge can change; the independent step propagates from the
-  new edge's ends alone. The ur and bipartite steps call the predicates'
-  own search and join (their references are the oracle's perfect-matching
-  count and orientation scan); the other predicates of ``properties`` are
-  the reference. It cuts a prefix that half the vertices its remaining
-  edges touch cannot bring up to k; a disconnected prefix whose ⟨M⟩ is one
-  component C when no remaining edge misses N[C], a test on one carried
-  mask; and a vertex-irredundant one when a hit's 2k ends and k private
-  vertices do not fit beside the vertices that can be neither. A minimum's
-  frames carry the edges disjoint from their prefix, which its maximality
-  test steps, the last edge that extended a candidate first.
+  new edge's ends alone, and the ur step looks for an alternating cycle only
+  when both ends of the new edge see the old V(M). The ur and bipartite
+  steps call the predicates' own search and join (their references are the
+  oracle's perfect-matching count and orientation scan); the other
+  predicates of ``properties`` are the reference. A hereditary maximum drops
+  from a child's candidates the edges that fail P beside its new edge alone,
+  a row per edge filled on first use by a second stepper. It cuts a prefix
+  that half the vertices its remaining edges touch cannot bring up to k; a
+  disconnected prefix whose ⟨M⟩ is one component C when no remaining edge
+  misses N[C], a test on one carried mask; and a vertex-irredundant one
+  when a hit's 2k ends and k private vertices do not fit beside the
+  vertices that can be neither. A minimum's frames carry the edges disjoint
+  from their prefix, which its maximality test steps, the last edge that
+  extended a candidate first.
 - A matching-cut search for ``beta_sep_min`` on a graph with no bridge: it
   splits each component into two sides, branching on one vertex at a time,
   and forcing leaves a cut that is a matching.
@@ -377,10 +381,13 @@ def _stepper(G: Graph, P: PropertyId):
 
     if P is PropertyId.UNIQUELY_RESTRICTED:
         # The state is V(M). M has no alternating cycle, so one of M + uv
-        # runs through uv.
+        # runs through uv. It leaves u and v on unmatched edges into the old
+        # V(M), so an end that sees none of it settles the step.
         def step(sat, j):
             u, v = edges[j]
             partner[u], partner[v] = v, u
+            if not adj[u] & sat or not adj[v] & sat:
+                return True, sat | 1 << u | 1 << v
             sat |= 1 << u | 1 << v
             return _alternating_cycle(adj, partner, sat, u, v) is None, sat
         return 0, step
@@ -435,7 +442,11 @@ def _stepper(G: Graph, P: PropertyId):
             sat |= 1 << u | 1 << v
             nears += (adj[u] | adj[v],)
             free = one & ~sat if private else ~sat
-            return all(near & free for near in nears), (one, many, sat, nears)
+            state = (one, many, sat, nears)
+            for near in nears:
+                if not near & free:
+                    return False, state
+            return True, state
         return (0, 0, 0, ()), step
 
     # Connected, isolate-free, disconnected, acyclic: the state is the
@@ -462,6 +473,31 @@ def _stepper(G: Graph, P: PropertyId):
     return (), step
 
 
+def _pair_rows(G: Graph, P: PropertyId):
+    """The failing pairs of a hereditary P, one row per edge, filled on
+    demand: ``fill(i)`` sets ``rows[i]`` (-1 until then) to the edges j > i
+    that share no end with edge i and for which {e_i, e_j} lacks P, as a
+    bitmask, and returns it. It steps its own ``_stepper``, whose partner
+    array leaves a walk's intact. Returns ``rows`` and ``fill``."""
+    start, step = _stepper(G, P)
+    at, edges = G.incidence_masks, G.edges
+    every = (1 << len(edges)) - 1
+    rows = [-1] * len(edges)
+
+    def fill(i):
+        u, v = edges[i]
+        state = step(start, i)[1]
+        row, later = 0, every & -(2 << i) & ~(at[u] | at[v])
+        while later:
+            bit = later & -later
+            if not step(state, bit.bit_length() - 1)[0]:
+                row |= bit
+            later ^= bit
+        rows[i] = row
+        return row
+    return rows, fill
+
+
 def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfig, what: str,
                k: int = 1, nodes: int = 0):
     """Walk the matchings of ``G.edges`` in lexicographic order toward a
@@ -472,11 +508,16 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
     from ``k``, each hit becoming the best and raising k past its size until
     k exceeds ``nu``, and returns the last hit (() if none). Each frame
     carries its prefix's state, and ``_stepper``'s step settles P for each
-    candidate; a minimum's frame also carries the edges that share no vertex
-    with its prefix, the ones its maximality test steps. That test tries the
-    edge that last extended a candidate first, since sibling candidates
-    often share it; the answer is the same. A prefix is never extended when:
-    - P is hereditary and the prefix lacks it;
+    candidate (the ur step searches for an alternating cycle only when both
+    ends of the new edge see the old V(M)); a minimum's frame also carries
+    the edges that share no vertex with its prefix, the ones its maximality
+    test steps. That test tries the edge that last extended a candidate
+    first, since sibling candidates often share it; the answer is the same.
+    A prefix is never extended when:
+    - P is hereditary and the prefix lacks it. A hereditary maximum also
+      drops from a child's candidates the edges that fail P beside the
+      child's new edge i alone, since no matching with both has P: row i of
+      ``_pair_rows``, filled the first time edge i extends a prefix with P;
     - the compatible edges after it touch too few vertices to hold the edges
       it still lacks of k, two ends each;
     - P is disconnected and ⟨M⟩ is one component C, unless an edge after it
@@ -488,8 +529,11 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
       edge touches exceeds n: a hit of size k has 2k ends and k private
       vertices (outside V(M), next to one saturated vertex), and such a
       vertex is neither.
-    Also returns the node count, one node per prefix tried, counted on from
-    ``nodes`` so that several walks share one budget."""
+    Frames carry their prefix as its size and edge mask, and the witness is
+    built at a hit. Also returns the node count, one node per prefix tried,
+    counted on from ``nodes`` so that several walks share one budget. The
+    minima take no rows: on their short walks the fill cost more time than
+    the rows saved."""
     edges = G.edges
     start, step = _stepper(G, P)
     hereditary = P in HEREDITARY_PROPERTIES
@@ -503,32 +547,36 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
         near = [reduce(or_, map(at.__getitem__, _bits(a)), at[w])
                 for w, a in enumerate(G.adj_masks)]
         ring = [near[u] | near[v] for u, v in edges]
+    pairs = hereditary and not minimum
+    if pairs:
+        rows, fill = _pair_rows(G, P)
     limit = sys.maxsize if cfg.node_budget is None else cfg.node_budget
     every = (1 << len(edges)) - 1
-    best = None if minimum else ()
+    best = 0  # a maximum's last hit, as an edge mask
     killer = 0  # the edge that last showed a minimum's candidate not maximal, as a bit
     for k in range(k, nu + 1) if minimum else (k,):
-        # A frame per depth: the prefix, as a bitmask the edges after its
-        # last edge that are still compatible with it and not yet tried, the
-        # prefix's state, for a minimum the edges disjoint from the prefix
-        # (0 for a maximum), and for P disconnected the edges with an end in
-        # N[V(M)] (0 for the rest).
-        stack = [[(), every, start, every if minimum else 0, 0]]
+        # A frame per depth: the prefix's size and edge mask, as a bitmask
+        # the edges after its last edge that are still compatible with it and
+        # not yet tried, the prefix's state, for a minimum the edges disjoint
+        # from the prefix (0 for a maximum), and for P disconnected the edges
+        # with an end in N[V(M)] (0 for the rest).
+        stack = [[0, 0, every, start, every if minimum else 0, 0]]
         while stack and k <= nu:
             frame = stack[-1]
-            prefix, avail, state, opened, reach = frame
-            if not avail or len(prefix) + avail.bit_count() < k:  # too few edges left
+            size, chosen, avail, state, opened, reach = frame
+            if not avail or size + avail.bit_count() < k:  # too few edges left
                 stack.pop()
                 continue
             low = avail & -avail
-            frame[1] = avail ^ low
+            frame[2] = avail ^ low
             nodes += 1
             if nodes > limit:
                 raise BudgetExceededError(what, nodes)
             i = low.bit_length() - 1
             holds, state = step(state, i)
-            cand = prefix + (edges[i],)
-            if len(cand) >= k:
+            size += 1
+            chosen |= low
+            if size >= k:
                 if minimum:
                     # Maximal: no edge disjoint from it extends it with P.
                     # The edge that last extended a candidate goes first.
@@ -542,28 +590,33 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
                             ext ^= bit
                             bit = ext & -ext
                         else:
-                            return cand, nodes
+                            return tuple(edges[j] for j in _bits(chosen)), nodes
                     continue
                 if holds:
-                    best, k = cand, len(cand) + 1
+                    best, k = chosen, size + 1
             if holds or not hereditary:
                 rest, reach = avail & ~clash[i], reach | ring[i]
+                if pairs:
+                    row = rows[i]
+                    rest &= ~(fill(i) if row < 0 else row)
                 if disconnected and len(state) == 1 and not rest & ~reach:
                     continue  # a second component needs a far edge
-                if k - len(cand) > 1:  # rest matches at most half the vertices it touches
+                if k - size > 1:  # rest matches at most half the vertices it touches
                     touched, r = 0, rest
                     while r:
                         bit = r & -r
                         touched |= ends[bit.bit_length() - 1]
                         r ^= bit
-                    if len(cand) + touched.bit_count() // 2 < k:
+                    if size + touched.bit_count() // 2 < k:
                         continue
                     # 2k ends, k private vertices, and the vertices that are
                     # neither: seen twice, unsaturated and out of reach.
                     if private and 3 * k + (state[1] & ~(state[2] | touched)).bit_count() > G.n:
                         continue
-                stack.append([cand, rest, state, opened & ~clash[i], reach])
-    return best, nodes
+                stack.append([size, chosen, rest, state, opened & ~clash[i], reach])
+    if minimum:
+        return None, nodes
+    return tuple(edges[j] for j in _bits(best)), nodes
 
 
 def _variant_search(

@@ -113,6 +113,16 @@ def test_b_bounds_vertex_out_of_range(spec, vertex):
     assert f"bound for vertex {vertex} outside 0..3" in err
 
 
+@pytest.mark.parametrize("spec", ["0:1,0:0", "0:1,2:1,0:1"])
+def test_b_bounds_vertex_named_twice(spec):
+    # The later value used to win in silence.
+    code, out, err = run_cli("compute", "--family", "path", "--n", "4",
+                             "--params", "b_matching_max", f"--b-bounds={spec}")
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert "bound for vertex 0 given twice" in err
+
+
 @pytest.mark.parametrize("spec, value", [("-1", "-1"), ("0:-5", "-5")])
 def test_b_bounds_value_out_of_range(spec, value):
     code, out, err = run_cli("compute", "--family", "path", "--n", "4",

@@ -73,11 +73,20 @@ def test_desk_first_hit_nodes():
     """Counter gate on the desk's share of the first-hit search: the seven
     maxima that walk from k = 1 and the seven minima. Without the
     disconnected far-edge cut and the vertex-irredundant private count it
-    took 117,934 nodes."""
+    took 117,934 nodes, and without the hereditary maxima's failing-pair
+    rows 76,917."""
     tags = ("beta_ur", "beta_dc", "beta_ac", "beta_i", "beta_b", "beta_v_IR", "beta_e_IR",
             "beta_ur_minus", "beta_dc_minus", "beta_ac_minus", "beta_i_minus", "beta_b_minus",
             "beta_v_ir", "beta_e_ir")
-    assert _desk_nodes(tags) == 76917
+    assert _desk_nodes(tags) == 62014
+
+
+def test_desk_hereditary_first_hit_maxima_nodes():
+    """Counter gate on the six hereditary first-hit maxima, the ones that
+    drop each child's failing pairs from its candidates. Without those rows
+    they took 42,253 nodes."""
+    tags = ("beta_ur", "beta_ac", "beta_i", "beta_b", "beta_v_IR", "beta_e_IR")
+    assert _desk_nodes(tags) == 27350
 
 
 def test_kernels_uniquely_restricted_on_long_paths():

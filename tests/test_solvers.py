@@ -17,7 +17,7 @@ from pmatch.graph import (
     is_edge_cut,
     is_even_cycle_free,
 )
-from pmatch import properties
+from pmatch import properties, solvers
 from pmatch.oracle import all_matchings, oracle_parameter
 from pmatch.properties import (
     HEREDITARY_PROPERTIES,
@@ -52,7 +52,7 @@ from pmatch.solvers import (
     tree_b_matching_max,
 )
 from pmatch.solvers import (
-    _max_independent, _min_dominating, _precedes, _stepper, _variant_search,
+    _max_independent, _min_dominating, _pair_rows, _precedes, _stepper, _variant_search,
 )
 from pmatch.matching import lexmin_maximum_matching, max_matching_size
 from pmatch.theorems import all_graphs, random_graphs
@@ -754,36 +754,36 @@ PINNED_GRAPHS = {
 }
 PINNED_NODES = {
     "hypercube-3": {
-        "beta0": 19, "alpha0": 19, "gamma": 17, "beta_plain": 0, "beta_ur": 67,
+        "beta0": 19, "alpha0": 19, "gamma": 17, "beta_plain": 0, "beta_ur": 38,
         "beta_star": 19, "beta_on": 0, "beta_cn": 0, "beta1_minus": 21,
         "beta_plain_minus": 21, "beta_star_minus": 13, "beta_on_minus": 21,
         "beta_cn_minus": 21, "beta_total_max": 127, "beta_total_min": 96,
         "beta_ur_minus": 15, "beta_c": 4, "beta_c_minus": 21, "beta_if": 4,
-        "beta_if_minus": 21, "beta_dc": 43, "beta_dc_minus": 20, "beta_ac": 67,
+        "beta_if_minus": 21, "beta_dc": 43, "beta_dc_minus": 20, "beta_ac": 38,
         "beta_ac_minus": 15, "beta_i": 0, "beta_i_minus": 21, "beta_b": 0,
-        "beta_b_minus": 21, "beta_v_IR": 27, "beta_v_ir": 14, "beta_e_IR": 45,
+        "beta_b_minus": 21, "beta_v_IR": 23, "beta_v_ir": 14, "beta_e_IR": 45,
         "beta_e_ir": 20, "beta_sep_min": 7,
     },
     "hypercube-4": {
-        "beta0": 59, "alpha0": 59, "gamma": 62, "beta_plain": 0, "beta_ur": 8023,
+        "beta0": 59, "alpha0": 59, "gamma": 62, "beta_plain": 0, "beta_ur": 4632,
         "beta_star": 67, "beta_on": 0, "beta_cn": 0, "beta1_minus": 642,
         "beta_plain_minus": 642, "beta_star_minus": 33, "beta_on_minus": 642,
         "beta_cn_minus": 642, "beta_total_max": 5885, "beta_total_min": 7565,
         "beta_ur_minus": 2983, "beta_c": 8, "beta_c_minus": 642, "beta_if": 8,
-        "beta_if_minus": 642, "beta_dc": 4196, "beta_dc_minus": 3251, "beta_ac": 5402,
+        "beta_if_minus": 642, "beta_dc": 4196, "beta_dc_minus": 3251, "beta_ac": 3213,
         "beta_ac_minus": 478, "beta_i": 0, "beta_i_minus": 642, "beta_b": 0,
         "beta_b_minus": 642, "beta_v_IR": 5780, "beta_v_ir": 58, "beta_e_IR": 1758,
         "beta_e_ir": 4456, "beta_sep_min": 9,
     },
     "gnp-12": {
-        "beta0": 30, "alpha0": 30, "gamma": 42, "beta_plain": 0, "beta_ur": 335,
+        "beta0": 30, "alpha0": 30, "gamma": 42, "beta_plain": 0, "beta_ur": 130,
         "beta_star": 43, "beta_on": 156, "beta_cn": 161, "beta1_minus": 162,
         "beta_plain_minus": 162, "beta_star_minus": 26, "beta_on_minus": 195,
         "beta_cn_minus": 30, "beta_total_max": 417, "beta_total_min": 755,
         "beta_ur_minus": 35, "beta_c": 8, "beta_c_minus": 162, "beta_if": 8,
-        "beta_if_minus": 162, "beta_dc": 553, "beta_dc_minus": 3, "beta_ac": 411,
-        "beta_ac_minus": 30, "beta_i": 261, "beta_i_minus": 649, "beta_b": 597,
-        "beta_b_minus": 265, "beta_v_IR": 328, "beta_v_ir": 4, "beta_e_IR": 363,
+        "beta_if_minus": 162, "beta_dc": 553, "beta_dc_minus": 3, "beta_ac": 84,
+        "beta_ac_minus": 30, "beta_i": 204, "beta_i_minus": 649, "beta_b": 157,
+        "beta_b_minus": 265, "beta_v_IR": 131, "beta_v_ir": 4, "beta_e_IR": 363,
         "beta_e_ir": 278, "beta_sep_min": 3,
     },
 }
@@ -841,6 +841,66 @@ def test_first_hit_steps_match_the_predicates_sampled_larger(gm):
         if P in HEREDITARY_PROPERTIES and not has_property(G, m, P):
             continue
         assert _step_disagreements(G, m, P) == [], P
+
+
+HEREDITARY_FIRST_HIT = tuple(P for P in FIRST_HIT if P in HEREDITARY_PROPERTIES)
+
+
+def _pair_row_faults(G, P):
+    """The edges i whose failing-pair row from ``_pair_rows`` is not the set
+    of edges j > i that share no end with edge i and for which
+    ``has_property(G, (e_i, e_j), P)`` is False, and the rows left unset."""
+    rows, fill = _pair_rows(G, P)
+    faults = []
+    for i, (a, b) in enumerate(G.edges):
+        want = sum(1 << j for j in range(i + 1, len(G.edges))
+                   if not {a, b} & set(G.edges[j])
+                   and not has_property(G, (G.edges[i], G.edges[j]), P))
+        if fill(i) != want or rows[i] != want:
+            faults.append(i)
+    return faults
+
+
+@pytest.mark.parametrize("P", HEREDITARY_FIRST_HIT, ids=lambda P: P.value)
+def test_pair_rows_match_the_predicates_exhaustive(P):
+    """Every labeled graph with n <= 5: each row of failing pairs."""
+    for n in range(2, 6):
+        for G in all_graphs(n):
+            assert _pair_row_faults(G, P) == [], G.edges
+
+
+@given(graphs(min_n=6, max_n=8))
+def test_pair_rows_match_the_predicates_sampled_larger(G):
+    for P in HEREDITARY_FIRST_HIT:
+        assert _pair_row_faults(G, P) == [], P
+
+
+def test_ur_step_searches_only_when_both_ends_see_the_old_saturated_set(monkeypatch):
+    """Every labeled graph with n <= 5, every uniquely restricted M, every
+    edge uv disjoint from V(M): the ur step looks for an alternating cycle
+    exactly when u and v each have a neighbor in V(M), since such a cycle
+    leaves both on unmatched edges into it."""
+    calls = []
+    search = solvers._alternating_cycle
+    monkeypatch.setattr(solvers, "_alternating_cycle",
+                        lambda *args: calls.append(args) or search(*args))
+    P = PropertyId.UNIQUELY_RESTRICTED
+    for n in range(2, 6):
+        for G in all_graphs(n):
+            adj, pos = G.adj_masks, {e: j for j, e in enumerate(G.edges)}
+            for m in all_matchings(G):
+                if not has_property(G, m, P):
+                    continue
+                start, step = _stepper(G, P)
+                state = start
+                for e in m.edges:
+                    state = step(state, pos[e])[1]
+                for u, v in G.edges:
+                    if not m.sat_mask & (1 << u | 1 << v):
+                        calls.clear()
+                        step(state, pos[(u, v)])
+                        sees = bool(adj[u] & m.sat_mask and adj[v] & m.sat_mask)
+                        assert bool(calls) == sees, (G.edges, m.edges, (u, v))
 
 
 def _independent_state_faults(G, order):
