@@ -4,9 +4,11 @@ and the structural queries every solver builds on.
 Vertices are dense integers ``0..n-1``. Optional string labels ride along for
 display purposes only; all computation happens on indices. Three views are
 exposed: neighbor tuples (``adj_lists``, cheap at any scale), per-vertex
-integer bitmasks over the vertices (``adj_masks``) and over the edges at each
-vertex (``incidence_masks``). The two mask views are built lazily and meant
-for the desk-scale graphs where the predicate and search code lives.
+integer bitmasks over the vertices (``adj_masks``), over the edges at each
+vertex (``incidence_masks``) and over the edges with an end in its closed
+neighborhood (``closed_incidence_masks``). The mask views are built lazily
+and meant for the desk-scale graphs where the predicate and search code
+lives.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
-from operator import itemgetter
+from operator import itemgetter, or_
 
 __all__ = [
     "Graph",
@@ -145,6 +147,16 @@ class Graph:
             masks[u] |= 1 << j
             masks[v] |= 1 << j
         return tuple(masks)
+
+    @cached_property
+    def closed_incidence_masks(self) -> tuple[int, ...]:
+        """Per-vertex masks of the edges with an end in N[v]: bit j of entry v
+        is set when an end of ``edges[j]`` is v or a neighbor of v. Built
+        from ``incidence_masks``; the induced conflict masks and the
+        first-hit search read it."""
+        at = self.incidence_masks
+        return tuple(reduce(or_, map(at.__getitem__, nbrs), at[v])
+                     for v, nbrs in enumerate(self.adj_lists))
 
     @cached_property
     def closed_adj_masks(self) -> tuple[int, ...]:

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterable
 
 from .graph import Graph, is_edge_cut
@@ -585,8 +584,7 @@ def pairwise_conflict_masks(G: Graph, P: PropertyId) -> list[int] | None:
     at, edges = G.incidence_masks, G.edges
     if P is PropertyId.INDUCED:
         # f clashes with e when it touches N[a] or N[b], e = ab.
-        near = [reduce(or_, map(at.__getitem__, nbrs), at[v])
-                for v, nbrs in enumerate(G.adj_lists)]
+        near = G.closed_incidence_masks
         masks = [near[a] | near[b] for a, b in edges]
     else:
         # A shared end clashes everywhere.

@@ -44,7 +44,17 @@
   when a hit's 2k ends and k private vertices do not fit beside the
   vertices that can be neither. A minimum's frames carry the edges disjoint
   from their prefix, which its maximality test steps, the last edge that
-  extended a candidate first.
+  extended a candidate first. A P-maximal M must reach every edge that
+  would extend it, which gives each minimum targets that a hit reaches:
+  (a) for ur and independent, V(M) dominates every vertex with an edge (an
+  edge uv disjoint from V(M) with an end that sees none of it extends M);
+  (b) for acyclic, bipartite, disconnected and e_IR, N[V(M)] meets every
+  edge (an edge with no end there is a component of <M + uv> of its own;
+  e_IR spares an edge that is a component of G); (c) for v_IR, every edge
+  with a third vertex next to exactly one of its ends has an end within
+  distance 2 of V(M) (a far edge keeps the old private neighbors and has
+  its own). A child whose remaining edges cannot reach some target is cut,
+  and one edge short of k it keeps only the edges that reach them all.
 - A matching-cut search for ``beta_sep_min`` on a graph with no bridge: it
   splits each component into two sides, branching on one vertex at a time,
   and forcing leaves a cut that is a matching.
@@ -63,7 +73,7 @@ import enum
 import sys
 from dataclasses import dataclass, replace
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
 from .graph import (
     Graph,
@@ -528,7 +538,27 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
       unsaturated vertices that two saturated ones already see and no later
       edge touches exceeds n: a hit of size k has 2k ends and k private
       vertices (outside V(M), next to one saturated vertex), and such a
-      vertex is neither.
+      vertex is neither;
+    - with ``minimum``, a target of P's rule that a hit must reach is out of
+      reach of every edge after it. A hit is P-maximal, so no edge that
+      the rule says extends it is left:
+      (a) ur and independent: the targets are the vertices with an edge,
+          reached through N[V(M)]. An edge uv disjoint from V(M) with an end
+          x that sees none of it extends M: for ur an alternating cycle
+          through uv leaves both ends on unmatched edges into V(M), and for
+          independent x becomes a tail, and tails lie in V(M);
+      (b) acyclic, bipartite, disconnected and e_IR: the targets are the
+          edges, reached when an end lies in N[V(M)]. An edge with no end
+          there is a component of ⟨M + e⟩ of its own, and for e_IR its ends
+          keep a neighbor outside V(M), unless e is a component of G, which
+          is then no target;
+      (c) v_IR: the targets are the edges uv with a third vertex next to
+          exactly one of u and v, reached when an end lies within distance
+          2 of V(M). If none does, the old private neighbors stay private
+          and that third vertex is private to uv.
+      A prefix one edge short of k keeps only the edges that reach every
+      target left, and at k = 1 so does the root. The walk's order does not
+      change, so the first hit does not either.
     Frames carry their prefix as its size and edge mask, and the witness is
     built at a hit. Also returns the node count, one node per prefix tried,
     counted on from ``nodes`` so that several walks share one budget. The
@@ -539,28 +569,44 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
     hereditary = P in HEREDITARY_PROPERTIES
     disconnected = P is PropertyId.DISCONNECTED
     private = P is PropertyId.VERTEX_IRREDUNDANT
-    at = G.incidence_masks
+    at, adj = G.incidence_masks, G.adj_masks
     clash = [at[u] | at[v] for u, v in edges]  # edge j and the edges sharing an end with it
     ends = [1 << u | 1 << v for u, v in edges]
-    ring = [0] * len(edges)  # for edge j = uv, the edges with an end in N[u] or N[v]
-    if disconnected:
-        near = [reduce(or_, map(at.__getitem__, _bits(a)), at[w])
-                for w, a in enumerate(G.adj_masks)]
-        ring = [near[u] | near[v] for u, v in edges]
+    every = (1 << len(edges)) - 1
+    # ring[j]: what edge j adds to a frame's ``reach``. A minimum's targets
+    # (``goal``) are what a hit must reach, and cover[t] the edges that reach t.
+    ring = cover = [0] * len(edges)
+    goal = 0
+    if disconnected or minimum:
+        near, closed = G.closed_incidence_masks, G.closed_adj_masks
+        # For edge j = uv, the edges with an end in N[u] or N[v].
+        ring = cover = [near[u] | near[v] for u, v in edges]
+    if minimum:
+        if P in (PropertyId.UNIQUELY_RESTRICTED, PropertyId.INDEPENDENT):  # rule (a)
+            ring, cover = [closed[u] | closed[v] for u, v in edges], near
+            goal = reduce(or_, ends, 0)
+        elif P is PropertyId.VERTEX_IRREDUNDANT:  # rule (c)
+            ring = cover = [reduce(or_, map(near.__getitem__, _bits(closed[u] | closed[v])))
+                            for u, v in edges]
+            goal = sum(1 << j for j, (u, v) in enumerate(edges) if (adj[u] ^ adj[v]) & ~ends[j])
+        elif P is PropertyId.EDGE_IRREDUNDANT:  # rule (b), K2 components aside
+            goal = sum(1 << j for j, (u, v) in enumerate(edges) if adj[u] | adj[v] != ends[j])
+        elif P in (PropertyId.ACYCLIC, PropertyId.BIPARTITE, PropertyId.DISCONNECTED):  # rule (b)
+            goal = every
     pairs = hereditary and not minimum
     if pairs:
         rows, fill = _pair_rows(G, P)
     limit = sys.maxsize if cfg.node_budget is None else cfg.node_budget
-    every = (1 << len(edges)) - 1
     best = 0  # a maximum's last hit, as an edge mask
     killer = 0  # the edge that last showed a minimum's candidate not maximal, as a bit
     for k in range(k, nu + 1) if minimum else (k,):
         # A frame per depth: the prefix's size and edge mask, as a bitmask
         # the edges after its last edge that are still compatible with it and
         # not yet tried, the prefix's state, for a minimum the edges disjoint
-        # from the prefix (0 for a maximum), and for P disconnected the edges
-        # with an end in N[V(M)] (0 for the rest).
-        stack = [[0, 0, every, start, every if minimum else 0, 0]]
+        # from the prefix (0 for a maximum), and its reach, the OR of ``ring``
+        # over the prefix: N[V(M)] for rule (a), else the edges it reaches.
+        top = reduce(and_, map(cover.__getitem__, _bits(goal)), every) if k == 1 else every
+        stack = [[0, 0, top, start, every if minimum else 0, 0]]
         while stack and k <= nu:
             frame = stack[-1]
             size, chosen, avail, state, opened, reach = frame
@@ -599,6 +645,19 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
                 if pairs:
                     row = rows[i]
                     rest &= ~(fill(i) if row < 0 else row)
+                lack = goal & ~reach
+                if lack:
+                    # Each target left needs an edge of rest that reaches it,
+                    # and a last edge must reach them all.
+                    last = k - size == 1
+                    while lack and rest:
+                        t = lack & -lack
+                        lack ^= t
+                        hit = cover[t.bit_length() - 1] & rest
+                        if last or not hit:
+                            rest = hit
+                    if not rest:
+                        continue
                 if disconnected and len(state) == 1 and not rest & ~reach:
                     continue  # a second component needs a far edge
                 if k - size > 1:  # rest matches at most half the vertices it touches

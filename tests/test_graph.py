@@ -362,6 +362,17 @@ def test_incidence_masks_mark_the_edges_at_each_vertex():
             )
 
 
+def test_closed_incidence_masks_mark_the_edges_meeting_each_closed_neighborhood():
+    for n in range(6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            G = from_edge_mask(n, mask)
+            closed = [{v} | set(G.neighbors(v)) for v in range(G.n)]
+            assert G.closed_incidence_masks == tuple(
+                sum(1 << j for j, e in enumerate(G.edges) if closed[v] & set(e))
+                for v in range(G.n)
+            )
+
+
 def test_induced_subgraph_cases(c4, p8):
     sub, back = induced_subgraph(c4, {0, 1})
     assert (sub.n, sub.m) == (2, 1) and back == (0, 1)

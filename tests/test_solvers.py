@@ -3,6 +3,8 @@ import itertools
 import random
 import sys
 from dataclasses import replace
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from pmatch.properties import (
     is_maximal_matching,
     is_maximal_p_matching,
     is_maximal_total_matching,
+    property_holds,
 )
 from pmatch.solvers import (
     COLLAPSE_CLASSES,
@@ -108,12 +111,17 @@ def test_budget_raises():
         _variant_search(k6, PropertyId.INDUCED, False, EngineConfig(node_budget=3))
     with pytest.raises(BudgetExceededError):
         compute_parameter(k6, ParameterId.BETA_TOTAL_MAX, EngineConfig(node_budget=2))
-    # The first-hit search counts its nodes over all the sizes it tries: 12
-    # one-edge tries, then the budget runs out among the two-edge matchings.
-    q3 = generate("hypercube", n=3)
-    with pytest.raises(BudgetExceededError, match="^beta_ur_minus: .* after 14 nodes"):
-        _variant_search(q3, PropertyId.UNIQUELY_RESTRICTED, True, EngineConfig(node_budget=13))
+    # The first-hit search counts its nodes over all the sizes it tries. On
+    # the Petersen graph no edge dominates, so the walk at k = 1 is empty;
+    # the walk at k = 2 takes 14 nodes, and the budget runs out in the walk
+    # at k = 3, which hits at its third node.
+    petersen = Graph(10, _PETERSEN)
+    res = _variant_search(petersen, PropertyId.UNIQUELY_RESTRICTED, True)
+    assert (res.value, res.nodes_explored) == (3, 17)
+    with pytest.raises(BudgetExceededError, match="^beta_ur_minus: .* after 16 nodes"):
+        _variant_search(petersen, PropertyId.UNIQUELY_RESTRICTED, True, EngineConfig(node_budget=15))
     # A first-hit maximum counts its one walk, which takes 27 nodes on Q3.
+    q3 = generate("hypercube", n=3)
     with pytest.raises(BudgetExceededError, match="^beta_v_IR: .* after 14 nodes"):
         _variant_search(q3, PropertyId.VERTEX_IRREDUNDANT, False, EngineConfig(node_budget=13))
     # The matching-cut search on a long cycle: its many two-edge cuts tie.
@@ -758,33 +766,33 @@ PINNED_NODES = {
         "beta_star": 19, "beta_on": 0, "beta_cn": 0, "beta1_minus": 21,
         "beta_plain_minus": 21, "beta_star_minus": 13, "beta_on_minus": 21,
         "beta_cn_minus": 21, "beta_total_max": 127, "beta_total_min": 96,
-        "beta_ur_minus": 15, "beta_c": 4, "beta_c_minus": 21, "beta_if": 4,
-        "beta_if_minus": 21, "beta_dc": 43, "beta_dc_minus": 20, "beta_ac": 38,
-        "beta_ac_minus": 15, "beta_i": 0, "beta_i_minus": 21, "beta_b": 0,
+        "beta_ur_minus": 3, "beta_c": 4, "beta_c_minus": 21, "beta_if": 4,
+        "beta_if_minus": 21, "beta_dc": 43, "beta_dc_minus": 8, "beta_ac": 38,
+        "beta_ac_minus": 3, "beta_i": 0, "beta_i_minus": 21, "beta_b": 0,
         "beta_b_minus": 21, "beta_v_IR": 23, "beta_v_ir": 14, "beta_e_IR": 45,
-        "beta_e_ir": 20, "beta_sep_min": 7,
+        "beta_e_ir": 8, "beta_sep_min": 7,
     },
     "hypercube-4": {
         "beta0": 59, "alpha0": 59, "gamma": 62, "beta_plain": 0, "beta_ur": 4632,
         "beta_star": 67, "beta_on": 0, "beta_cn": 0, "beta1_minus": 642,
         "beta_plain_minus": 642, "beta_star_minus": 33, "beta_on_minus": 642,
         "beta_cn_minus": 642, "beta_total_max": 5885, "beta_total_min": 7565,
-        "beta_ur_minus": 2983, "beta_c": 8, "beta_c_minus": 642, "beta_if": 8,
-        "beta_if_minus": 642, "beta_dc": 4196, "beta_dc_minus": 3251, "beta_ac": 3213,
-        "beta_ac_minus": 478, "beta_i": 0, "beta_i_minus": 642, "beta_b": 0,
-        "beta_b_minus": 642, "beta_v_IR": 5780, "beta_v_ir": 58, "beta_e_IR": 1758,
-        "beta_e_ir": 4456, "beta_sep_min": 9,
+        "beta_ur_minus": 936, "beta_c": 8, "beta_c_minus": 642, "beta_if": 8,
+        "beta_if_minus": 642, "beta_dc": 4196, "beta_dc_minus": 2349, "beta_ac": 3213,
+        "beta_ac_minus": 152, "beta_i": 0, "beta_i_minus": 642, "beta_b": 0,
+        "beta_b_minus": 642, "beta_v_IR": 5780, "beta_v_ir": 26, "beta_e_IR": 1758,
+        "beta_e_ir": 3414, "beta_sep_min": 9,
     },
     "gnp-12": {
         "beta0": 30, "alpha0": 30, "gamma": 42, "beta_plain": 0, "beta_ur": 130,
         "beta_star": 43, "beta_on": 156, "beta_cn": 161, "beta1_minus": 162,
         "beta_plain_minus": 162, "beta_star_minus": 26, "beta_on_minus": 195,
         "beta_cn_minus": 30, "beta_total_max": 417, "beta_total_min": 755,
-        "beta_ur_minus": 35, "beta_c": 8, "beta_c_minus": 162, "beta_if": 8,
-        "beta_if_minus": 162, "beta_dc": 553, "beta_dc_minus": 3, "beta_ac": 84,
-        "beta_ac_minus": 30, "beta_i": 204, "beta_i_minus": 649, "beta_b": 157,
-        "beta_b_minus": 265, "beta_v_IR": 131, "beta_v_ir": 4, "beta_e_IR": 363,
-        "beta_e_ir": 278, "beta_sep_min": 3,
+        "beta_ur_minus": 9, "beta_c": 8, "beta_c_minus": 162, "beta_if": 8,
+        "beta_if_minus": 162, "beta_dc": 553, "beta_dc_minus": 1, "beta_ac": 84,
+        "beta_ac_minus": 10, "beta_i": 204, "beta_i_minus": 418, "beta_b": 157,
+        "beta_b_minus": 202, "beta_v_IR": 131, "beta_v_ir": 4, "beta_e_IR": 363,
+        "beta_e_ir": 215, "beta_sep_min": 3,
     },
 }
 
@@ -873,6 +881,99 @@ def test_pair_rows_match_the_predicates_exhaustive(P):
 def test_pair_rows_match_the_predicates_sampled_larger(G):
     for P in HEREDITARY_FIRST_HIT:
         assert _pair_row_faults(G, P) == [], P
+
+
+def _far_edges(G, sat, rule):
+    """The edges uv disjoint from V(M) = ``sat`` that the first-hit minima's
+    extension rule ``rule`` says extend a P-matching M with P: (a) u or v
+    sees no vertex of V(M); (b) no end lies in N[V(M)], and for e_IR uv is
+    not a component of G; (c) no end lies within distance 2 of V(M), and a
+    third vertex is adjacent to exactly one of u and v."""
+    adj, ring = G.adj_masks, sat
+    for _ in range(1 if rule in ("a", "b", "b_e") else 2):
+        ring |= reduce(or_, (adj[x] for x in range(G.n) if ring >> x & 1), 0)
+    out = []
+    for u, v in G.edges:
+        uv = 1 << u | 1 << v
+        if sat & uv:
+            continue
+        if rule == "a":
+            far = not adj[u] & sat or not adj[v] & sat
+        else:
+            far = not ring & uv
+        if rule == "b_e":
+            far = far and adj[u] | adj[v] != uv
+        if rule == "c":
+            far = far and bool((adj[u] ^ adj[v]) & ~uv)
+        if far:
+            out.append((u, v))
+    return out
+
+
+EXTENSION_RULES = (
+    ("a", PropertyId.UNIQUELY_RESTRICTED), ("a", PropertyId.INDEPENDENT),
+    ("b", PropertyId.ACYCLIC), ("b", PropertyId.BIPARTITE), ("b", PropertyId.DISCONNECTED),
+    ("b_e", PropertyId.EDGE_IRREDUNDANT), ("c", PropertyId.VERTEX_IRREDUNDANT),
+)
+
+
+def _extension_faults(G, rule, P):
+    """The pairs (M, e) with M a P-matching of G and e an edge that ``rule``
+    says extends M, for which ``property_holds`` denies M + e its P."""
+    return [(m.edges, e) for m in all_matchings(G) if has_property(G, m, P)
+            for e in _far_edges(G, m.sat_mask, rule)
+            if not property_holds(G, P, tuple(sorted(m.edges + (e,))))]
+
+
+@pytest.mark.parametrize("rule, P", EXTENSION_RULES, ids=lambda x: getattr(x, "value", x))
+def test_maximality_rules_extend_exhaustive(rule, P):
+    """Every labeled graph with n <= 5: each edge that a first-hit minimum's
+    maximality cut counts on extends every P-matching it is far from. So a
+    P-maximal M reaches every such edge, which is what the cut asks of a
+    hit."""
+    for n in range(2, 6):
+        for G in all_graphs(n):
+            assert _extension_faults(G, rule, P) == [], G.edges
+
+
+@given(graphs(min_n=6, max_n=8))
+@settings(max_examples=25)
+def test_maximality_rules_extend_sampled_larger(G):
+    for rule, P in EXTENSION_RULES:
+        assert _extension_faults(G, rule, P) == [], P
+
+
+def test_maximality_rules_need_their_variants():
+    """Rule (a) fails for acyclic matchings (the edges into V(M) can close a
+    cycle), rule (b) without its K2 exception for e_IR, and rule (c) without
+    its third vertex for v_IR; each has a counterexample with n <= 5."""
+    for rule, P in (("a", PropertyId.ACYCLIC), ("b", PropertyId.EDGE_IRREDUNDANT),
+                    ("b", PropertyId.VERTEX_IRREDUNDANT)):
+        assert any(_extension_faults(G, rule, P) for n in range(2, 6) for G in all_graphs(n)), P
+
+
+def test_first_hit_minima_match_the_oracle_on_sparse_graphs():
+    """The seven first-hit minima on seeded random forests and sparse graphs
+    with two to four components, n = 8-14 and at most 22 edges, labels
+    shuffled: value and witness are the oracle's. Far edges abound there, so
+    the maximality cut bites hardest."""
+    rng = random.Random(29)
+    for i in range(60):
+        n = rng.randint(8, 14)
+        perm, edges = rng.sample(range(n), n), set()
+        if i % 2:
+            for v in range(1, n):
+                if rng.random() < 0.85:
+                    edges.add(tuple(sorted((perm[v], perm[rng.randrange(v)]))))
+        else:
+            cuts = sorted(rng.sample(range(1, n), rng.randint(1, 3)))
+            for a, b in zip([0] + cuts, cuts + [n]):
+                pairs = [(perm[u], perm[v]) for u, v in itertools.combinations(range(a, b), 2)]
+                edges |= {tuple(sorted(e)) for e in rng.sample(pairs, min(len(pairs), 6))}
+        G = Graph(n, tuple(sorted(edges)[:22]))
+        for P in FIRST_HIT_MINIMA:
+            pid = PROPERTY_MIN_PARAM[P]
+            assert _same_answer(_variant_search(G, P, True), oracle_parameter(G, pid)), (G.edges, P)
 
 
 def test_ur_step_searches_only_when_both_ends_see_the_old_saturated_set(monkeypatch):
