@@ -16,6 +16,7 @@ import json
 import random
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 from .graph import FIGURE_MATCHINGS, Graph, generate, parse_graph
@@ -41,7 +42,6 @@ from .properties import (
 from .oracle import oracle_parameter
 from .solvers import (
     BudgetExceededError,
-    EngineConfig,
     ParameterId,
     compute_parameter,
 )
@@ -159,14 +159,9 @@ def _count(flag: str, value: int | None) -> None:
         raise UsageError(f"{flag} must be 0 or more, got {value}")
 
 
-def _engine_config(args) -> EngineConfig:
-    _count("--budget", args.budget)
-    return EngineConfig(node_budget=args.budget)
-
-
 def _parse_params(spec: str) -> list[ParameterId]:
     if spec.strip().lower() == "all":
-        return list(ParameterId.all())
+        return list(ParameterId)
     # Each tag once, in first-seen order: beta1,beta_1 names one tag twice.
     params = list(dict.fromkeys(ParameterId.from_string(t) for t in spec.split(",") if t.strip()))
     if not params:
@@ -202,13 +197,11 @@ def _witness_json(G: Graph, pid: ParameterId, witness):
 # -- compute -------------------------------------------------------------------
 
 
-def _compute_one(
-    G: Graph, pid: ParameterId, config: EngineConfig, bounds
-) -> tuple[dict, float]:
+def _compute_one(G: Graph, pid: ParameterId, budget: int | None, bounds) -> tuple[dict, float]:
     """One table entry and the milliseconds it took, failures included."""
     started = time.perf_counter()
     try:
-        res = compute_parameter(G, pid, config, b=bounds)
+        res = compute_parameter(G, pid, budget, b=bounds)
         entry = {
             "value": res.value if res.value is not None else "undefined",
             "witness": _witness_json(G, pid, res.witness),
@@ -225,7 +218,7 @@ def _compute_one(
 def cmd_compute(args) -> int:
     graphs = _build_graphs(args, multiple=True)
     params = _parse_params(args.params)
-    config = _engine_config(args)
+    _count("--budget", args.budget)
     exit_code = 0
 
     tables: list[dict] = []
@@ -233,7 +226,7 @@ def cmd_compute(args) -> int:
         bounds = _parse_bounds(args.b_bounds, G) if args.b_bounds else None
         table = {"graph": label, "id": graph_id(G), "n": G.n, "m": G.m, "params": {}}
         for pid in params:
-            entry, ms = _compute_one(G, pid, config, bounds)
+            entry, ms = _compute_one(G, pid, args.budget, bounds)
             if args.timing:
                 entry["ms"] = round(ms, 3)
             if "error" in entry:
@@ -254,7 +247,7 @@ def cmd_compute(args) -> int:
                         table["graph"],
                         pid.value,
                         str(entry["value"]),
-                        _witness_tsv_from_json(pid, witness),
+                        _witness_tsv_from_json(witness),
                         entry["route"],
                         str(entry["nodes"]),
                     ]
@@ -262,7 +255,7 @@ def cmd_compute(args) -> int:
     return exit_code
 
 
-def _witness_tsv_from_json(pid: ParameterId, witness) -> str:
+def _witness_tsv_from_json(witness) -> str:
     if witness is None:
         return "-"
     parts = []
@@ -290,6 +283,8 @@ def cmd_verify(args) -> int:
         edges = FIGURE_MATCHINGS[fam]
     else:
         edges = _parse_edges(args.matching)
+    if args.vertices and prop_name not in ("total", "maximal_total"):
+        raise UsageError(f"--vertices applies to total matchings only, not --property {prop_name}")
     vertices = _parse_vertices(args.vertices) if args.vertices else ()
 
     result: dict = {"graph": label, "property": prop_name}
@@ -353,39 +348,37 @@ def _property_certificate(G: Graph, m: Matching, P: PropertyId):
 # -- theorems ---------------------------------------------------------------------
 
 
-def _corpus(args) -> list[tuple[str, Graph]]:
+def _corpus(args):
+    """Check every corpus option, then return the graphs as a lazy iterator:
+    --all-n, then --random, then --input and --family."""
     _count("--random", args.random)
     _count("--hall-samples", args.hall_samples)
     _count("--block-samples", args.block_samples)
     if args.p is not None and not 0.0 <= args.p <= 1.0:
         raise UsageError("edge probability must lie in [0, 1]")
-    out = []
-    if args.all_n is not None:
-        for G in all_graphs(args.all_n):
-            out.append((graph_id(G), G))
     if args.random:
         if args.n is None:
             raise UsageError("--random needs --n")
         if args.n < 0:
             raise UsageError("--random needs n >= 0")
-        for G in random_graphs(args.n, args.random, args.seed, p=args.p):
-            out.append((graph_id(G), G))
-    if args.input or args.family:
-        out.extend(_build_graphs(args))
-    if not out and not args.hall_samples and not args.block_samples:
+    named = [G for _, G in _build_graphs(args)] if args.input or args.family else []
+    if args.all_n is None and not (args.random or named or args.hall_samples or args.block_samples):
         raise UsageError("empty corpus: use --all-n, --random, --family or --input")
-    return out
+    return chain(
+        all_graphs(args.all_n) if args.all_n is not None else (),
+        random_graphs(args.n, args.random, args.seed, p=args.p),
+        named,
+    )
 
 
 def cmd_theorems(args) -> int:
-    config = _engine_config(args)
-    corpus = _corpus(args)
+    _count("--budget", args.budget)
     any_false = False
-    for label, G in corpus:
+    for G in _corpus(args):
         checks = [args.check] if args.check else applicable_checks(G)
         for name in checks:
             try:
-                verdict = run_check(name, G, config)
+                verdict = run_check(name, G, args.budget)
             except ValueError as exc:
                 if args.check:
                     raise UsageError(str(exc)) from exc
@@ -394,22 +387,21 @@ def cmd_theorems(args) -> int:
             any_false |= not verdict.holds
     rng = random.Random(args.seed)
     for _ in range(args.hall_samples):
-        verdict = check_hall(random_set_system(rng, max_sets=8, max_ground=8))
+        verdict = check_hall(random_set_system(rng))
         print(json.dumps(verdict.to_json_dict(), sort_keys=True, separators=(",", ":")))
         any_false |= not verdict.holds
     for _ in range(args.block_samples):
         G = random_odd_block_graph(rng, rng.randint(1, 4))
-        verdict = check_collapse_identity(G, config)
+        verdict = check_collapse_identity(G, args.budget)
         print(json.dumps(verdict.to_json_dict(), sort_keys=True, separators=(",", ":")))
         any_false |= not verdict.holds
     return 1 if any_false else 0
 
 
 def cmd_scan(args) -> int:
-    config = _engine_config(args)
+    _count("--budget", args.budget)
     prop = PropertyId.from_string(args.property)
-    corpus = _corpus(args)
-    records, summary = nordhaus_gaddum_scan((G for _, G in corpus), prop, config)
+    records, summary = nordhaus_gaddum_scan(_corpus(args), prop, args.budget)
     for rec in records:
         print(json.dumps(rec.to_json_dict(), sort_keys=True, separators=(",", ":")))
     print(json.dumps({"summary": summary}, sort_keys=True, separators=(",", ":")))

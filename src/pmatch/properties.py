@@ -192,9 +192,7 @@ class Orientation:
     def heads(self) -> frozenset[int]:
         return frozenset(h for _, h in self.pairs)
 
-    def as_strings(self, G: Graph | None = None) -> tuple[str, ...]:
-        if G is None:
-            return tuple(f"{t}>{h}" for t, h in self.pairs)
+    def as_strings(self, G: Graph) -> tuple[str, ...]:
         return tuple(f"{G.label(t)}>{G.label(h)}" for t, h in self.pairs)
 
 

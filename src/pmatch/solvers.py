@@ -6,61 +6,25 @@
 - Class-collapse routes (``COLLAPSE_CLASSES``): on bipartite, triangle-free,
   even-cycle-free and acyclic graphs some variants hold for every matching,
   and their maxima and minima are those of plain matchings.
-- One bitset independent-set core, two searches on explicit stacks. Its
-  maximum search answers ``beta0`` (and ``alpha0`` by complement),
-  ``beta_star``, ``beta_on``, ``beta_cn`` and ``beta_total_max``; its
-  dominating search answers ``gamma`` and, as the smallest maximal
-  independent set, ``beta1_minus``, ``beta_plain_minus``,
-  ``beta_star_minus``, ``beta_on_minus``, ``beta_cn_minus`` and
-  ``beta_total_min``. Filtered by the predicate, per component, it answers
-  ``beta_c_minus`` and ``beta_if_minus``. The maximum search cuts on a
-  greedy clique partition of the available elements and branches only on
-  the elements that the partition leaves past its first b - k - 1 cliques
-  (b the best size, k the chosen count). The dominating search branches on
-  who covers the first undominated element, each child barred from the
-  candidates its older siblings took, so it reaches each set once; it cuts
-  on a greedy packing of undominated elements that share no candidate, and
-  a node whose packing only ties the best when no completion can come first,
-  in plain order or in the (vertices, edges) order of total matchings.
-- One first-hit search over the edges: it walks the matchings in
-  lexicographic order toward a target size k. The nine variants that are
-  not pairwise take it for their maxima, in one walk whose every hit raises
-  k past its size, and seven of them for their minima, one walk per k from
-  1 up that stops at the first maximal hit. The connected and isolate-free
-  maxima follow from the components' matching numbers, so their witnesses
-  take one walk at k = ν(C) per component that counts. Each frame carries
-  its prefix's per-variant state, and a step settles a candidate with the
-  work its new edge can change; the independent step propagates from the
-  new edge's ends alone, and the ur step looks for an alternating cycle only
-  when both ends of the new edge see the old V(M). The ur and bipartite
-  steps call the predicates' own search and join (their references are the
-  oracle's perfect-matching count and orientation scan); the other
-  predicates of ``properties`` are the reference. A hereditary maximum drops
-  from a child's candidates the edges that fail P beside its new edge alone,
-  a row per edge filled on first use by a second stepper. It cuts a prefix
-  that half the vertices its remaining edges touch cannot bring up to k; a
-  disconnected prefix whose ⟨M⟩ is one component C when no remaining edge
-  misses N[C], a test on one carried mask; and a vertex-irredundant one
-  when a hit's 2k ends and k private vertices do not fit beside the
-  vertices that can be neither. A minimum's frames carry the edges disjoint
-  from their prefix, which its maximality test steps, the last edge that
-  extended a candidate first. A P-maximal M must reach every edge that
-  would extend it, which gives each minimum targets that a hit reaches:
-  (a) for ur and independent, V(M) dominates every vertex with an edge (an
-  edge uv disjoint from V(M) with an end that sees none of it extends M);
-  (b) for acyclic, bipartite, disconnected and e_IR, N[V(M)] meets every
-  edge (an edge with no end there is a component of <M + uv> of its own;
-  e_IR spares an edge that is a component of G); (c) for v_IR, every edge
-  with a third vertex next to exactly one of its ends has an end within
-  distance 2 of V(M) (a far edge keeps the old private neighbors and has
-  its own). A child whose remaining edges cannot reach some target is cut,
-  and one edge short of k it keeps only the edges that reach them all.
-- A matching-cut search for ``beta_sep_min`` on a graph with no bridge: it
-  splits each component into two sides, branching on one vertex at a time,
-  and forcing leaves a cut that is a matching.
+- One bitset independent-set core with two searches on explicit stacks:
+  its maximum search answers ``beta0`` (and ``alpha0`` by complement),
+  ``beta_star``, ``beta_on``, ``beta_cn`` and ``beta_total_max``, and its
+  dominating search answers ``gamma``, as the smallest maximal independent
+  set ``beta1_minus``, ``beta_plain_minus``, ``beta_star_minus``,
+  ``beta_on_minus``, ``beta_cn_minus`` and ``beta_total_min``, and, filtered
+  by the predicate per component, ``beta_c_minus`` and ``beta_if_minus``.
+- One first-hit search over the edges (``_first_hit``), which walks the
+  matchings in lexicographic order toward a target size, answers the maxima
+  of the nine variants that are not pairwise and the minima of seven of
+  them, and the connected and isolate-free maxima by one walk per component
+  that counts (``_component_maximum``).
+- A matching-cut search for ``beta_sep_min`` on a graph with no bridge
+  splits each component into two sides, one vertex at a time.
 
 ``compute_parameter`` routes every tag. A variant that no theorem or class
-settles on G takes ``_variant_search``, which picks its search above.
+settles on G takes ``_variant_search``, which picks its search above. Each
+search takes a node budget, an integer or None for none, and raises
+``BudgetExceededError`` past it.
 
 Every route is deterministic: among equally sized optima the
 lexicographically smallest witness wins. Every cut is strict, so a branch
@@ -101,7 +65,6 @@ from .properties import (
 __all__ = [
     "ParameterId",
     "ParameterResult",
-    "EngineConfig",
     "BudgetExceededError",
     "SetSystem",
     "SdrResult",
@@ -109,8 +72,6 @@ __all__ = [
     "PROPERTY_MIN_PARAM",
     "max_matching",
     "min_maximal_matching",
-    "independence_number",
-    "domination_number",
     "edge_cover_number",
     "tree_b_matching_max",
     "min_separating_matching",
@@ -129,17 +90,6 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"{what}: node budget exceeded after {nodes} nodes")
         self.what = what
         self.nodes = nodes
-
-
-@dataclass
-class EngineConfig:
-    """Search-engine settings. The node budget (when set) aborts a search
-    with BudgetExceededError instead of returning an approximation."""
-
-    node_budget: int | None = None
-
-
-DEFAULT_CONFIG = EngineConfig()
 
 
 class ParameterId(enum.Enum):
@@ -191,10 +141,6 @@ class ParameterId(enum.Enum):
             if p.value == key:  # case-sensitive: beta_v_IR and beta_v_ir differ
                 return p
         raise ValueError(f"unknown parameter {s!r}")
-
-    @classmethod
-    def all(cls) -> tuple["ParameterId", ...]:
-        return tuple(cls)
 
 
 _PROPERTY_PARAM_PAIRS = {
@@ -253,7 +199,7 @@ def _precedes(a: int, b: int, low: int) -> bool:
     return b & low >= x << 1 if x & a else a & low < x << 1
 
 
-def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, split: int = 0):
+def _max_independent(conflict: list[int], budget: int | None, what: str, split: int = 0):
     """Largest independent set by branch and bound (Tomita & Seki, DMTCS
     2003). A node with k chosen, while the best set has b, peels b - k - 1
     greedy cliques off its available elements; a set that ties the best takes
@@ -261,6 +207,7 @@ def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, split: i
     node is cut when none is left, and otherwise its i-th child takes the
     i-th left element in index order and drops those before it. Returns the
     first largest set and the node count."""
+    limit = sys.maxsize if budget is None else budget
     low = (1 << split) - 1
     best_size = best = nodes = 0
     # Depth first on an explicit stack. An entry with a nonzero ``branch``
@@ -275,7 +222,7 @@ def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, split: i
                 stack.append((avail ^ bit, cur, branch ^ bit))
             avail, cur = avail & ~conflict[bit.bit_length() - 1] & ~bit, cur | bit
         nodes += 1
-        if cfg.node_budget is not None and nodes > cfg.node_budget:
+        if nodes > limit:
             raise BudgetExceededError(what, nodes)
         k = cur.bit_count()
         if k > best_size or k == best_size and _precedes(cur, best, low):
@@ -297,7 +244,7 @@ def _max_independent(conflict: list[int], cfg: EngineConfig, what: str, split: i
     return tuple(_bits(best)), nodes
 
 
-def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what: str,
+def _min_dominating(masks: list[int], independent: bool, budget: int | None, what: str,
                     split: int = 0, accept=None, roots=(0,)):
     """Smallest set covering every element, where element i covers itself
     and the set bits of ``masks[i]``, by branching on who covers the first
@@ -319,6 +266,7 @@ def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what
     smallest such set and the node count."""
     if not masks:
         return (), 0
+    limit = sys.maxsize if budget is None else budget
     closed = [c | 1 << i for i, c in enumerate(masks)]
     # ball[i]: the elements that share a candidate with i, filled on first use.
     ball = [0] * len(closed)
@@ -332,7 +280,7 @@ def _min_dominating(masks: list[int], independent: bool, cfg: EngineConfig, what
     while stack:
         dominated, cur, out = stack.pop()
         nodes += 1
-        if cfg.node_budget is not None and nodes > cfg.node_budget:
+        if nodes > limit:
             raise BudgetExceededError(what, nodes)
         k = cur.bit_count()
         if dominated == full:
@@ -382,8 +330,10 @@ def _stepper(G: Graph, P: PropertyId):
     state')``: whether the matching with state ``state`` plus edge j, which
     is disjoint from it, has P, and the state of that larger matching. A step
     does only the work that edge j can change. For hereditary P, ``state``
-    must be that of a matching with P. The predicates of ``properties`` are
-    the reference."""
+    must be that of a matching with P. The ur and bipartite steps call the
+    predicates' own search and join, whose references are the oracle's
+    perfect-matching count and orientation scan; the other predicates of
+    ``properties`` are the reference."""
     adj, edges = G.adj_masks, G.edges
     # One partner array serves every frame of the search: a step's edge is
     # disjoint from every live prefix, so it never overwrites a live entry.
@@ -508,7 +458,7 @@ def _pair_rows(G: Graph, P: PropertyId):
     return rows, fill
 
 
-def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfig, what: str,
+def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, budget: int | None, what: str,
                k: int = 1, nodes: int = 0):
     """Walk the matchings of ``G.edges`` in lexicographic order toward a
     target size k, for those with P (with ``minimum``, that no edge disjoint
@@ -596,7 +546,7 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
     pairs = hereditary and not minimum
     if pairs:
         rows, fill = _pair_rows(G, P)
-    limit = sys.maxsize if cfg.node_budget is None else cfg.node_budget
+    limit = sys.maxsize if budget is None else budget
     best = 0  # a maximum's last hit, as an edge mask
     killer = 0  # the edge that last showed a minimum's candidate not maximal, as a bit
     for k in range(k, nu + 1) if minimum else (k,):
@@ -679,7 +629,7 @@ def _first_hit(G: Graph, P: PropertyId, nu: int, minimum: bool, cfg: EngineConfi
 
 
 def _variant_search(
-    G: Graph, P: PropertyId, minimum: bool, config: EngineConfig | None = None
+    G: Graph, P: PropertyId, minimum: bool, budget: int | None = None
 ) -> ParameterResult:
     """The search route of variant P: its largest matching, or with
     ``minimum`` its smallest nonempty matching that no one-edge extension
@@ -694,7 +644,6 @@ def _variant_search(
     witness), and a walk per size from 1 up for a minimum. Hereditary
     variants never extend a prefix that has lost P.
     """
-    cfg = config or DEFAULT_CONFIG
     pid = (PROPERTY_MIN_PARAM if minimum else PROPERTY_MAX_PARAM)[P]
     if minimum and not G.edges:
         return ParameterResult(pid, None, None, "search", 0)
@@ -716,17 +665,17 @@ def _variant_search(
     if conflict is not None:
         if minimum:
             chosen, nodes = _min_dominating(
-                conflict, True, cfg, pid.value, accept=accept, roots=roots
+                conflict, True, budget, pid.value, accept=accept, roots=roots
             )
         else:
-            chosen, nodes = _max_independent(conflict, cfg, pid.value)
+            chosen, nodes = _max_independent(conflict, budget, pid.value)
         witness = tuple(G.edges[i] for i in chosen)
         return ParameterResult(pid, len(witness), witness, "search", nodes)
-    hit, nodes = _first_hit(G, P, max_matching_size(G), minimum, cfg, pid.value)
+    hit, nodes = _first_hit(G, P, max_matching_size(G), minimum, budget, pid.value)
     return ParameterResult(pid, None if hit is None else len(hit), hit, "search", nodes)
 
 
-def _component_maximum(G: Graph, P: PropertyId, cfg: EngineConfig) -> ParameterResult:
+def _component_maximum(G: Graph, P: PropertyId, budget: int | None) -> ParameterResult:
     """The connected or isolate-free maximum by the components' matching
     numbers ν(C). β_c(G) is the largest ν(C). β_if(G) is the sum of the
     ν(C) that are at least 2, or 1 when that sum is 0 and G has an edge.
@@ -745,7 +694,7 @@ def _component_maximum(G: Graph, P: PropertyId, cfg: EngineConfig) -> ParameterR
     for nu, comp in sized:
         if nu and (nu == top if P is PropertyId.CONNECTED else nu >= 2):
             sub, order = induced_subgraph(G, comp)
-            hit, nodes = _first_hit(sub, P, nu, False, cfg, pid.value, nu, nodes)
+            hit, nodes = _first_hit(sub, P, nu, False, budget, pid.value, nu, nodes)
             hits.append(tuple((order[u], order[v]) for u, v in hit))
     if P is PropertyId.CONNECTED:
         witness = min(hits, default=())
@@ -764,25 +713,11 @@ def max_matching(G: Graph) -> ParameterResult:
     return ParameterResult(ParameterId.BETA1, len(witness), witness, "fast-path")
 
 
-def min_maximal_matching(G: Graph, config: EngineConfig | None = None) -> ParameterResult:
+def min_maximal_matching(G: Graph, budget: int | None = None) -> ParameterResult:
     """Lower matching number: smallest maximal matching, the smallest
     maximal independent set of the edges' shared-vertex conflicts."""
-    res = _variant_search(G, PropertyId.PLAIN, True, config)
+    res = _variant_search(G, PropertyId.PLAIN, True, budget)
     return replace(res, parameter=ParameterId.BETA1_MINUS)
-
-
-def independence_number(G: Graph, config: EngineConfig | None = None) -> ParameterResult:
-    """Largest independent set by the core's maximum search on the
-    adjacency masks."""
-    chosen, nodes = _max_independent(G.adj_masks, config or DEFAULT_CONFIG, "beta0")
-    return ParameterResult(ParameterId.BETA0, len(chosen), chosen, "search", nodes)
-
-
-def domination_number(G: Graph, config: EngineConfig | None = None) -> ParameterResult:
-    """Smallest dominating set by the core's dominating search on the closed
-    neighborhoods."""
-    chosen, nodes = _min_dominating(G.adj_masks, False, config or DEFAULT_CONFIG, "gamma")
-    return ParameterResult(ParameterId.GAMMA, len(chosen), chosen, "search", nodes)
 
 
 def edge_cover_number(G: Graph) -> ParameterResult:
@@ -802,15 +737,6 @@ def edge_cover_number(G: Graph) -> ParameterResult:
             cover.append((v, w) if v < w else (w, v))
     witness = tuple(sorted(set(cover)))
     return ParameterResult(ParameterId.ALPHA1, len(witness), witness, "fast-path")
-
-
-def _cover_from_independent(G: Graph, beta0: ParameterResult) -> ParameterResult:
-    """The vertex cover number by the complement identity: the vertices
-    outside a maximum independent set form a minimum vertex cover."""
-    cover = tuple(sorted(set(range(G.n)) - set(beta0.witness)))
-    return ParameterResult(
-        ParameterId.ALPHA0, G.n - beta0.value, cover, "fast-path", beta0.nodes_explored
-    )
 
 
 # -- b-matchings on forests ------------------------------------------------------
@@ -858,7 +784,7 @@ def tree_b_matching_max(T: Graph, b: BoundFunction) -> ParameterResult:
 # -- total matchings ---------------------------------------------------------------
 
 
-def _total_matching(G: Graph, cfg: EngineConfig, largest: bool) -> ParameterResult:
+def _total_matching(G: Graph, budget: int | None, largest: bool) -> ParameterResult:
     """Largest or smallest maximal total matching (a mixed set of vertices
     and edges, pairwise independent, with nothing addable): an independent
     set of the total graph, by one of the core's two searches. Witnesses
@@ -872,9 +798,9 @@ def _total_matching(G: Graph, cfg: EngineConfig, largest: bool) -> ParameterResu
     conflict += [1 << u | 1 << v | c << n for (u, v), c in zip(G.edges, plain)]
     pid = ParameterId.BETA_TOTAL_MAX if largest else ParameterId.BETA_TOTAL_MIN
     if largest:
-        chosen, nodes = _max_independent(conflict, cfg, pid.value, n)
+        chosen, nodes = _max_independent(conflict, budget, pid.value, n)
     else:
-        chosen, nodes = _min_dominating(conflict, True, cfg, pid.value, n)
+        chosen, nodes = _min_dominating(conflict, True, budget, pid.value, n)
     witness = (tuple(i for i in chosen if i < n), tuple(G.edges[i - n] for i in chosen if i >= n))
     return ParameterResult(pid, len(chosen), witness, "search", nodes)
 
@@ -882,9 +808,7 @@ def _total_matching(G: Graph, cfg: EngineConfig, largest: bool) -> ParameterResu
 # -- separating matchings -------------------------------------------------------------
 
 
-def min_separating_matching(
-    G: Graph, config: EngineConfig | None = None
-) -> ParameterResult:
+def min_separating_matching(G: Graph, budget: int | None = None) -> ParameterResult:
     """Smallest matching whose removal increases the component count, or
     value None when no matching is an edge cut.
 
@@ -902,7 +826,7 @@ def min_separating_matching(
     A vertex with two neighbors across kills the branch, and so does a cut
     larger than the best one, or as large and not lexicographically smaller.
     So the smallest (size, sorted edges) over all components wins."""
-    cfg = config or DEFAULT_CONFIG
+    limit = sys.maxsize if budget is None else budget
     adj = G.adj_masks
     best: tuple[Edge, ...] | None = None
     nodes = 0
@@ -916,10 +840,10 @@ def min_separating_matching(
         while stack:
             side_a, side_b, near, cut, v, s = stack.pop()
             nodes += 1
-            if cfg.node_budget is not None and nodes > cfg.node_budget:
+            if nodes > limit:
                 raise BudgetExceededError("beta_sep_min", nodes)
             sides = [side_a, side_b]
-            limit = len(best) if best is not None else len(comp)
+            most = len(best) if best is not None else len(comp)
             queue = [(v, s)]
             while queue:
                 v, s = queue.pop()
@@ -936,7 +860,7 @@ def min_separating_matching(
                         if across != 1 << w:
                             break  # two neighbors across
                         cut += ((v, w) if v < w else (w, v),)
-                        if len(cut) > limit or len(cut) == limit and tuple(sorted(cut)) >= best:
+                        if len(cut) > most or len(cut) == most and tuple(sorted(cut)) >= best:
                             break
                         queue += [(u, s) for u in _bits(free)]
                         queue += [(u, 1 - s) for u in _bits(adj[w] & ~(sides[0] | sides[1]))]
@@ -944,7 +868,7 @@ def min_separating_matching(
                         queue += [
                             (u, s) for u in _bits(free) if (adj[u] & sides[s]).bit_count() > 1
                         ]
-                if not queue and len(cut) == limit:
+                if not queue and len(cut) == most:
                     # No cut edge may be added: every vertex next to a side
                     # joins it, and one next to both adds a cut edge.
                     queue = [
@@ -1053,11 +977,14 @@ def sdr_solve(system: SetSystem) -> SdrResult:
 def compute_parameter(
     G: Graph,
     pid: ParameterId,
-    config: EngineConfig | None = None,
+    budget: int | None = None,
     b: BoundFunction | None = None,
 ) -> ParameterResult:
-    """Route one parameter to its solver. ``b`` feeds the b-matching maximum
-    and defaults to the uniform bound min(1, d(v)). ``beta_plain`` is the
+    """Route one parameter to its solver. ``budget`` caps each search's
+    nodes. ``b`` feeds the b-matching maximum and defaults to the uniform
+    bound min(1, d(v)). ``beta0`` and ``gamma`` take the core's searches on
+    the adjacency masks, and ``alpha0`` is the complement of ``beta0``'s set
+    (route ``fast-path``, with its search's nodes). ``beta_plain`` is the
     matching number. A variant whose class test in ``COLLAPSE_CLASSES`` holds
     on G is answered by the plain routes, before any search. ``beta_sep_min``
     is 1 on a graph with a bridge, the smallest bridge its witness, and takes
@@ -1067,13 +994,18 @@ def compute_parameter(
         if pid is ParameterId.BETA1:
             return max_matching(G)
         if pid is ParameterId.BETA1_MINUS:
-            return min_maximal_matching(G, config)
-        if pid is ParameterId.ALPHA0:
-            return _cover_from_independent(G, independence_number(G, config))
-        if pid is ParameterId.BETA0:
-            return independence_number(G, config)
+            return min_maximal_matching(G, budget)
+        if pid in (ParameterId.BETA0, ParameterId.ALPHA0):
+            chosen, nodes = _max_independent(G.adj_masks, budget, pid.value)
+            if pid is ParameterId.BETA0:
+                return ParameterResult(pid, len(chosen), chosen, "search", nodes)
+            # The vertices outside a maximum independent set form a minimum
+            # vertex cover.
+            cover = tuple(sorted(set(range(G.n)) - set(chosen)))
+            return ParameterResult(pid, len(cover), cover, "fast-path", nodes)
         if pid is ParameterId.GAMMA:
-            return domination_number(G, config)
+            chosen, nodes = _min_dominating(G.adj_masks, False, budget, pid.value)
+            return ParameterResult(pid, len(chosen), chosen, "search", nodes)
         if pid is ParameterId.ALPHA1:
             return edge_cover_number(G)
         if pid is ParameterId.BETA_PLAIN:
@@ -1083,20 +1015,20 @@ def compute_parameter(
             minimum = pid in MINUS_PARAMS
             collapses = _COLLAPSE_TEST.get(prop)
             if collapses is not None and collapses(G):
-                plain = min_maximal_matching(G, config) if minimum else max_matching(G)
+                plain = min_maximal_matching(G, budget) if minimum else max_matching(G)
                 return replace(plain, parameter=pid)
             if not minimum and prop in (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE):
-                return _component_maximum(G, prop, config or DEFAULT_CONFIG)
-            return _variant_search(G, prop, minimum, config)
+                return _component_maximum(G, prop, budget)
+            return _variant_search(G, prop, minimum, budget)
         if pid in (ParameterId.BETA_TOTAL_MAX, ParameterId.BETA_TOTAL_MIN):
-            return _total_matching(G, config or DEFAULT_CONFIG, pid is ParameterId.BETA_TOTAL_MAX)
+            return _total_matching(G, budget, pid is ParameterId.BETA_TOTAL_MAX)
         if pid is ParameterId.BETA_SEP_MIN:
             # A bridge is a one-edge matching whose removal adds a component,
             # and no empty set does: so the smallest bridge answers.
             bridges = [blk.edges for blk in block_decomposition(G).blocks if blk.kind == "edge"]
             if bridges:
                 return ParameterResult(pid, 1, min(bridges), "fast-path")
-            return min_separating_matching(G, config)
+            return min_separating_matching(G, budget)
         if pid is ParameterId.B_MATCHING_MAX:
             bound = b if b is not None else BoundFunction.uniform(G, 1)
             return tree_b_matching_max(G, bound)

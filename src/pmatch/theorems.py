@@ -33,7 +33,6 @@ from .properties import PropertyId, is_matching, is_uniquely_restricted
 from .solvers import (
     COLLAPSE_CLASSES,
     BudgetExceededError,
-    EngineConfig,
     PROPERTY_MAX_PARAM,
     PROPERTY_MIN_PARAM,
     ParameterId,
@@ -110,12 +109,12 @@ def _jsonable(obj):
     return obj
 
 
-def _solver_or_oracle_value(G: Graph, pid: ParameterId, config=None) -> int | None:
+def _solver_or_oracle_value(G: Graph, pid: ParameterId, budget: int | None = None) -> int | None:
     """Prefer the oracle (the independent route) when the instance fits."""
     try:
         return oracle_parameter(G, pid).value
     except OracleLimitError:
-        return compute_parameter(G, pid, config).value
+        return compute_parameter(G, pid, budget).value
 
 
 # -- individual theorem checks -------------------------------------------------
@@ -258,15 +257,13 @@ _CHAINS = (
 )
 
 
-def check_proposition_chains(G: Graph, config: EngineConfig | None = None) -> TheoremVerdict:
+def check_proposition_chains(G: Graph, budget: int | None = None) -> TheoremVerdict:
     """The three monotone chains among the variant maxima, from the induced
     matching number up to the matching number."""
     values: dict[str, int] = {}
-    needed = {p for chain in _CHAINS for p in chain}
-    for prop in needed:
-        values[prop.value] = _solver_or_oracle_value(
-            G, PROPERTY_MAX_PARAM[prop], config
-        )
+    # In first-seen order, so a budget error names one tag under every hash seed.
+    for prop in dict.fromkeys(p for chain in _CHAINS for p in chain):
+        values[prop.value] = _solver_or_oracle_value(G, PROPERTY_MAX_PARAM[prop], budget)
     holds = True
     for chain in _CHAINS:
         seq = [values[p.value] for p in chain]
@@ -274,7 +271,7 @@ def check_proposition_chains(G: Graph, config: EngineConfig | None = None) -> Th
     return TheoremVerdict("chains", graph_id(G), bool(holds), {"values": values})
 
 
-def check_connected_theorem(G: Graph, config: EngineConfig | None = None) -> TheoremVerdict:
+def check_connected_theorem(G: Graph, budget: int | None = None) -> TheoremVerdict:
     """The connected and isolate-free maxima by the matching numbers ν(C)
     of the components: β_c(G) is the largest ν(C), and β_if(G) is the sum of
     the ν(C) that are at least 2, or 1 when that sum is 0 and G has an edge.
@@ -283,14 +280,14 @@ def check_connected_theorem(G: Graph, config: EngineConfig | None = None) -> The
     ``compute_parameter`` answers them by this identity."""
     parts = [G] if is_connected(G) else [
         induced_subgraph(G, comp)[0] for comp in components(G) if len(comp) > 1]
-    nus = [_solver_or_oracle_value(C, ParameterId.BETA1, config) for C in parts]
+    nus = [_solver_or_oracle_value(C, ParameterId.BETA1, budget) for C in parts]
     maxima = []
     for pid, P in ((ParameterId.BETA_C, PropertyId.CONNECTED),
                    (ParameterId.BETA_IF, PropertyId.ISOLATE_FREE)):
         try:
             maxima.append(oracle_parameter(G, pid).value)
         except OracleLimitError:
-            maxima.append(_variant_search(G, P, False, config).value)
+            maxima.append(_variant_search(G, P, False, budget).value)
     beta_c, beta_if = maxima
     paired = sum(nu for nu in nus if nu >= 2)
     holds = beta_c == max(nus, default=0) and beta_if == (paired or min(G.m, 1))
@@ -361,7 +358,7 @@ def check_ur_characterization(G: Graph) -> TheoremVerdict:
     )
 
 
-def check_collapse_identity(G: Graph, config: EngineConfig | None = None) -> TheoremVerdict:
+def check_collapse_identity(G: Graph, budget: int | None = None) -> TheoremVerdict:
     """On every class of ``COLLAPSE_CLASSES`` that G belongs to, each listed
     variant must have the extrema of plain matchings: the oracle's value and
     witness for its maximum equal those for ``beta_plain``, and for its
@@ -381,7 +378,7 @@ def check_collapse_identity(G: Graph, config: EngineConfig | None = None) -> The
                  oracle_parameter(G, ParameterId.BETA1_MINUS))
     else:
         def extrema(P):
-            return _variant_search(G, P, False, config), _variant_search(G, P, True, config)
+            return _variant_search(G, P, False, budget), _variant_search(G, P, True, budget)
 
         plain = extrema(PropertyId.PLAIN)
     mismatched = {}
@@ -403,14 +400,14 @@ def check_collapse_identity(G: Graph, config: EngineConfig | None = None) -> The
 # The checks in the order ``applicable_checks`` lists them: name, then
 # whether the check applies to G, then the check itself.
 _CHECKS = {
-    "gallai": (lambda G: True, lambda G, config: check_gallai(G)),
+    "gallai": (lambda G: True, lambda G, budget: check_gallai(G)),
     "chains": (lambda G: True, check_proposition_chains),
-    "konig": (lambda G: is_bipartite(G) is not None, lambda G, config: check_konig(G)),
-    "frobenius": (lambda G: is_bipartite(G) is not None, lambda G, config: check_frobenius(G)),
+    "konig": (lambda G: is_bipartite(G) is not None, lambda G, budget: check_konig(G)),
+    "frobenius": (lambda G: is_bipartite(G) is not None, lambda G, budget: check_frobenius(G)),
     "connected": (lambda G: G.n > 0 and is_connected(G), check_connected_theorem),
     "ur_characterization": (
         lambda G: G.m <= EDGE_SUBSET_LIMIT,
-        lambda G, config: check_ur_characterization(G),
+        lambda G, budget: check_ur_characterization(G),
     ),
     "collapse": (
         lambda G: any(test(G) for _, test, _ in COLLAPSE_CLASSES),
@@ -424,19 +421,17 @@ def applicable_checks(G: Graph) -> list[str]:
     return [name for name, (applies, _) in _CHECKS.items() if applies(G)]
 
 
-def run_check(name: str, G: Graph, config: EngineConfig | None = None) -> TheoremVerdict:
+def run_check(name: str, G: Graph, budget: int | None = None) -> TheoremVerdict:
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}")
-    return _CHECKS[name][1](G, config)
+    return _CHECKS[name][1](G, budget)
 
 
 # -- complement-sum scanning -------------------------------------------------------
 
 
 def nordhaus_gaddum_scan(
-    graphs,
-    prop: PropertyId,
-    config: EngineConfig | None = None,
+    graphs, prop: PropertyId, budget: int | None = None
 ) -> tuple[list[NordhausGaddumRecord], dict]:
     """Exact variant maximum on each graph and its complement; purely
     empirical, reporting the running extrema of sum and product with the
@@ -456,8 +451,8 @@ def nordhaus_gaddum_scan(
     for G in graphs:
         gid = graph_id(G)
         try:
-            res_g = compute_parameter(G, pid, config)
-            res_c = compute_parameter(complement(G), pid, config)
+            res_g = compute_parameter(G, pid, budget)
+            res_c = compute_parameter(complement(G), pid, budget)
         except BudgetExceededError as exc:
             records.append(
                 NordhausGaddumRecord(prop.value, gid, None, None, None, None, error=str(exc))
@@ -509,9 +504,11 @@ def random_graphs(
         yield from_edge_mask(n, mask)
 
 
-def random_set_system(rng: random.Random, max_sets: int = 8, max_ground: int = 8) -> SetSystem:
-    m = rng.randint(1, max_sets)
-    ground = list(range(1, rng.randint(1, max_ground) + 1))
+def random_set_system(rng: random.Random) -> SetSystem:
+    """Up to ``HALL_SET_LIMIT`` random subsets of a ground set of up to
+    eight elements."""
+    m = rng.randint(1, HALL_SET_LIMIT)
+    ground = list(range(1, rng.randint(1, 8) + 1))
     sets = []
     for _ in range(m):
         k = rng.randint(0, len(ground))

@@ -202,7 +202,7 @@ def test_criterion_3_hall_samples():
     rng = random.Random(271828)
     bad = 0
     for _ in range(1000):
-        system = random_set_system(rng, max_sets=8, max_ground=8)
+        system = random_set_system(rng)
         if not check_hall(system).holds:
             bad += 1
     _report(3, "SDR existence matches the subset condition on 1000 systems", bad == 0)

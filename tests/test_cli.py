@@ -180,6 +180,15 @@ def test_verify_maximal_variant(capsys):
     assert code == 1 and out["holds"] is False
 
 
+def test_verify_vertices_only_for_total_matchings(capsys):
+    # --vertices names the vertex part of a total matching; any other
+    # property would ignore it.
+    code = main(["verify", "--family", "path", "--n", "4", "--matching", "0-1",
+                 "--vertices", "3", "--property", "induced"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "--vertices" in err
+
+
 def test_theorems_all_n_small(capsys):
     code = main(["theorems", "--all-n", "3"])
     lines = capsys.readouterr().out.strip().splitlines()
@@ -215,6 +224,47 @@ def test_theorems_lists_every_applicable_check(capsys):
     assert code == 0
     assert names == ["gallai", "chains", "konig", "frobenius", "connected",
                      "ur_characterization", "collapse"]
+
+
+def test_theorems_streams_its_corpus(monkeypatch, capsys):
+    # Each verdict is printed as its graph is drawn, so a corpus too large to
+    # hold (--all-n 8 has 2^28 graphs) starts printing at once.
+    import pmatch.cli
+
+    def one_then_fault(n):
+        yield from_edge_mask(n, 0)
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(pmatch.cli, "all_graphs", one_then_fault)
+    code = main(["theorems", "--all-n", "3", "--check", "gallai"])
+    out, err = capsys.readouterr()
+    assert code == 4 and err == "error: RuntimeError: injected fault\n"
+    assert [json.loads(line)["theorem"] for line in out.splitlines()] == ["gallai"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--family", "random_tree", "--n", "28", "--seed", "1", "--check", "collapse",
+      "--budget", "10"], "beta_plain: node budget exceeded after 11 nodes"),
+    (["--family", "random_tree", "--n", "28", "--seed", "1", "--check", "connected",
+      "--budget", "10"], "beta_c: node budget exceeded after 11 nodes"),
+    (["--family", "gnp", "--n", "12", "--p", "0.4", "--seed", "1", "--check", "chains",
+      "--budget", "5"], "beta_star: node budget exceeded after 6 nodes"),
+])
+def test_theorems_budget_reaches_the_checks(argv, error, capsys):
+    # The collapse and connected checks run the search route past the
+    # oracle's cap, and the chains check the solver; each gets the budget.
+    code = main(["theorems", *argv])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and err == f"error: {error}\n"
+
+
+def test_scan_budget_reaches_the_solver(capsys):
+    code = main(["scan", "--family", "gnp", "--n", "12", "--p", "0.4", "--seed", "1",
+                 "--property", "ur", "--budget", "5"])
+    record, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert code == 0
+    assert record["error"] == "beta_ur: node budget exceeded after 6 nodes"
+    assert summary["summary"]["skipped"] == 1 and summary["summary"]["count"] == 0
 
 
 def test_theorems_hall_and_blocks(capsys):

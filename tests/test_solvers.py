@@ -43,7 +43,6 @@ from pmatch.solvers import (
     PROPERTY_MAX_PARAM,
     PROPERTY_MIN_PARAM,
     BudgetExceededError,
-    EngineConfig,
     ParameterId,
     SetSystem,
     compute_parameter,
@@ -108,9 +107,9 @@ def test_engine_matches_oracle_sampled(G, P):
 def test_budget_raises():
     k6 = generate("complete", n=6)
     with pytest.raises(BudgetExceededError):
-        _variant_search(k6, PropertyId.INDUCED, False, EngineConfig(node_budget=3))
+        _variant_search(k6, PropertyId.INDUCED, False, 3)
     with pytest.raises(BudgetExceededError):
-        compute_parameter(k6, ParameterId.BETA_TOTAL_MAX, EngineConfig(node_budget=2))
+        compute_parameter(k6, ParameterId.BETA_TOTAL_MAX, 2)
     # The first-hit search counts its nodes over all the sizes it tries. On
     # the Petersen graph no edge dominates, so the walk at k = 1 is empty;
     # the walk at k = 2 takes 14 nodes, and the budget runs out in the walk
@@ -119,22 +118,22 @@ def test_budget_raises():
     res = _variant_search(petersen, PropertyId.UNIQUELY_RESTRICTED, True)
     assert (res.value, res.nodes_explored) == (3, 17)
     with pytest.raises(BudgetExceededError, match="^beta_ur_minus: .* after 16 nodes"):
-        _variant_search(petersen, PropertyId.UNIQUELY_RESTRICTED, True, EngineConfig(node_budget=15))
+        _variant_search(petersen, PropertyId.UNIQUELY_RESTRICTED, True, 15)
     # A first-hit maximum counts its one walk, which takes 27 nodes on Q3.
     q3 = generate("hypercube", n=3)
     with pytest.raises(BudgetExceededError, match="^beta_v_IR: .* after 14 nodes"):
-        _variant_search(q3, PropertyId.VERTEX_IRREDUNDANT, False, EngineConfig(node_budget=13))
+        _variant_search(q3, PropertyId.VERTEX_IRREDUNDANT, False, 13)
     # The matching-cut search on a long cycle: its many two-edge cuts tie.
     c20 = generate("cycle", n=20)
     with pytest.raises(BudgetExceededError, match="^beta_sep_min: .* after 101 nodes"):
-        min_separating_matching(c20, EngineConfig(node_budget=100))
+        min_separating_matching(c20, 100)
     # The connected minimum searches Q3 (21 nodes), then a three-vertex path
     # (3 nodes) under the same count: the budget runs out in the second one.
     q3_and_path = Graph(11, q3.edges + ((8, 9), (9, 10)))
     res = compute_parameter(q3_and_path, ParameterId.BETA_C_MINUS)
     assert (res.value, res.witness, res.nodes_explored) == (1, ((8, 9),), 24)
     with pytest.raises(BudgetExceededError, match="^beta_c_minus: .* after 23 nodes"):
-        compute_parameter(q3_and_path, ParameterId.BETA_C_MINUS, EngineConfig(node_budget=22))
+        compute_parameter(q3_and_path, ParameterId.BETA_C_MINUS, 22)
 
 
 @pytest.mark.parametrize("pid", [ParameterId.GAMMA, ParameterId.BETA0, ParameterId.ALPHA0,
@@ -148,7 +147,7 @@ def test_core_searches_keep_their_own_stack(pid):
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
         with pytest.raises(BudgetExceededError, match=" after 501 nodes"):
-            compute_parameter(G, pid, EngineConfig(node_budget=500))
+            compute_parameter(G, pid, 500)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -160,10 +159,10 @@ def test_budget_error_names_the_tag(pid):
     # (alpha0 runs beta0's, beta1_minus beta_plain_minus's).
     k4 = generate("complete", n=4)
     if compute_parameter(k4, pid).nodes_explored == 0:
-        compute_parameter(k4, pid, EngineConfig(node_budget=0))
+        compute_parameter(k4, pid, 0)
         return
     with pytest.raises(BudgetExceededError, match=f"^{pid.value}: "):
-        compute_parameter(k4, pid, EngineConfig(node_budget=0))
+        compute_parameter(k4, pid, 0)
 
 
 def test_engine_witness_is_lexmin():
@@ -395,7 +394,7 @@ def test_separating_matches_oracle(G):
 def test_separating_hypercubes_past_the_oracle():
     # The dimension cuts; forcing settles the hypercubes in a few nodes.
     for d, value in ((5, 16), (6, 32)):
-        res = min_separating_matching(generate("hypercube", n=d), EngineConfig(node_budget=1000))
+        res = min_separating_matching(generate("hypercube", n=d), 1000)
         assert res.value == value
         assert res.witness == tuple((v, v + 1) for v in range(0, 2 ** d, 2))
 
@@ -573,7 +572,7 @@ def test_component_maxima_share_one_budget():
     res = compute_parameter(G, ParameterId.BETA_IF)
     assert (res.value, res.witness) == (4, ((0, 1), (2, 3), (4, 5), (6, 7)))
     assert compute_parameter(G, ParameterId.BETA_C).witness == ((0, 1), (2, 3))
-    budget = EngineConfig(node_budget=res.nodes_explored - 1)
+    budget = res.nodes_explored - 1
     with pytest.raises(BudgetExceededError, match=f"^beta_if: .* after {res.nodes_explored} nodes"):
         compute_parameter(G, ParameterId.BETA_IF, budget)
     # No component with ν >= 2: a single edge is isolate-free by fiat.
@@ -648,16 +647,16 @@ def test_max_independent_matches_brute_force():
             t = rng.randint(0, n)
             for split in (0, t):
                 key = _split_key(split)
-                chosen, _ = _max_independent(conflict, EngineConfig(), "test", split)
+                chosen, _ = _max_independent(conflict, None, "test", split)
                 assert (-len(chosen), key(chosen)) == _brute_max_independent(conflict, key), \
                     (conflict, split)
     # The budget, in both orders: a search of more nodes raises after
     # budget + 1 of them.
     for split in (0, t):
-        nodes = _max_independent(conflict, EngineConfig(), "test", split)[1]
+        nodes = _max_independent(conflict, None, "test", split)[1]
         assert nodes > 3
         with pytest.raises(BudgetExceededError, match="^test: .* after 4 nodes"):
-            _max_independent(conflict, EngineConfig(node_budget=3), "test", split)
+            _max_independent(conflict, 3, "test", split)
 
 
 def _dominating_sets(masks, independent, root):
@@ -724,7 +723,7 @@ def test_min_dominating_matches_brute_force():
                                              (0, takes, (0,)), (t, takes, (0,)),
                                              (0, None, two_roots), (t, takes, two_roots)):
                     key = _split_key(split)
-                    chosen, nodes = _min_dominating(masks, independent, EngineConfig(), "test",
+                    chosen, nodes = _min_dominating(masks, independent, None, "test",
                                                     split, accept, roots)
                     split_nodes += nodes if split else 0
                     sets = [sel for root in roots for sel in ends[root]
@@ -735,7 +734,7 @@ def test_min_dominating_matches_brute_force():
                     want = size, min(map(key, small))
                     assert (len(chosen), key(chosen)) == want, (masks, independent, t, roots)
                 seen = []
-                _min_dominating(masks, independent, EngineConfig(), "test",
+                _min_dominating(masks, independent, None, "test",
                                 accept=lambda sel: seen.append(sel) and False,
                                 roots=two_roots)
                 once = [sel for root in two_roots for sel in ends[root]
@@ -747,10 +746,10 @@ def test_min_dominating_matches_brute_force():
     # The budget, in both orders: a search of more nodes raises after
     # budget + 1 of them.
     for split in (0, t):
-        nodes = _min_dominating(masks, True, EngineConfig(), "test", split)[1]
+        nodes = _min_dominating(masks, True, None, "test", split)[1]
         assert nodes > 3
         with pytest.raises(BudgetExceededError, match="^test: .* after 4 nodes"):
-            _min_dominating(masks, True, EngineConfig(node_budget=3), "test", split)
+            _min_dominating(masks, True, 3, "test", split)
 
 
 # Exact search node counts of the independent-set core, the first-hit search

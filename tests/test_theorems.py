@@ -9,7 +9,7 @@ from pmatch.graph import Graph, generate, induced_subgraph, is_bipartite
 from pmatch.properties import PropertyId
 from pmatch import solvers, theorems
 from pmatch.oracle import EDGE_SUBSET_LIMIT, all_matchings, oracle_perfect_matchings
-from pmatch.solvers import EngineConfig, ParameterId, SetSystem, _variant_search, compute_parameter
+from pmatch.solvers import ParameterId, SetSystem, _variant_search, compute_parameter
 from pmatch.theorems import (
     FROBENIUS_SCAN_LIMIT,
     all_graphs,
@@ -103,7 +103,7 @@ def test_hall_examples():
     assert v.holds and v.details["sdr"] is not None
     rng = random.Random(5)
     for _ in range(150):
-        assert check_hall(random_set_system(rng, 8, 8)).holds
+        assert check_hall(random_set_system(rng)).holds
     with pytest.raises(ValueError, match="capped at 8"):
         check_hall(SetSystem((1,), [{1}] * 9))
 
@@ -276,7 +276,7 @@ def test_scan_small_corpus():
 def test_scan_records_budget_blowups():
     k6 = generate("complete", n=6)
     records, summary = nordhaus_gaddum_scan(
-        [k6], PropertyId.INDUCED, EngineConfig(node_budget=2)
+        [k6], PropertyId.INDUCED, 2
     )
     assert summary["skipped"] == 1 and summary["count"] == 0
     assert records[0].error is not None
