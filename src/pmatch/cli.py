@@ -3,7 +3,9 @@ runs, and complement-sum scans, all with machine-readable output.
 
 Exit codes: 0 success, 1 verification failure or counterexample or a
 per-parameter error, 2 usage error, 3 node budget exceeded, 4 internal
-error (an unexpected exception, reported in one line). Output is
+error (an unexpected exception, reported in one line), 141 stdout closed
+early (128 + SIGPIPE, as a shell reports a writer that SIGPIPE killed;
+nothing is printed). Output is
 deterministic for fixed inputs and seeds; timings are only attached under
 --timing since they vary run to run. Computation is single-threaded:
 ``compute --threads N`` is accepted for compatibility and has no effect.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -237,21 +240,15 @@ def cmd_compute(args) -> int:
         if args.format == "json":
             print(json.dumps(table, sort_keys=True, separators=(",", ":")))
         else:
-            for pid in params:
-                entry = table["params"][pid.value]
+            for tag, entry in table["params"].items():
                 if "error" in entry:
-                    row = [table["graph"], pid.value, "error", entry["error"], "-", "-"]
+                    cells = ["error", entry["error"], "-", "-"]
                 else:
-                    witness = entry["witness"]
-                    row = [
-                        table["graph"],
-                        pid.value,
-                        str(entry["value"]),
-                        _witness_tsv_from_json(witness),
-                        entry["route"],
-                        str(entry["nodes"]),
-                    ]
-                print("\t".join(row))
+                    cells = [str(entry["value"]), _witness_tsv_from_json(entry["witness"]),
+                             entry["route"], str(entry["nodes"])]
+                if args.timing:
+                    cells.append(str(entry["ms"]))
+                print("\t".join([table["graph"], tag, *cells]))
     return exit_code
 
 
@@ -504,14 +501,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = args.func(args)
+        if sys.stdout is not None:  # None when stdout was closed at start
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: end quietly, and point stdout at the null
+        # device so that the interpreter's last flush stays silent too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, never a verdict

@@ -33,11 +33,7 @@ from .properties import (
     is_maximal_total_matching,
     predicate,
 )
-from .solvers import (
-    PARAM_PROPERTY,
-    MINUS_PARAMS,
-    ParameterId,
-)
+from .solvers import PROPERTY_MAX_PARAM, PROPERTY_MIN_PARAM, ParameterId
 
 __all__ = [
     "OracleReport",
@@ -161,12 +157,16 @@ def _matching_scan(G: Graph) -> tuple[int, dict[ParameterId, _Tally]]:
             vec[key] = sum(bit for bit, holds in tests if holds(G, m))
         entries.append((key, m, sat, vec[key]))
 
-    beta = [_Tally(maximize=True) for _ in _PROPS]
-    beta_minus = [_Tally(maximize=False) for _ in _PROPS]
-    slots = [(bit, top, bottom) for (bit, _), top, bottom in zip(tests, beta, beta_minus)]
-    beta1 = _Tally(maximize=True)
-    beta1_minus = _Tally(maximize=False)
-    sep_min = _Tally(maximize=False)
+    # One tally per tag; a property's slot holds its maximum's and minimum's.
+    tallies = {pid: _Tally(maximize=True) for pid in PROPERTY_MAX_PARAM.values()}
+    tallies |= {pid: _Tally(maximize=False) for pid in PROPERTY_MIN_PARAM.values()}
+    slots = [(bit, tallies[PROPERTY_MAX_PARAM[P]], tallies[PROPERTY_MIN_PARAM[P]])
+             for (bit, _), P in zip(tests, _PROPS)]
+    # beta_plain maximality coincides with plain maximality by construction;
+    # keep the dedicated tallies anyway so the two tags stay independent.
+    beta1 = tallies[ParameterId.BETA1] = _Tally(maximize=True)
+    beta1_minus = tallies[ParameterId.BETA1_MINUS] = _Tally(maximize=False)
+    sep_min = tallies[ParameterId.BETA_SEP_MIN] = _Tally(maximize=False)
 
     for key, m, sat, bits in entries:
         size, edges = m.size, m.edges
@@ -186,16 +186,6 @@ def _matching_scan(G: Graph) -> tuple[int, dict[ParameterId, _Tally]]:
             beta1_minus.offer(size, edges)
         if size >= 1 and is_edge_cut(G, edges):
             sep_min.offer(size, edges)
-
-    # beta_plain maximality coincides with plain maximality by construction;
-    # keep the dedicated tallies anyway so the two tags stay independent.
-    tallies = {
-        pid: (beta_minus if pid in MINUS_PARAMS else beta)[_PROPS.index(prop)]
-        for pid, prop in PARAM_PROPERTY.items()
-    }
-    tallies[ParameterId.BETA1] = beta1
-    tallies[ParameterId.BETA1_MINUS] = beta1_minus
-    tallies[ParameterId.BETA_SEP_MIN] = sep_min
     return len(entries), tallies
 
 

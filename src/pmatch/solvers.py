@@ -21,10 +21,11 @@
 - A matching-cut search for ``beta_sep_min`` on a graph with no bridge
   splits each component into two sides, one vertex at a time.
 
-``compute_parameter`` routes every tag. A variant that no theorem or class
-settles on G takes ``_variant_search``, which picks its search above. Each
-search takes a node budget, an integer or None for none, and raises
-``BudgetExceededError`` past it.
+``ROUTES`` is the one place where routes are chosen: it lists each tag's
+routes in the order they are tried, and ``compute_parameter`` walks them. A
+variant that no theorem or class settles on G takes ``_variant_search``,
+which picks its search above. Each search takes a node budget, an integer
+or None for none, and raises ``BudgetExceededError`` past it.
 
 Every route is deterministic: among equally sized optima the
 lexicographically smallest witness wins. Every cut is strict, so a branch
@@ -161,8 +162,6 @@ _PROPERTY_PARAM_PAIRS = {
 
 PROPERTY_MAX_PARAM = {p: pair[0] for p, pair in _PROPERTY_PARAM_PAIRS.items()}
 PROPERTY_MIN_PARAM = {p: pair[1] for p, pair in _PROPERTY_PARAM_PAIRS.items()}
-PARAM_PROPERTY = {pid: p for p, pair in _PROPERTY_PARAM_PAIRS.items() for pid in pair}
-MINUS_PARAMS = frozenset(PROPERTY_MIN_PARAM.values())
 
 
 @dataclass(frozen=True)
@@ -784,7 +783,7 @@ def tree_b_matching_max(T: Graph, b: BoundFunction) -> ParameterResult:
 # -- total matchings ---------------------------------------------------------------
 
 
-def _total_matching(G: Graph, budget: int | None, largest: bool) -> ParameterResult:
+def _total_matching(G: Graph, pid: ParameterId, budget: int | None, b=None) -> ParameterResult:
     """Largest or smallest maximal total matching (a mixed set of vertices
     and edges, pairwise independent, with nothing addable): an independent
     set of the total graph, by one of the core's two searches. Witnesses
@@ -796,8 +795,7 @@ def _total_matching(G: Graph, budget: int | None, largest: bool) -> ParameterRes
     conflict = [a | at << n for a, at in zip(G.adj_masks, G.incidence_masks)]
     plain = pairwise_conflict_masks(G, PropertyId.PLAIN)
     conflict += [1 << u | 1 << v | c << n for (u, v), c in zip(G.edges, plain)]
-    pid = ParameterId.BETA_TOTAL_MAX if largest else ParameterId.BETA_TOTAL_MIN
-    if largest:
+    if pid is ParameterId.BETA_TOTAL_MAX:
         chosen, nodes = _max_independent(conflict, budget, pid.value, n)
     else:
         chosen, nodes = _min_dominating(conflict, True, budget, pid.value, n)
@@ -916,7 +914,6 @@ COLLAPSE_CLASSES = (
     ("no even cycle", is_even_cycle_free, (PropertyId.UNIQUELY_RESTRICTED,)),
     ("forest", is_acyclic_graph, (PropertyId.ACYCLIC,)),
 )
-_COLLAPSE_TEST = {P: test for _, test, props in COLLAPSE_CLASSES for P in props}
 
 
 # -- systems of distinct representatives ---------------------------------------------------
@@ -971,7 +968,78 @@ def sdr_solve(system: SetSystem) -> SdrResult:
     return SdrResult(None, frozenset(i for i in range(k) if even[i]))
 
 
-# -- dispatcher -----------------------------------------------------------------------------
+# -- the route table ------------------------------------------------------------------------
+#
+# A route is called as ``route(G, pid, budget, b)`` and returns the answer, or
+# None when it does not apply to G. Routes look their solvers up when called.
+
+
+def _plain_max(G, pid, budget, b):
+    return replace(max_matching(G), parameter=pid)
+
+
+def _plain_min(G, pid, budget, b):
+    return replace(min_maximal_matching(G, budget), parameter=pid)
+
+
+def _independent(G, pid, budget, b):
+    chosen, nodes = _max_independent(G.adj_masks, budget, pid.value)
+    return ParameterResult(pid, len(chosen), chosen, "search", nodes)
+
+
+def _vertex_cover(G, pid, budget, b):
+    """The vertices outside a maximum independent set form a minimum vertex
+    cover: ``beta0``'s search with its nodes, on route ``fast-path``."""
+    res = _independent(G, pid, budget, b)
+    cover = tuple(sorted(set(range(G.n)) - set(res.witness)))
+    return ParameterResult(pid, len(cover), cover, "fast-path", res.nodes_explored)
+
+
+def _dominating(G, pid, budget, b):
+    chosen, nodes = _min_dominating(G.adj_masks, False, budget, pid.value)
+    return ParameterResult(pid, len(chosen), chosen, "search", nodes)
+
+
+def _bridge(G, pid, budget, b):
+    """A bridge is a one-edge matching whose removal adds a component, and no
+    empty set does: so the smallest bridge answers, when G has one."""
+    bridges = [blk.edges for blk in block_decomposition(G).blocks if blk.kind == "edge"]
+    return ParameterResult(pid, 1, min(bridges), "fast-path") if bridges else None
+
+
+def _variant_routes(P: PropertyId, minimum: bool) -> tuple:
+    """Variant P's extremum: the plain route on each class of
+    ``COLLAPSE_CLASSES`` that collapses P, then the component maxima of
+    ``beta_c`` and ``beta_if``, else its search."""
+    plain = _plain_min if minimum else _plain_max
+    routes = [lambda G, pid, budget, b, test=test: plain(G, pid, budget, b) if test(G) else None
+              for _, test, props in COLLAPSE_CLASSES if P in props]
+    if not minimum and P in (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE):
+        return (*routes, lambda G, pid, budget, b: _component_maximum(G, P, budget))
+    return (*routes, lambda G, pid, budget, b: _variant_search(G, P, minimum, budget))
+
+
+# Each tag's routes in the order they are tried; the last one always answers.
+# The fixed rows come last, so ``beta_plain`` takes blossom, not its search.
+ROUTES = {
+    pid: _variant_routes(P, minimum)
+    for P, pair in _PROPERTY_PARAM_PAIRS.items()
+    for minimum, pid in zip((False, True), pair)
+} | {
+    ParameterId.BETA1: (_plain_max,),
+    ParameterId.BETA_PLAIN: (_plain_max,),
+    ParameterId.BETA1_MINUS: (_plain_min,),
+    ParameterId.BETA0: (_independent,),
+    ParameterId.ALPHA0: (_vertex_cover,),
+    ParameterId.GAMMA: (_dominating,),
+    ParameterId.ALPHA1: (lambda G, pid, budget, b: edge_cover_number(G),),
+    ParameterId.BETA_TOTAL_MAX: (_total_matching,),
+    ParameterId.BETA_TOTAL_MIN: (_total_matching,),
+    ParameterId.BETA_SEP_MIN: (
+        _bridge, lambda G, pid, budget, b: min_separating_matching(G, budget)),
+    ParameterId.B_MATCHING_MAX: (lambda G, pid, budget, b: tree_b_matching_max(
+        G, b if b is not None else BoundFunction.uniform(G, 1)),),
+}
 
 
 def compute_parameter(
@@ -980,58 +1048,17 @@ def compute_parameter(
     budget: int | None = None,
     b: BoundFunction | None = None,
 ) -> ParameterResult:
-    """Route one parameter to its solver. ``budget`` caps each search's
+    """Route one parameter to its solver: the routes of ``ROUTES[pid]`` are
+    tried in order, and the first that applies to G answers. ``ROUTES`` is
+    the one place where routes are chosen. ``budget`` caps each search's
     nodes. ``b`` feeds the b-matching maximum and defaults to the uniform
-    bound min(1, d(v)). ``beta0`` and ``gamma`` take the core's searches on
-    the adjacency masks, and ``alpha0`` is the complement of ``beta0``'s set
-    (route ``fast-path``, with its search's nodes). ``beta_plain`` is the
-    matching number. A variant whose class test in ``COLLAPSE_CLASSES`` holds
-    on G is answered by the plain routes, before any search. ``beta_sep_min``
-    is 1 on a graph with a bridge, the smallest bridge its witness, and takes
-    the matching-cut search otherwise. A budget error names ``pid``, also
-    when its route is another tag's."""
+    bound min(1, d(v)). A budget error names ``pid``, also when its route is
+    another tag's. A value that is no ``ParameterId`` raises ValueError."""
     try:
-        if pid is ParameterId.BETA1:
-            return max_matching(G)
-        if pid is ParameterId.BETA1_MINUS:
-            return min_maximal_matching(G, budget)
-        if pid in (ParameterId.BETA0, ParameterId.ALPHA0):
-            chosen, nodes = _max_independent(G.adj_masks, budget, pid.value)
-            if pid is ParameterId.BETA0:
-                return ParameterResult(pid, len(chosen), chosen, "search", nodes)
-            # The vertices outside a maximum independent set form a minimum
-            # vertex cover.
-            cover = tuple(sorted(set(range(G.n)) - set(chosen)))
-            return ParameterResult(pid, len(cover), cover, "fast-path", nodes)
-        if pid is ParameterId.GAMMA:
-            chosen, nodes = _min_dominating(G.adj_masks, False, budget, pid.value)
-            return ParameterResult(pid, len(chosen), chosen, "search", nodes)
-        if pid is ParameterId.ALPHA1:
-            return edge_cover_number(G)
-        if pid is ParameterId.BETA_PLAIN:
-            return replace(max_matching(G), parameter=pid)
-        if pid in PARAM_PROPERTY:
-            prop = PARAM_PROPERTY[pid]
-            minimum = pid in MINUS_PARAMS
-            collapses = _COLLAPSE_TEST.get(prop)
-            if collapses is not None and collapses(G):
-                plain = min_maximal_matching(G, budget) if minimum else max_matching(G)
-                return replace(plain, parameter=pid)
-            if not minimum and prop in (PropertyId.CONNECTED, PropertyId.ISOLATE_FREE):
-                return _component_maximum(G, prop, budget)
-            return _variant_search(G, prop, minimum, budget)
-        if pid in (ParameterId.BETA_TOTAL_MAX, ParameterId.BETA_TOTAL_MIN):
-            return _total_matching(G, budget, pid is ParameterId.BETA_TOTAL_MAX)
-        if pid is ParameterId.BETA_SEP_MIN:
-            # A bridge is a one-edge matching whose removal adds a component,
-            # and no empty set does: so the smallest bridge answers.
-            bridges = [blk.edges for blk in block_decomposition(G).blocks if blk.kind == "edge"]
-            if bridges:
-                return ParameterResult(pid, 1, min(bridges), "fast-path")
-            return min_separating_matching(G, budget)
-        if pid is ParameterId.B_MATCHING_MAX:
-            bound = b if b is not None else BoundFunction.uniform(G, 1)
-            return tree_b_matching_max(G, bound)
+        for route in ROUTES.get(pid, ()):
+            res = route(G, pid, budget, b)
+            if res is not None:
+                return res
     except BudgetExceededError as exc:
         raise BudgetExceededError(pid.value, exc.nodes) from None
     raise ValueError(f"no solver route for {pid}")

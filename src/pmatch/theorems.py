@@ -277,7 +277,8 @@ def check_connected_theorem(G: Graph, budget: int | None = None) -> TheoremVerdi
     the ν(C) that are at least 2, or 1 when that sum is 0 and G has an edge.
     On a connected graph both equal the matching number. Past the oracle's
     cap the maxima come from ``solvers._variant_search``, called directly:
-    ``compute_parameter`` answers them by this identity."""
+    ``solvers.ROUTES`` answers them by this identity, and no row of it
+    reaches their search."""
     parts = [G] if is_connected(G) else [
         induced_subgraph(G, comp)[0] for comp in components(G) if len(comp) > 1]
     nus = [_solver_or_oracle_value(C, ParameterId.BETA1, budget) for C in parts]
@@ -364,8 +365,8 @@ def check_collapse_identity(G: Graph, budget: int | None = None) -> TheoremVerdi
     witness for its maximum equal those for ``beta_plain``, and for its
     minimum those for ``beta1_minus``. Past the oracle's cap the search route
     ``solvers._variant_search`` answers both sides, called directly:
-    ``compute_parameter`` would answer the variants with the collapse route
-    itself."""
+    ``solvers.ROUTES`` answers the variants with the collapse route itself,
+    and no row of it reaches their search on a collapsing class."""
     classes = [(name, props) for name, test, props in COLLAPSE_CLASSES if test(G)]
     if not classes:
         raise ValueError("graph is in no class of the collapse table")

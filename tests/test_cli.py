@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -75,6 +76,47 @@ def test_compute_tsv(capsys):
     assert len(out) == 2
     first = out[0].split("\t")
     assert first[1] == "beta1" and first[2] == "2"
+
+
+def test_compute_tsv_timing_adds_a_column(capsys):
+    # Under --timing each row, error rows too, ends in its milliseconds, as
+    # JSON's "ms"; without it the six columns stay as they are.
+    argv = ["compute", "--family", "gnp", "--n", "4", "--p", "0.0",
+            "--params", "beta1,alpha1", "--format", "tsv"]
+    assert main(argv) == 1
+    plain = [row.split("\t") for row in capsys.readouterr().out.splitlines()]
+    assert main([*argv, "--timing"]) == 1
+    timed = [row.split("\t") for row in capsys.readouterr().out.splitlines()]
+    assert [len(row) for row in plain] == [6, 6] and [len(row) for row in timed] == [7, 7]
+    assert timed[1][2] == "error"
+    for row, timed_row in zip(plain, timed):
+        assert timed_row[:6] == row and float(timed_row[6]) >= 0
+
+
+def test_closed_stdout_ends_quietly():
+    # The command prints about 116 KB, more than a pipe holds, so it is still
+    # writing when the reader closes the pipe after one line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pmatch", "theorems", "--all-n", "5", "--check", "gallai"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert json.loads(proc.stdout.readline())["theorem"] == "gallai"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_stdout_closed_at_start_ends_quietly():
+    # With file descriptor 1 closed, Python's sys.stdout is None and print
+    # writes nothing: the command still runs and exits 0.
+    proc = subprocess.run(
+        [sys.executable, "-m", "pmatch", "compute", "--family", "path", "--n", "3",
+         "--params", "beta1"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_compute_alpha1_isolates_reports_error(capsys):

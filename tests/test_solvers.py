@@ -38,8 +38,6 @@ from pmatch.properties import (
 )
 from pmatch.solvers import (
     COLLAPSE_CLASSES,
-    MINUS_PARAMS,
-    PARAM_PROPERTY,
     PROPERTY_MAX_PARAM,
     PROPERTY_MIN_PARAM,
     BudgetExceededError,
@@ -60,6 +58,11 @@ from pmatch.matching import lexmin_maximum_matching, max_matching_size
 from pmatch.theorems import all_graphs, random_graphs
 
 from conftest import graph_with_matching, graphs
+
+# Each variant tag's property, and the variant minima.
+TAG_PROPERTY = {pid: P for pids in (PROPERTY_MAX_PARAM, PROPERTY_MIN_PARAM)
+                for P, pid in pids.items()}
+VARIANT_MINIMA = frozenset(PROPERTY_MIN_PARAM.values())
 
 
 # -- engine versus oracle ------------------------------------------------------------
@@ -499,8 +502,8 @@ def test_collapse_needs_the_class():
     for G, pid in ((k4, ParameterId.BETA_ON), (k4, ParameterId.BETA_CN_MINUS),
                    (k4, ParameterId.BETA_I), (k4, ParameterId.BETA_AC_MINUS),
                    (c4, ParameterId.BETA_UR_MINUS), (c4, ParameterId.BETA_AC)):
-        P = PARAM_PROPERTY[pid]
-        search = _variant_search(G, P, pid in MINUS_PARAMS)
+        P = TAG_PROPERTY[pid]
+        search = _variant_search(G, P, pid in VARIANT_MINIMA)
         assert compute_parameter(G, pid) == search
 
 
@@ -1194,6 +1197,12 @@ def test_set_system_validation():
 # -- dispatcher and witness revalidation -------------------------------------------------------------------
 
 
+def test_compute_parameter_refuses_a_non_tag(p8):
+    # A string is no tag, even a tag's value: ValueError, never KeyError.
+    with pytest.raises(ValueError, match="^no solver route for beta1$"):
+        compute_parameter(p8, "beta1")
+
+
 def _validate_result(G, pid, res):
     if res.value is None:
         assert res.witness is None
@@ -1227,12 +1236,12 @@ def _validate_result(G, pid, res):
         assert len(w) == res.value and is_matching(G, w)
     elif pid is ParameterId.BETA1_MINUS:
         assert len(w) == res.value and is_maximal_matching(G, w)
-    elif pid in PARAM_PROPERTY:
-        P = PARAM_PROPERTY[pid]
+    elif pid in TAG_PROPERTY:
+        P = TAG_PROPERTY[pid]
         m = Matching(G, w)
         assert has_property(G, m, P)
         assert len(w) == res.value
-        if pid in MINUS_PARAMS:
+        if pid in VARIANT_MINIMA:
             assert is_maximal_p_matching(G, m, P)
 
 
@@ -1277,7 +1286,7 @@ def test_empty_graph_parameters():
     empty = Graph(0)
     for pid in ParameterId:
         res = compute_parameter(empty, pid)
-        if pid in MINUS_PARAMS or pid in (ParameterId.BETA1_MINUS, ParameterId.BETA_SEP_MIN):
+        if pid in VARIANT_MINIMA or pid in (ParameterId.BETA1_MINUS, ParameterId.BETA_SEP_MIN):
             assert res.value is None
         else:
             assert res.value == 0
